@@ -12,11 +12,12 @@ import time
 from dataclasses import dataclass
 
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, crt_combine, factor, units
+from .modarith import ModulusProfile, crt_combine, factor, require_hypotheses, units
 from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
 from .invariants import (
     Budget,
     SearchStats,
+    _least_non_cube,
     davenport_formula,
     davenport_search,
     theorem_hypothesis_failure,
@@ -84,14 +85,15 @@ def _require_subgroup(weights: WeightSet) -> None:
 
 
 def canonicalize(seq: Sequence, weights: WeightSet) -> CanonicalSequence:
-    """Least orbit element: coset-normalize each term, minimize over scalings."""
+    """Least orbit element: coset-normalize each term, minimize over scalings
+    (one unit per coset of A suffices, since rep[c*a*x] = rep[c*x])."""
     if weights.modulus != seq.modulus:
         raise ValueError("weight set modulus does not match sequence")
     _require_subgroup(weights)
     n = seq.modulus
     rep = coset_minima(weights)
     candidates = {
-        tuple(sorted(rep[c * x % n] for x in seq.terms)) for c in units(n)
+        tuple(sorted(rep[c * x % n] for x in seq.terms)) for c in weights.unit_coset_reps
     }
     return CanonicalSequence(
         base=seq,
@@ -188,14 +190,6 @@ def enumerate_extremal(
     return ExtremalClasses(classes=classes, complete=complete, d_value=d_value, stats=stats)
 
 
-def _least_non_cube(p: int) -> int:
-    cube_set = cubes(p)
-    for x in range(2, p):
-        if x not in cube_set:
-            return x
-    raise ContractError(f"no non-cube unit mod {p}")
-
-
 def _construct_terms(n: int) -> list[int]:
     if n == 1:
         return []
@@ -218,9 +212,7 @@ def construct_extremal(profile: ModulusProfile) -> Sequence:
     proper, a single unit lift otherwise; the recursive tail is multiplied by
     p.  The output is re-verified before being returned.
     """
-    failure = theorem_hypothesis_failure(profile)
-    if failure:
-        raise HypothesisError(failure, f"n = {profile.n}")
+    require_hypotheses(profile)
     n = profile.n
     seq = Sequence.make(n, _construct_terms(n))
     expected = 2 * profile.big_omega_n1 + profile.big_omega_n2
@@ -317,9 +309,7 @@ def classify_structure(seq: Sequence, profile: ModulusProfile) -> StructureRepor
     check), never trusted from the caller; a sequence that then fails to
     decompose raises TheoremViolation with a full dump.
     """
-    failure = theorem_hypothesis_failure(profile)
-    if failure:
-        raise HypothesisError(failure, f"n = {profile.n}")
+    require_hypotheses(profile)
     if profile.n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
     d = davenport_formula(profile).value
@@ -364,9 +354,7 @@ def coprimality_violating_sequence(
     n2 none is.  Such sequences must always contain a weighted zero-sum
     subsequence.
     """
-    failure = theorem_hypothesis_failure(profile)
-    if failure:
-        raise HypothesisError(failure, f"n = {profile.n}")
+    require_hypotheses(profile)
     n = profile.n
     length = 2 * profile.big_omega_n1 + profile.big_omega_n2
     pool_n1, pool_n2 = profile.primes_n1(), profile.primes_n2()

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError
-from .modarith import ModulusProfile, factor
+from .modarith import ModulusProfile, factor, require_hypotheses, theorem_hypothesis_failure
 from .weightsets import WeightSet, cubes, reduced_alphabet
 from .zerosum import (
     Sequence,
@@ -82,41 +82,20 @@ class PriorBound(NamedTuple):
     e_bound: int
 
 
-def theorem_hypothesis_failure(profile: ModulusProfile) -> str | None:
-    """Name the first failed hypothesis of the exact-value statement, if any."""
-    if profile.n % 2 == 0:
-        return "n is odd"
-    if profile.n % 3 == 0:
-        return "n is coprime to 3"
-    if not profile.is_squarefree:
-        return "n is square-free"
-    if profile.n % 7 == 0:
-        return "7 does not divide n"
-    if profile.n % 13 == 0:
-        return "13 does not divide n"
-    return None
-
-
-def _require_hypotheses(profile: ModulusProfile) -> None:
-    failure = theorem_hypothesis_failure(profile)
-    if failure:
-        raise HypothesisError(failure, f"n = {profile.n}")
-
-
 def davenport_formula(profile: ModulusProfile) -> InvariantResult:
     """Closed form 2*Omega(n1) + Omega(n2) + 1 for cube weights.
 
     Only valid for odd square-free n coprime to 3, 7 and 13; anything else is
     refused with the failed hypothesis named.
     """
-    _require_hypotheses(profile)
+    require_hypotheses(profile)
     value = 2 * profile.big_omega_n1 + profile.big_omega_n2 + 1
     return InvariantResult(n=profile.n, weights="cubes", value=value, method="formula")
 
 
 def e_formula(profile: ModulusProfile) -> InvariantResult:
     """Closed form n + 2*Omega(n1) + Omega(n2) for cube weights."""
-    _require_hypotheses(profile)
+    require_hypotheses(profile)
     value = profile.n + 2 * profile.big_omega_n1 + profile.big_omega_n2
     return InvariantResult(n=profile.n, weights="cubes", value=value, method="formula")
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import HypothesisError
+
 DEFAULT_BOUND = 10**6
 
 
@@ -73,6 +75,29 @@ class ModulusProfile:
         for p, e in self.factors:
             ds = [d * p**k for d in ds for k in range(e + 1)]
         return sorted(ds)
+
+
+def theorem_hypothesis_failure(profile: ModulusProfile) -> str | None:
+    """Name the first failed hypothesis of the exact-value statement, if any."""
+    if profile.n % 2 == 0:
+        return "n is odd"
+    if profile.n % 3 == 0:
+        return "n is coprime to 3"
+    if not profile.is_squarefree:
+        return "n is square-free"
+    if profile.n % 7 == 0:
+        return "7 does not divide n"
+    if profile.n % 13 == 0:
+        return "13 does not divide n"
+    return None
+
+
+def require_hypotheses(profile: ModulusProfile) -> None:
+    """Refuse, naming the failed hypothesis, unless the exact-value statement
+    applies to n."""
+    failure = theorem_hypothesis_failure(profile)
+    if failure:
+        raise HypothesisError(failure, f"n = {profile.n}")
 
 
 @lru_cache(maxsize=4096)

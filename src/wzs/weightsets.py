@@ -2,16 +2,17 @@
 
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
-dynamic programming inner loops want fast iteration.
+dynamic programming inner loops want fast iteration.  Derived tables are
+built lazily, once per instance; kind constructors share one per modulus.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .modarith import factor, units
-
-KINDS = ("cubes", "squares", "units", "pm_one", "singleton_one", "custom")
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,42 @@ class WeightSet:
             "is_subgroup": self.is_subgroup,
         }
 
+    @cached_property
+    def _coset_minima(self) -> tuple[int, ...]:
+        n = self.modulus
+        if not self.is_subgroup:
+            rep = list(range(n))
+            for x in range(1, n):
+                rep[x] = min(x, *(w * x % n for w in self.elements))
+            return tuple(rep)
+        # The cosets A*x partition Z_n and are met in increasing order, so the
+        # first unseen x is the least member of its coset.
+        rep = [0] * n
+        for x in range(1, n):
+            if not rep[x]:
+                for w in self.elements:
+                    rep[w * x % n] = x
+        return tuple(rep)
 
-def _closed_under_multiplication(elems: frozenset[int], n: int) -> bool:
-    return all(a * b % n in elems for a in elems for b in elems)
+    @cached_property
+    def unit_coset_reps(self) -> tuple[int, ...]:
+        """One unit per coset of A in the unit group (its least member);
+        only meaningful when A is a subgroup."""
+        n, rep = self.modulus, self._coset_minima
+        return tuple(x for x in range(1, n) if rep[x] == x and math.gcd(x, n) == 1)
 
 
-def _make(n: int, elems: set[int], kind: str) -> WeightSet:
+def _is_unit_subgroup(elems: frozenset[int], n: int) -> bool:
+    # A finite set of units containing 1 and closed under multiplication is a
+    # group; a closed set with a non-unit (such as {1, 3} mod 6) is not.
+    return (
+        1 in elems
+        and all(math.gcd(a, n) == 1 for a in elems)
+        and all(a * b % n in elems for a in elems for b in elems)
+    )
+
+
+def _make(n: int, elems: set[int], kind: str, subgroup: bool = False) -> WeightSet:
     if n < 2:
         raise ValueError("weight sets need modulus >= 2")
     if not elems:
@@ -53,7 +84,7 @@ def _make(n: int, elems: set[int], kind: str) -> WeightSet:
     if bad:
         raise ValueError(f"weights {sorted(bad)} outside [1, {n - 1}]")
     members = frozenset(elems)
-    is_subgroup = 1 in members and _closed_under_multiplication(members, n)
+    is_subgroup = subgroup or _is_unit_subgroup(members, n)
     return WeightSet(
         modulus=n,
         elements=tuple(sorted(elems)),
@@ -63,30 +94,40 @@ def _make(n: int, elems: set[int], kind: str) -> WeightSet:
     )
 
 
+# The kind constructors below build subgroups of the units by construction
+# (images of the unit group, or {1, -1}), so they skip the closure check, and
+# each returns one shared instance per modulus so its tables are built once.
+
+
+@lru_cache(maxsize=512)
 def cubes(n: int) -> WeightSet:
     """Cubes of the units mod n; equals the full unit group when every odd
     prime factor is 2 mod 3."""
-    return _make(n, {pow(a, 3, n) for a in units(n)}, "cubes")
+    return _make(n, {pow(a, 3, n) for a in units(n)}, "cubes", subgroup=True)
 
 
+@lru_cache(maxsize=512)
 def squares(n: int) -> WeightSet:
     """Squares of the units mod n."""
-    return _make(n, {pow(a, 2, n) for a in units(n)}, "squares")
+    return _make(n, {pow(a, 2, n) for a in units(n)}, "squares", subgroup=True)
 
 
+@lru_cache(maxsize=512)
 def units_weights(n: int) -> WeightSet:
     """The full unit group as a weight set."""
-    return _make(n, units(n), "units")
+    return _make(n, units(n), "units", subgroup=True)
 
 
+@lru_cache(maxsize=512)
 def pm_one(n: int) -> WeightSet:
     """{1, n-1}; collapses to {1} when n = 2."""
-    return _make(n, {1, n - 1}, "pm_one")
+    return _make(n, {1, n - 1}, "pm_one", subgroup=True)
 
 
+@lru_cache(maxsize=512)
 def singleton_one(n: int) -> WeightSet:
     """{1}: plain (unweighted) zero-sums."""
-    return _make(n, {1}, "singleton_one")
+    return _make(n, {1}, "singleton_one", subgroup=True)
 
 
 def custom(n: int, elems: list[int]) -> WeightSet:
@@ -133,22 +174,13 @@ def project(a: WeightSet, m: int) -> WeightSet:
     return _make(m, images, a.kind)
 
 
-def coset_minima(a: WeightSet) -> list[int]:
+def coset_minima(a: WeightSet) -> tuple[int, ...]:
     """rep[x] = min of the multiplicative coset A*x mod n, with rep[0] = 0.
 
     Only meaningful when A is a subgroup (the cosets partition Z_n); used for
-    orbit-pruned search and canonical forms.
+    orbit-pruned search and canonical forms.  Built once per weight set.
     """
-    n = a.modulus
-    rep = list(range(n))
-    for x in range(1, n):
-        best = x
-        for w in a.elements:
-            v = w * x % n
-            if v < best:
-                best = v
-        rep[x] = best
-    return rep
+    return a._coset_minima
 
 
 def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:
@@ -162,7 +194,7 @@ def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:
     n = a.modulus
     if a.is_subgroup:
         rep = coset_minima(a)
-        symbols = sorted({rep[x] for x in range(1, n)})
+        symbols = [x for x in range(1, n) if rep[x] == x]
         firsts = [d for d in factor(n).divisors() if d < n]
         missing = set(firsts) - set(symbols)
         if missing:

@@ -9,10 +9,9 @@ are always re-verified arithmetically before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, crt_combine, factor
+from .modarith import ModulusProfile, crt_combine, factor, theorem_hypothesis_failure
 from .weightsets import WeightSet, cubes
 
 
@@ -86,11 +85,6 @@ class Certificate:
             "picked": [{"index": i, "weight": a} for i, a in self.picked],
             "sum": self.claimed_sum,
         }
-
-
-@lru_cache(maxsize=512)
-def _cubes_for(n: int) -> WeightSet:
-    return cubes(n)
 
 
 def _shift_table(terms, weights: WeightSet) -> list[list[int]]:
@@ -294,7 +288,7 @@ def crt_zero_check(seq: Sequence, profile: ModulusProfile) -> bool:
         return True
     for q in profile.prime_powers():
         proj = [t % q for t in seq.terms]
-        if full_zero_sum_weights(proj, _cubes_for(q)) is None:
+        if full_zero_sum_weights(proj, cubes(q)) is None:
             return False
     return True
 
@@ -336,7 +330,7 @@ def _extract(pairs: list[tuple[int, int]], n: int, m: int) -> list[tuple[int, in
         unit_count = sum(1 for _, v in pairs if v % p != 0)
         if unit_count >= need:
             chosen = _choose_with_units(pairs, p, need, m)
-            weight_set = _cubes_for(p)
+            weight_set = cubes(p)
             ws = full_zero_sum_weights([pairs[pos][1] % p for pos in chosen], weight_set)
             if ws is None:
                 raise TheoremViolation(
@@ -369,7 +363,7 @@ def _drop_and_recurse(pairs, n: int, m: int, p: int) -> list[tuple[int, int]]:
     if len(keep) < needed:
         raise ContractError(f"not enough p-divisible terms to recurse at p={p}")
     child = _extract([(idx, v // p) for idx, v in keep[:needed]], sub_n, m)
-    weight_set = _cubes_for(n)
+    weight_set = cubes(n)
     return [(idx, _lift_weight(w, sub_n, weight_set)) for idx, w in child]
 
 
@@ -406,7 +400,7 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
     primes = prof.primes_n1() + prof.primes_n2()
     per_prime: dict[int, list[int]] = {}
     for r in primes:
-        ws = full_zero_sum_weights([pairs[pos][1] % r for pos in chosen], _cubes_for(r))
+        ws = full_zero_sum_weights([pairs[pos][1] % r for pos in chosen], cubes(r))
         if ws is None:
             raise TheoremViolation(
                 "unit-rich core admitted no weighted zero-sum at a prime",
@@ -414,7 +408,7 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
             )
         per_prime[r] = ws
 
-    weight_set = _cubes_for(prof.n)
+    weight_set = cubes(prof.n)
     out = []
     for k, pos in enumerate(chosen):
         a = crt_combine([(per_prime[r][k], r) for r in primes])
@@ -437,7 +431,7 @@ def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certific
     n = profile.n
     if n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
-    failure = _extraction_hypothesis_failure(profile)
+    failure = "n >= 2" if n < 2 else theorem_hypothesis_failure(profile)
     if failure:
         raise HypothesisError(failure)
     m_min = 3 * profile.small_omega_n1 + 2 * profile.small_omega_n2
@@ -451,22 +445,6 @@ def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certific
         )
     picks = _extract(list(enumerate(seq.terms)), n, m)
     cert = Certificate(picked=tuple(sorted(picks)), claimed_sum=0)
-    if len(cert.picked) != m or not cert.verify(seq, _cubes_for(n)):
+    if len(cert.picked) != m or not cert.verify(seq, cubes(n)):
         raise ContractError(f"extraction produced an invalid certificate {cert}")
     return cert
-
-
-def _extraction_hypothesis_failure(profile: ModulusProfile) -> str | None:
-    if profile.n < 2:
-        return "n >= 2"
-    if profile.n % 2 == 0:
-        return "n is odd"
-    if profile.n % 3 == 0:
-        return "n is coprime to 3"
-    if not profile.is_squarefree:
-        return "n is square-free"
-    if profile.n % 7 == 0:
-        return "7 does not divide n"
-    if profile.n % 13 == 0:
-        return "13 does not divide n"
-    return None

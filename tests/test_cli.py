@@ -197,6 +197,15 @@ def test_verify_refuses_out_of_hypothesis_n(capsys):
     assert code == EXIT_REFUSED
 
 
+def test_verify_exhausted_budget_exits_inconclusive(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "95", "--budget-ms", "0")
+    assert code == EXIT_INCONCLUSIVE
+    checks = json.loads(out)["checks"]
+    assert checks["formula_matches_search"]["search"] is None
+    failing = {name for name, c in checks.items() if not c["pass"]}
+    assert failing <= {"formula_matches_search", "prior_bound_ceiling", "extremal_classification"}
+
+
 def test_budget_env_variable_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("WZS_BUDGET_MS", "1")
     code, out, _ = run(capsys, "davenport", "--n", "29", "--weights", "one",

@@ -17,7 +17,7 @@ from wzs.extremal import (
 )
 from wzs.invariants import davenport_formula
 from wzs.modarith import factor, units
-from wzs.weightsets import cubes, custom
+from wzs.weightsets import cubes, custom, squares
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 
@@ -229,3 +229,18 @@ def test_violating_sequence_shape():
         seq = coprimality_violating_sequence(prof, rng, prime=prime)
         coprime = sum(1 for t in seq.terms if t % prime != 0)
         assert coprime <= max_coprime
+
+
+def test_canonicalize_coset_scalings_match_all_units():
+    # Reference: coset-normalize with the brute double loop and minimize over
+    # every unit scaling, as the canonical form is defined.
+    rng = random.Random(7)
+    for n in (19, 55, 91, 95, 185):
+        for ws in (cubes(n), squares(n)):
+            rep = [min([x] + [w * x % n for w in ws.elements]) for x in range(n)]
+            for _ in range(40):
+                seq = Sequence.make(n, [rng.randrange(n) for _ in range(rng.randrange(1, 6))])
+                forms = {tuple(sorted(rep[c * x % n] for x in seq.terms)) for c in units(n)}
+                got = canonicalize(seq, ws)
+                assert got.canonical.terms == min(forms), (n, seq)
+                assert got.orbit_size == len(forms), (n, seq)

@@ -22,6 +22,12 @@ def brute_subgroup(elems, n):
     return 1 in s and all(a * b % n in s for a in s for b in s)
 
 
+def brute_coset_minima(ws):
+    """The double loop: rep[x] = min(x, min over weights w of w*x mod n)."""
+    n = ws.modulus
+    return [min([x] + [w * x % n for w in ws.elements]) for x in range(n)]
+
+
 def test_cubes_prime_2_mod_3_is_all_units():
     for p in (5, 11, 17, 23, 29):
         assert set(cubes(p).elements) == units(p)
@@ -119,6 +125,9 @@ def test_custom_non_subgroup_detected():
     assert not custom(7, [2, 3]).is_subgroup
     assert not custom(7, [1, 2]).is_subgroup
     assert custom(7, [1, 2, 4]).is_subgroup
+    # closed under multiplication and contains 1, but 3 is not a unit mod 6
+    assert not custom(6, [1, 3]).is_subgroup
+    assert reduced_alphabet(custom(6, [1, 3])) == ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
 
 
 def test_reduced_alphabet_divisor_anchors():
@@ -130,3 +139,19 @@ def test_reduced_alphabet_divisor_anchors():
         for d in firsts:
             assert rep[d] == d
         assert all(rep[s] == s for s in symbols)
+
+
+def test_coset_minima_matches_brute_double_loop():
+    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
+    sets = [make(n) for n in list(range(2, 151)) + [243, 343, 500] for make in kinds]
+    sets += [custom(7, [2, 3]), custom(6, [1, 3]), custom(12, [5, 7]), custom(7, [1, 2, 4])]
+    for ws in sets:
+        assert list(coset_minima(ws)) == brute_coset_minima(ws), (ws.kind, ws.modulus)
+
+
+def test_kind_constructors_return_one_instance_per_modulus():
+    for make in (cubes, squares, units_weights, pm_one, singleton_one):
+        assert make(95) is make(95)
+    assert cubes(95) is by_kind("cubes", 95)
+    assert by_kind("pm1", 95) is pm_one(95)
+    assert coset_minima(cubes(95)) is coset_minima(cubes(95))
