@@ -227,7 +227,7 @@ def _cmd_davenport(args) -> int:
         out["search"] = res.value
         out["conclusive"] = res.conclusive
         out["witness"] = list(res.witness.terms) if res.witness is not None else None
-        out["stats"] = {"nodes": res.stats.nodes, "wall_time": res.stats.wall_time}
+        out["stats"] = res.stats.to_dict()
         if not res.conclusive:
             out["lower"] = res.lower
             out["upper"] = res.upper

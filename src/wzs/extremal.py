@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, crt_combine, factor, require_hypotheses, units
+from .modarith import ModulusProfile, crt_combine, factor, require_hypotheses
 from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
 from .invariants import (
     Budget,
@@ -22,7 +22,7 @@ from .invariants import (
     davenport_search,
     theorem_hypothesis_failure,
 )
-from .zerosum import Sequence, has_weighted_zero_subseq
+from .zerosum import Sequence, _reach_step, has_weighted_zero_subseq
 
 
 @dataclass(frozen=True)
@@ -139,19 +139,11 @@ def enumerate_extremal(
 
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
-    full = (1 << n) - 1
     firsts, alphabet = reduced_alphabet(weights)
-    shifts = {x: sorted({a * x % n for a in weights.elements}) for x in alphabet}
+    step = _reach_step(n, weights.elements, alphabet)
     found: dict[tuple[int, ...], CanonicalSequence] = {}
     nodes = 0
-    complete = True
-
-    def extend(mask: int, x: int) -> int:
-        m = mask | 1
-        new = mask
-        for s in shifts[x]:
-            new |= ((m << s) | (m >> (n - s))) & full if s else m
-        return new
+    complete = budget.max_seconds > 0 and budget.max_nodes > 0
 
     def rec(terms: tuple[int, ...], mask: int, lo: int) -> None:
         nonlocal nodes, complete
@@ -160,6 +152,8 @@ def enumerate_extremal(
         if len(terms) == target:
             canon = canonicalize(Sequence(n, terms), weights)
             found.setdefault(canon.canonical.terms, canon)
+            if time.perf_counter() > deadline:
+                complete = False
             return
         for i in range(lo, len(alphabet)):
             nodes += 1
@@ -168,22 +162,23 @@ def enumerate_extremal(
             ):
                 complete = False
                 return
-            x = alphabet[i]
-            new = extend(mask, x)
+            new = step(mask, i)
             if new & 1:
                 continue
-            rec(terms + (x,), new, i)
+            rec(terms + (alphabet[i],), new, i)
 
     if target == 0:
-        found[()] = canonicalize(Sequence(n, ()), weights)
+        if complete:
+            found[()] = canonicalize(Sequence(n, ()), weights)
     else:
         for first in firsts:
-            nodes += 1
-            mask = extend(0, first)
-            if not mask & 1:
-                rec((first,), mask, alphabet.index(first))
             if not complete:
                 break
+            nodes += 1
+            lo = alphabet.index(first)
+            mask = step(0, lo)
+            if not mask & 1:
+                rec((first,), mask, lo)
 
     classes = tuple(found[key] for key in sorted(found))
     stats = SearchStats(nodes=nodes, wall_time=time.perf_counter() - t0)
@@ -338,7 +333,7 @@ def orbit_transform(seq: Sequence, weights: WeightSet, rng) -> Sequence:
     weights (the permutation is absorbed by sorted storage)."""
     _require_subgroup(weights)
     n = seq.modulus
-    unit_pool = sorted(units(n))
+    unit_pool = weights.unit_group
     c = unit_pool[rng.randrange(len(unit_pool))]
     elems = weights.elements
     terms = [c * elems[rng.randrange(len(elems))] * x % n for x in seq.terms]

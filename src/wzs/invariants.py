@@ -3,8 +3,17 @@
 The search enumerates zero-sum-free sequences as sorted multisets over an
 orbit-reduced alphabet (one representative per weight-coset, first term
 anchored to a divisor of n) and kills a branch the moment 0 becomes a
-reachable weighted sum.  Budgets cap node-steps and wall time; an exhausted
-budget yields an explicit inconclusive bracket, never a silent wrong answer.
+reachable weighted sum.  Everything below a sequence depends only on its
+state: the mask of its reachable sums and the index lo of its last symbol.
+A table keyed by mask << bits | lo holds depth(mask, lo), the length of the
+longest zero-sum-free extension over alphabet[lo:], so each state is
+explored once; the serial first-term branches share one table per search,
+and each parallel branch builds its own.  The witness is read back from the
+table by walking down from the first term, taking at each level the first
+symbol whose state has the depth still needed, which is the first longest
+sequence in sorted order.  Budgets cap nodes (extend steps taken from states
+not yet in the table) and wall time; an exhausted budget yields an explicit
+inconclusive bracket from the longest path seen, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -21,6 +30,7 @@ from .modarith import ModulusProfile, factor, require_hypotheses, theorem_hypoth
 from .weightsets import WeightSet, cubes, reduced_alphabet
 from .zerosum import (
     Sequence,
+    _reach_step,
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
 )
@@ -36,8 +46,17 @@ class Budget:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work done by a search: nodes are extend steps from states not yet in
+    the table, states the table entries written, and exhausted_by the budget
+    that ran out ("nodes" or "seconds"), or None."""
+
     nodes: int
     wall_time: float
+    exhausted_by: str | None = None
+    states: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -69,11 +88,7 @@ class InvariantResult:
             "lower": self.lower,
             "upper": self.upper,
             "witness": list(self.witness.terms) if self.witness is not None else None,
-            "stats": (
-                {"nodes": self.stats.nodes, "wall_time": self.stats.wall_time}
-                if self.stats is not None
-                else None
-            ),
+            "stats": self.stats.to_dict() if self.stats is not None else None,
         }
 
 
@@ -169,6 +184,10 @@ def lower_bound_witness(profile: ModulusProfile, family: str = "cubes") -> Seque
     return seq
 
 
+class _Exhausted(Exception):
+    """Unwinds a search whose budget ran out; args[0] names the budget."""
+
+
 def _explore_branch(
     n: int,
     weight_elements: tuple[int, ...],
@@ -176,54 +195,88 @@ def _explore_branch(
     first: int,
     max_nodes: int,
     max_seconds: float,
-) -> tuple[int, tuple[int, ...], int, bool]:
-    """Exhaust all zero-sum-free sorted sequences starting at `first`.
+    table: dict[int, int] | None = None,
+) -> tuple[int, tuple[int, ...], int, int, str | None]:
+    """Longest zero-sum-free sorted sequence starting at `first`.
 
-    Pure function of its arguments so branches can run on independent
-    workers; returns (best length, best terms, nodes used, budget exhausted).
+    `table` maps a state key mask << bits | lo to depth(mask, lo); it may be
+    shared by branches over the same alphabet, and an entry is written only
+    once its state is fully explored.  A finished branch reads its witness
+    back from the table; an exhausted one reports the longest path it saw.
+    Apart from filling `table`, a pure function of its arguments, so
+    branches can run on independent workers; returns (best length, best
+    terms, nodes used, states added, exhausted budget or None).
     """
-    full = (1 << n) - 1
-    shifts = {
-        x: sorted({a * x % n for a in weight_elements}) for x in alphabet
-    }
+    if max_seconds <= 0 or max_nodes <= 0:
+        return 0, (), 0, 0, "seconds" if max_seconds <= 0 else "nodes"
+    table = {} if table is None else table
+    states_before = len(table)
+    step = _reach_step(n, weight_elements, alphabet)
+    size = len(alphabet)
+    bits = size.bit_length()
     deadline = time.perf_counter() + max_seconds
-    start_idx = alphabet.index(first)
-    best_len = 0
+    path: list[int] = []
     best: tuple[int, ...] = ()
     nodes = 0
-    exhausted = False
 
-    def extend(mask: int, x: int) -> int:
-        m = mask | 1
-        new = mask
-        for s in shifts[x]:
-            new |= ((m << s) | (m >> (n - s))) & full if s else m
-        return new
+    def walk(mask: int, lo: int, need: int) -> tuple[int, ...]:
+        # The first longest extension in sorted order, read from the table:
+        # at each level the first symbol whose state has the depth still needed.
+        terms = []
+        while need:
+            for i in range(lo, size):
+                new = step(mask, i)
+                if not new & 1 and table[new << bits | i] == need - 1:
+                    terms.append(alphabet[i])
+                    mask, lo, need = new, i, need - 1
+                    break
+            else:
+                raise ContractError("witness walk found no state at the tabled depth")
+        return tuple(terms)
 
-    def rec(terms: tuple[int, ...], mask: int, lo: int) -> None:
-        nonlocal best_len, best, nodes, exhausted
-        if len(terms) > best_len:
-            best_len, best = len(terms), terms
-        for i in range(lo, len(alphabet)):
-            if exhausted:
-                return
+    def depth(mask: int, lo: int) -> int:
+        # Longest zero-sum-free extension over alphabet[lo:] of a sequence
+        # whose nonempty weighted sums are `mask`; `path` holds that sequence
+        # so that an exhausted search can report the longest one it saw.
+        nonlocal best, nodes
+        key = mask << bits | lo
+        d = table.get(key)
+        if d is not None:
+            return d
+        if len(path) > len(best):
+            best = tuple(path)
+        d = 0
+        for i in range(lo, size):
             nodes += 1
-            if nodes > max_nodes or (nodes % 4096 == 0 and time.perf_counter() > deadline):
-                exhausted = True
-                return
-            x = alphabet[i]
-            new = extend(mask, x)
+            if nodes > max_nodes:
+                raise _Exhausted("nodes")
+            if nodes % 4096 == 0 and time.perf_counter() > deadline:
+                raise _Exhausted("seconds")
+            new = step(mask, i)
             if new & 1:
                 continue
-            rec(terms + (x,), new, i)
+            path.append(alphabet[i])
+            d = max(d, 1 + depth(new, i))
+            path.pop()
+        table[key] = d
+        return d
 
-    if max_seconds <= 0 or max_nodes <= 0:
-        return 0, (), 0, True
+    exhausted_by = None
     nodes += 1
-    first_mask = extend(0, first)
+    start_idx = alphabet.index(first)
+    first_mask = step(0, start_idx)
     if not first_mask & 1:
-        rec((first,), first_mask, start_idx)
-    return best_len, best, nodes, exhausted
+        path.append(first)
+        try:
+            d = depth(first_mask, start_idx)
+        except _Exhausted as exc:
+            exhausted_by = exc.args[0]
+        else:
+            best = (first,) + walk(first_mask, start_idx, d)
+    # depth refers to itself; break that cycle so the table it holds is freed
+    # now rather than at some later run of the cycle collector.
+    del depth
+    return len(best), best, nodes, len(table) - states_before, exhausted_by
 
 
 def davenport_search(
@@ -231,8 +284,9 @@ def davenport_search(
 ) -> InvariantResult:
     """Exact D_A by longest zero-sum-free sequence search.
 
-    Sequences are explored in sorted order so every multiset is visited once;
-    for subgroup weight sets the alphabet is reduced to coset-minimal
+    Sequences are explored in sorted order, and each state (reachable sums,
+    last symbol) once, through one table shared by the serial branches; for
+    subgroup weight sets the alphabet is reduced to coset-minimal
     representatives with the first term anchored to a divisor of n.  A known
     lower-bound witness seeds the incumbent when available.
     """
@@ -248,15 +302,16 @@ def davenport_search(
         incumbent = lower_bound_witness(factor(n))
 
     t0 = time.perf_counter()
-    results: list[tuple[int, tuple[int, ...], int, bool]] = []
+    results: list[tuple[int, tuple[int, ...], int, int, str | None]] = []
     if jobs <= 1:
+        table: dict[int, int] = {}
         remaining = budget.max_nodes
         for first in firsts:
             left = budget.max_seconds - (time.perf_counter() - t0)
-            res = _explore_branch(n, weights.elements, alphabet, first, remaining, left)
+            res = _explore_branch(n, weights.elements, alphabet, first, remaining, left, table)
             results.append(res)
             remaining -= res[2]
-            if res[3]:
+            if res[4]:
                 break
     else:
         share = max(1, budget.max_nodes // max(1, len(firsts)))
@@ -271,20 +326,26 @@ def davenport_search(
 
     best_len = len(incumbent) if incumbent is not None else 0
     best_terms = incumbent.terms if incumbent is not None else ()
-    total_nodes = 0
-    exhausted = False
-    for blen, bterms, bnodes, bex in results:
+    total_nodes = total_states = 0
+    exhausted_by = None
+    for blen, bterms, bnodes, bstates, bex in results:
         total_nodes += bnodes
-        exhausted = exhausted or bex
+        total_states += bstates
+        exhausted_by = exhausted_by or bex
         if blen > best_len:
             best_len, best_terms = blen, bterms
-    stats = SearchStats(nodes=total_nodes, wall_time=time.perf_counter() - t0)
+    stats = SearchStats(
+        nodes=total_nodes,
+        wall_time=time.perf_counter() - t0,
+        exhausted_by=exhausted_by,
+        states=total_states,
+    )
 
     witness = Sequence.make(n, best_terms)
     if has_weighted_zero_subseq(witness, weights) is not None:
         raise ContractError(f"search produced a witness that is not zero-sum-free: {witness}")
 
-    if exhausted:
+    if exhausted_by:
         upper = None
         if weights.kind == "cubes":
             try:

@@ -58,6 +58,11 @@ class WeightSet:
         return tuple(rep)
 
     @cached_property
+    def unit_group(self) -> tuple[int, ...]:
+        """The units mod n in increasing order."""
+        return tuple(sorted(units(self.modulus)))
+
+    @cached_property
     def unit_coset_reps(self) -> tuple[int, ...]:
         """One unit per coset of A in the unit group (its least member);
         only meaningful when A is a subgroup."""

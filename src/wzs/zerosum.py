@@ -9,6 +9,7 @@ are always re-verified arithmetically before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, crt_combine, factor, theorem_hypothesis_failure
@@ -87,32 +88,42 @@ class Certificate:
         }
 
 
-def _shift_table(terms, weights: WeightSet) -> list[list[int]]:
-    n = weights.modulus
+def _shift_table(n: int, elements, terms) -> list[list[int]]:
+    # The sorted weighted images {a*x mod n} of each term: the rotations the
+    # reachable-sum step applies for it.
     cache: dict[int, list[int]] = {}
     out = []
     for x in terms:
         shs = cache.get(x)
         if shs is None:
-            shs = sorted({a * x % n for a in weights.elements})
+            shs = sorted({a * x % n for a in elements})
             cache[x] = shs
         out.append(shs)
     return out
 
 
+def _reach_step(n: int, elements, symbols) -> Callable[[int, int], int]:
+    """The reachable-sum kernel: step(mask, i) is the set of nonempty weighted
+    sums after appending symbols[i] to a sequence whose set is `mask`."""
+    full = (1 << n) - 1
+    shifts = _shift_table(n, elements, symbols)
+
+    def step(mask: int, i: int) -> int:
+        m = mask | 1
+        new = mask
+        for s in shifts[i]:
+            new |= ((m << s) | (m >> (n - s))) & full if s else m
+        return new
+
+    return step
+
+
 def _subset_layers(seq: Sequence, weights: WeightSet) -> list[int]:
     """Bitmask per prefix of the sums of nonempty weighted subsequences."""
-    n = seq.modulus
-    full = (1 << n) - 1
+    step = _reach_step(seq.modulus, weights.elements, seq.terms)
     layers = [0]
-    r = 0
-    for shs in _shift_table(seq.terms, weights):
-        m = r | 1
-        new = r
-        for s in shs:
-            new |= ((m << s) | (m >> (n - s))) & full if s else m
-        layers.append(new)
-        r = new
+    for i in range(len(seq)):
+        layers.append(step(layers[-1], i))
     return layers
 
 
@@ -195,7 +206,7 @@ def has_fixed_length_zero_subseq(
         return Certificate(picked=(), claimed_sum=0) if allow_empty else None
     n = seq.modulus
     full = (1 << n) - 1
-    shifts = _shift_table(seq.terms, weights)
+    shifts = _shift_table(n, weights.elements, seq.terms)
     layers: list[list[int]] = [[1] + [0] * length]
     prev = layers[0]
     for j, shs in enumerate(shifts, start=1):
@@ -250,7 +261,7 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     full = (1 << n) - 1
     layers = [1]
     cur = 1
-    for shs in _shift_table(vals, weights):
+    for shs in _shift_table(n, weights.elements, vals):
         nxt = 0
         for s in shs:
             nxt |= ((cur << s) | (cur >> (n - s))) & full if s else cur

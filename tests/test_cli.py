@@ -65,6 +65,8 @@ def test_davenport_both_agrees(capsys):
     assert payload["search"] == 4
     assert payload["agrees"] is True
     assert payload["witness"] == [1, 2, 19]
+    assert payload["stats"]["exhausted_by"] is None
+    assert payload["stats"]["states"] > 0
 
 
 def test_davenport_formula_refusal_exit_code(capsys):
@@ -81,6 +83,7 @@ def test_davenport_inconclusive_exit_code(capsys):
     payload = json.loads(out)
     assert payload["conclusive"] is False and payload["search"] is None
     assert payload["lower"] >= 1
+    assert payload["stats"]["exhausted_by"] == "seconds"
 
 
 def test_davenport_cache_hit_is_byte_identical(capsys, isolated_cache):
@@ -148,6 +151,14 @@ def test_extremal_enumerate_55(capsys):
     assert payload["count"] == 3 and payload["complete"] is True
     assert payload["classes"][0]["canonical"] == [1, 5]
     assert payload["classes"][0]["structure"]["case"] == "case2"
+
+
+def test_extremal_enumerate_zero_budget_is_inconclusive(capsys, isolated_cache):
+    code, out, _ = run(capsys, "extremal", "enumerate", "--n", "589",
+                       "--weights", "cubes", "--budget-ms", "0")
+    assert code == EXIT_INCONCLUSIVE
+    assert json.loads(out)["complete"] is False
+    assert not isolated_cache.exists()
 
 
 def test_extremal_construct_and_classify(capsys):

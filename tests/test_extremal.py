@@ -15,7 +15,7 @@ from wzs.extremal import (
     orbit_transform,
     reconstruct,
 )
-from wzs.invariants import davenport_formula
+from wzs.invariants import Budget, davenport_formula
 from wzs.modarith import factor, units
 from wzs.weightsets import cubes, custom, squares
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
@@ -121,6 +121,16 @@ def test_enumerate_extremal_19_matches_brute_count():
     assert enum.complete
     oracle_count = len(brute_orbit_classes(zero_sum_free_unit_pairs(19, t19), t19))
     assert len(enum.classes) == oracle_count == 1
+
+
+def test_enumerate_extremal_honors_small_budgets():
+    # n = 589 has 31 classes but fewer nodes than one periodic deadline check,
+    # so the deadline is also looked at once per canonicalized leaf.
+    for budget in (Budget(max_seconds=0), Budget(max_nodes=0), Budget(max_seconds=1e-9)):
+        enum = enumerate_extremal(589, cubes(589), budget)
+        assert not enum.complete
+        assert len(enum.classes) < 31
+    assert len(enumerate_extremal(589, cubes(589)).classes) == 31
 
 
 def test_enumerate_extremal_55():

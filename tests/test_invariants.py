@@ -159,6 +159,7 @@ def test_budget_exhaustion_is_explicit():
     res = davenport_search(19, singleton_one(19), budget=Budget(max_nodes=25))
     assert not res.conclusive
     assert res.value is None
+    assert res.stats.exhausted_by == "nodes"
     assert res.lower is not None and res.lower >= 1
     assert has_weighted_zero_subseq(res.witness, singleton_one(19)) is None
 

@@ -1,0 +1,134 @@
+"""The memoized Davenport search against the plain depth-first search it
+replaced, against closed forms from the literature, and under budgets."""
+
+import math
+
+import pytest
+
+from wzs.invariants import Budget, _explore_branch, davenport_search, lower_bound_witness
+from wzs.modarith import factor
+from wzs.weightsets import by_kind, custom, pm_one, reduced_alphabet, units_weights
+from wzs.zerosum import has_weighted_zero_subseq
+
+UNLIMITED = Budget(max_nodes=10**12, max_seconds=float("inf"))
+
+
+def plain_branch(n, elements, alphabet, first):
+    """Every sorted zero-sum-free sequence starting at `first`, one by one;
+    the first longest one met in sorted order wins."""
+    full = (1 << n) - 1
+    shifts = {x: sorted({a * x % n for a in elements}) for x in alphabet}
+    best = ()
+
+    def extend(mask, x):
+        m = mask | 1
+        new = mask
+        for s in shifts[x]:
+            new |= ((m << s) | (m >> (n - s))) & full if s else m
+        return new
+
+    def rec(terms, mask, lo):
+        nonlocal best
+        if len(terms) > len(best):
+            best = terms
+        for i in range(lo, len(alphabet)):
+            new = extend(mask, alphabet[i])
+            if not new & 1:
+                rec(terms + (alphabet[i],), new, i)
+
+    first_mask = extend(0, first)
+    if not first_mask & 1:
+        rec((first,), first_mask, alphabet.index(first))
+    return best
+
+
+def plain_search(n, weights):
+    """(D, witness terms) by the exhaustive search, incumbent rule included."""
+    firsts, alphabet = reduced_alphabet(weights)
+    best = ()
+    if weights.kind == "cubes" and n % 2 == 1 and n % 3 != 0:
+        best = lower_bound_witness(factor(n)).terms
+    for first in firsts:
+        terms = plain_branch(n, weights.elements, alphabet, first)
+        if len(terms) > len(best):
+            best = terms
+    return len(best) + 1, best
+
+
+# {1} costs the plain search half a million nodes by n = 24 (so do the
+# squares mod 24, which are {1}), so {1} stops at n = 22.
+@pytest.mark.parametrize(
+    "kind, top", [("one", 22), ("pm1", 40), ("units", 40), ("squares", 40), ("cubes", 40)]
+)
+def test_memoized_search_matches_plain_search(kind, top):
+    for n in range(2, top + 1):
+        weights = by_kind(kind, n)
+        res = davenport_search(n, weights, UNLIMITED)
+        assert res.conclusive
+        assert (res.value, res.witness.terms) == plain_search(n, weights), (kind, n)
+
+
+def test_memoized_search_matches_plain_search_on_non_subgroup_set():
+    # {1, 2} is not closed under multiplication for n >= 5, and 2 is a
+    # non-unit for even n, so some first terms are zero-sums on their own.
+    for n in range(5, 23):
+        weights = custom(n, [1, 2])
+        assert not weights.is_subgroup
+        res = davenport_search(n, weights, UNLIMITED)
+        assert res.conclusive
+        assert (res.value, res.witness.terms) == plain_search(n, weights), n
+
+
+def test_search_pins_closed_forms():
+    # Adhikari, Chen, Friedlander, Konyagin and Pappalardi (2006):
+    # D_{+-1}(Z_n) = floor(log2 n) + 1 and D_units(Z_n) = Omega(n) + 1.
+    for n in range(2, 61):
+        assert davenport_search(n, pm_one(n), UNLIMITED).value == math.floor(math.log2(n)) + 1, n
+        omega = sum(e for _, e in factor(n).factors)
+        assert davenport_search(n, units_weights(n), UNLIMITED).value == omega + 1, n
+
+
+def test_conclusive_answer_does_not_depend_on_jobs():
+    weights = by_kind("cubes", 108)
+    serial = davenport_search(108, weights, UNLIMITED, jobs=1)
+    parallel = davenport_search(108, weights, UNLIMITED, jobs=2)
+    assert serial.conclusive and parallel.conclusive
+    assert serial.value == parallel.value
+    assert serial.witness == parallel.witness
+
+
+def test_search_node_count_falls_with_the_table():
+    res = davenport_search(180, by_kind("cubes", 180))
+    assert res.conclusive and res.value == 7
+    assert res.stats.nodes <= 60_000
+    assert 0 < res.stats.states <= res.stats.nodes
+    assert res.stats.exhausted_by is None
+
+
+def test_seconds_exhaustion_is_named():
+    res = davenport_search(19, by_kind("one", 19), Budget(max_seconds=0))
+    assert not res.conclusive
+    assert res.stats.exhausted_by == "seconds"
+
+
+def test_exhausted_branch_leaves_no_partial_entry():
+    # A table left behind by an exhausted run must give the same answer as a
+    # fresh table, so only fully explored states may have been written.
+    n = 16
+    weights = by_kind("one", n)
+    firsts, alphabet = reduced_alphabet(weights)
+    fresh = _explore_branch(n, weights.elements, alphabet, firsts[0], 10**9, 60.0)
+    table: dict[int, int] = {}
+    cut = _explore_branch(n, weights.elements, alphabet, firsts[0], 500, 60.0, table)
+    assert cut[4] == "nodes"
+    resumed = _explore_branch(n, weights.elements, alphabet, firsts[0], 10**9, 60.0, table)
+    assert resumed[:2] == fresh[:2]
+    assert resumed[4] is None
+
+
+def test_exhausted_search_returns_a_zero_sum_free_lower_bound():
+    weights = by_kind("one", 40)
+    res = davenport_search(40, weights, Budget(max_nodes=20_000))
+    assert not res.conclusive and res.stats.exhausted_by == "nodes"
+    assert res.lower == len(res.witness) + 1 >= 2
+    assert has_weighted_zero_subseq(res.witness, weights) is None

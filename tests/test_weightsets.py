@@ -155,3 +155,9 @@ def test_kind_constructors_return_one_instance_per_modulus():
     assert cubes(95) is by_kind("cubes", 95)
     assert by_kind("pm1", 95) is pm_one(95)
     assert coset_minima(cubes(95)) is coset_minima(cubes(95))
+
+
+def test_unit_group_is_sorted_units_built_once():
+    for n in (2, 19, 95, 185):
+        assert cubes(n).unit_group == tuple(sorted(units(n)))
+    assert cubes(95).unit_group is cubes(95).unit_group
