@@ -14,7 +14,6 @@ from .modarith import (
     DEFAULT_BOUND,
     ModulusProfile,
     crt_combine,
-    crt_split,
     factor,
     is_kth_power_residue,
     units,
@@ -26,7 +25,6 @@ from .weightsets import (
     cubes,
     custom,
     pm_one,
-    project,
     reduced_alphabet,
     singleton_one,
     squares,

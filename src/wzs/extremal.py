@@ -17,6 +17,7 @@ from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
 from .invariants import (
     Budget,
     SearchStats,
+    _frames_left,
     _least_non_cube,
     davenport_formula,
     davenport_search,
@@ -140,10 +141,12 @@ def enumerate_extremal(
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
     firsts, alphabet = reduced_alphabet(weights)
-    step = _reach_step(n, weights.elements, alphabet)
+    step = _reach_step(weights, alphabet)
     found: dict[tuple[int, ...], CanonicalSequence] = {}
     nodes = 0
-    complete = budget.max_seconds > 0 and budget.max_nodes > 0
+    # rec recurses one frame per term, so a target deeper than the frames
+    # left is refused like an exhausted budget.
+    complete = budget.max_seconds > 0 and budget.max_nodes > 0 and target < _frames_left()
 
     def rec(terms: tuple[int, ...], mask: int, lo: int) -> None:
         nonlocal nodes, complete
@@ -162,7 +165,7 @@ def enumerate_extremal(
             ):
                 complete = False
                 return
-            new = step(mask, i)
+            new = step(mask, i, mask | 1)
             if new & 1:
                 continue
             rec(terms + (alphabet[i],), new, i)
@@ -176,7 +179,7 @@ def enumerate_extremal(
                 break
             nodes += 1
             lo = alphabet.index(first)
-            mask = step(0, lo)
+            mask = step(0, lo, 1)
             if not mask & 1:
                 rec((first,), mask, lo)
 

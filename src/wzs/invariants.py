@@ -19,6 +19,7 @@ inconclusive bracket from the longest path seen, never a silent wrong answer.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -48,7 +49,8 @@ class Budget:
 class SearchStats:
     """Work done by a search: nodes are extend steps from states not yet in
     the table, states the table entries written, and exhausted_by the budget
-    that ran out ("nodes" or "seconds"), or None."""
+    that ran out ("nodes", "seconds", or "depth" when a sequence grew as long
+    as the interpreter's recursion limit allows), or None."""
 
     nodes: int
     wall_time: float
@@ -188,9 +190,17 @@ class _Exhausted(Exception):
     """Unwinds a search whose budget ran out; args[0] names the budget."""
 
 
+def _frames_left(margin: int = 50) -> int:
+    """How many more Python frames a recursive walk may open below its
+    caller before the interpreter's recursion limit, less a margin."""
+    used, frame = 0, sys._getframe()
+    while frame is not None:
+        used, frame = used + 1, frame.f_back
+    return sys.getrecursionlimit() - used - margin
+
+
 def _explore_branch(
-    n: int,
-    weight_elements: tuple[int, ...],
+    weights: WeightSet,
     alphabet: list[int],
     first: int,
     max_nodes: int,
@@ -203,18 +213,21 @@ def _explore_branch(
     shared by branches over the same alphabet, and an entry is written only
     once its state is fully explored.  A finished branch reads its witness
     back from the table; an exhausted one reports the longest path it saw.
-    Apart from filling `table`, a pure function of its arguments, so
-    branches can run on independent workers; returns (best length, best
-    terms, nodes used, states added, exhausted budget or None).
+    The walk recurses one frame per term, so a path as long as the frames
+    left stops it like a budget ("depth").  Apart from filling `table`, a
+    pure function of its arguments, so branches can run on independent
+    workers; returns (best length, best terms, nodes used, states added,
+    exhausted budget or None).
     """
     if max_seconds <= 0 or max_nodes <= 0:
         return 0, (), 0, 0, "seconds" if max_seconds <= 0 else "nodes"
     table = {} if table is None else table
     states_before = len(table)
-    step = _reach_step(n, weight_elements, alphabet)
+    step = _reach_step(weights, alphabet)
     size = len(alphabet)
     bits = size.bit_length()
     deadline = time.perf_counter() + max_seconds
+    room = _frames_left()
     path: list[int] = []
     best: tuple[int, ...] = ()
     nodes = 0
@@ -225,7 +238,7 @@ def _explore_branch(
         terms = []
         while need:
             for i in range(lo, size):
-                new = step(mask, i)
+                new = step(mask, i, mask | 1)
                 if not new & 1 and table[new << bits | i] == need - 1:
                     terms.append(alphabet[i])
                     mask, lo, need = new, i, need - 1
@@ -245,6 +258,8 @@ def _explore_branch(
             return d
         if len(path) > len(best):
             best = tuple(path)
+            if len(path) >= room:
+                raise _Exhausted("depth")
         d = 0
         for i in range(lo, size):
             nodes += 1
@@ -252,7 +267,7 @@ def _explore_branch(
                 raise _Exhausted("nodes")
             if nodes % 4096 == 0 and time.perf_counter() > deadline:
                 raise _Exhausted("seconds")
-            new = step(mask, i)
+            new = step(mask, i, mask | 1)
             if new & 1:
                 continue
             path.append(alphabet[i])
@@ -264,7 +279,7 @@ def _explore_branch(
     exhausted_by = None
     nodes += 1
     start_idx = alphabet.index(first)
-    first_mask = step(0, start_idx)
+    first_mask = step(0, start_idx, 1)
     if not first_mask & 1:
         path.append(first)
         try:
@@ -308,7 +323,7 @@ def davenport_search(
         remaining = budget.max_nodes
         for first in firsts:
             left = budget.max_seconds - (time.perf_counter() - t0)
-            res = _explore_branch(n, weights.elements, alphabet, first, remaining, left, table)
+            res = _explore_branch(weights, alphabet, first, remaining, left, table)
             results.append(res)
             remaining -= res[2]
             if res[4]:
@@ -317,9 +332,7 @@ def davenport_search(
         share = max(1, budget.max_nodes // max(1, len(firsts)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(
-                    _explore_branch, n, weights.elements, alphabet, first, share, budget.max_seconds
-                )
+                pool.submit(_explore_branch, weights, alphabet, first, share, budget.max_seconds)
                 for first in firsts
             ]
             results = [f.result() for f in futures]

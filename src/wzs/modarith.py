@@ -198,8 +198,3 @@ def crt_combine(parts: list[tuple[int, int]]) -> int:
             r_acc += m_acc * step
         m_acc *= m
     return r_acc % m_acc
-
-
-def crt_split(r: int, moduli: list[int]) -> list[tuple[int, int]]:
-    """Project a residue onto each modulus; inverse of crt_combine."""
-    return [(r % m, m) for m in moduli]

@@ -2,7 +2,8 @@
 
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
-dynamic programming inner loops want fast iteration.  Derived tables are
+dynamic programming inner loops want fast iteration.  Derived tables (coset
+minima, orbit ids and the orbit-sum columns of the reachable-sum kernel) are
 built lazily, once per instance; kind constructors share one per modulus.
 """
 
@@ -56,6 +57,36 @@ class WeightSet:
                 for w in self.elements:
                     rep[w * x % n] = x
         return tuple(rep)
+
+    @cached_property
+    def orbit_id(self) -> tuple[int, ...]:
+        """orbit_id[x] = index of the coset A*x, numbered by least member, so
+        {0} is orbit 0; only meaningful when A is a subgroup."""
+        ids: dict[int, int] = {}
+        return tuple(ids.setdefault(r, len(ids)) for r in self._coset_minima)
+
+    @cached_property
+    def uses_orbits(self) -> bool:
+        """Whether the reachable-sum kernel carries masks over orbit ids
+        rather than n-bit residue masks: for a subgroup with k orbits, when
+        k*k < n.  An orbit holds about n/k residues, so the residue step does
+        about n/k rotate-ORs per term where the orbit step does at most k ORs."""
+        return self.is_subgroup and len(set(self._coset_minima)) ** 2 < self.modulus
+
+    @cached_property
+    def orbit_columns(self) -> tuple[tuple[int, ...], ...]:
+        """orbit_columns[q][o] = mask of the orbits met by r + y for r in
+        orbit o and y in orbit q.  Since a*(r + b*y) = a*r + ab*y, this is
+        the mask of r + A*y, and one y per orbit gives it, in O(n)."""
+        oid = self.orbit_id
+        least = sorted(set(self._coset_minima))
+        cols = []
+        for y in least:
+            acc = [0] * len(least)
+            for o, p in zip(oid, oid[y:] + oid[:y]):
+                acc[o] |= 1 << p
+            cols.append(tuple(acc))
+        return tuple(cols)
 
     @cached_property
     def unit_group(self) -> tuple[int, ...]:
@@ -159,24 +190,6 @@ def by_kind(kind: str, n: int, elems: list[int] | None = None) -> WeightSet:
     if alias not in _FACTORIES:
         raise ValueError(f"unknown weight kind {kind!r}")
     return _FACTORIES[alias](n)
-
-
-def project(a: WeightSet, m: int) -> WeightSet:
-    """Image of a weight set under reduction mod a divisor m of its modulus.
-
-    Unit-based kinds always project onto the corresponding set mod m; for
-    custom sets an element reducing to 0 has no meaning as a weight, so the
-    projection is refused.
-    """
-    n = a.modulus
-    if m < 2:
-        raise ValueError("projection target must be >= 2")
-    if n % m != 0:
-        raise ValueError(f"{m} does not divide {n}")
-    images = {x % m for x in a.elements}
-    if 0 in images:
-        raise ValueError(f"projection of {a.kind} set mod {m} hits 0; not a weight set")
-    return _make(m, images, a.kind)
 
 
 def coset_minima(a: WeightSet) -> tuple[int, ...]:

@@ -1,9 +1,14 @@
 """Weighted zero-sum decision core.
 
-Reachable weighted sums are tracked as bitmasks (one bit per residue) with a
-snapshot kept per term, so existence checks and certificate backtracking share
-one dynamic programming pass.  Certificates name term indices and weights and
-are always re-verified arithmetically before being returned.
+Reachable weighted sums are tracked as bitmasks with a snapshot kept per
+term, so existence checks and certificate backtracking share one dynamic
+programming pass.  One kernel, _reach_step, extends a mask by a term for the
+DP, the Davenport search and the extremal enumeration.  A mask has one bit
+per orbit A*x when the weight set is a subgroup with few orbits (every
+reachable set is then a union of orbits), else one bit per residue; the
+weight set owns the tables and picks the form.  Certificates name term
+indices and weights and are always re-verified arithmetically before being
+returned.
 """
 
 from __future__ import annotations
@@ -37,17 +42,6 @@ class Sequence:
 
     def multiplicity(self, g: int) -> int:
         return self.terms.count(g)
-
-    def is_subsequence_of(self, other: Sequence) -> bool:
-        if self.modulus != other.modulus:
-            return False
-        return all(self.multiplicity(g) <= other.multiplicity(g) for g in set(self.terms))
-
-    def project(self, m: int) -> Sequence:
-        """Image under the natural map Z_n -> Z_m for a divisor m."""
-        if m < 1 or self.modulus % m != 0:
-            raise ValueError(f"{m} does not divide {self.modulus}")
-        return Sequence.make(m, (t % m for t in self.terms))
 
 
 @dataclass(frozen=True)
@@ -88,42 +82,57 @@ class Certificate:
         }
 
 
-def _shift_table(n: int, elements, terms) -> list[list[int]]:
-    # The sorted weighted images {a*x mod n} of each term: the rotations the
-    # reachable-sum step applies for it.
-    cache: dict[int, list[int]] = {}
-    out = []
-    for x in terms:
-        shs = cache.get(x)
-        if shs is None:
-            shs = sorted({a * x % n for a in elements})
-            cache[x] = shs
-        out.append(shs)
-    return out
+def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
+    """The reachable-sum kernel: step(acc, i, src) is acc together with every
+    r + a*symbols[i] for r in src and a in A.
 
+    Masks are over orbit ids when weights.uses_orbits (every reachable set of
+    a subgroup is a union of orbits, and the columns give the orbits met by
+    an orbit plus A*x), else over residues, one rotate-OR per distinct a*x.
+    _bit_index maps a residue to its bit either way."""
+    if weights.uses_orbits:
+        cols = [weights.orbit_columns[weights.orbit_id[x]] for x in symbols]
 
-def _reach_step(n: int, elements, symbols) -> Callable[[int, int], int]:
-    """The reachable-sum kernel: step(mask, i) is the set of nonempty weighted
-    sums after appending symbols[i] to a sequence whose set is `mask`."""
+        def step(acc: int, i: int, src: int) -> int:
+            col = cols[i]
+            o = 0
+            while src:
+                if src & 1:
+                    acc |= col[o]
+                src >>= 1
+                o += 1
+            return acc
+
+        return step
+
+    n = weights.modulus
     full = (1 << n) - 1
-    shifts = _shift_table(n, elements, symbols)
+    images: dict[int, list[int]] = {}
+    for x in symbols:
+        if x not in images:
+            images[x] = sorted({a * x % n for a in weights.elements})
+    shifts = [images[x] for x in symbols]
 
-    def step(mask: int, i: int) -> int:
-        m = mask | 1
-        new = mask
+    def step(acc: int, i: int, src: int) -> int:
         for s in shifts[i]:
-            new |= ((m << s) | (m >> (n - s))) & full if s else m
-        return new
+            acc |= ((src << s) | (src >> (n - s))) & full if s else src
+        return acc
 
     return step
 
 
+def _bit_index(weights: WeightSet):
+    """bit[t]: the bit of residue t in the kernel's masks."""
+    return weights.orbit_id if weights.uses_orbits else range(weights.modulus)
+
+
 def _subset_layers(seq: Sequence, weights: WeightSet) -> list[int]:
-    """Bitmask per prefix of the sums of nonempty weighted subsequences."""
-    step = _reach_step(seq.modulus, weights.elements, seq.terms)
+    """Mask per prefix of the sums of nonempty weighted subsequences."""
+    step = _reach_step(weights, seq.terms)
     layers = [0]
     for i in range(len(seq)):
-        layers.append(step(layers[-1], i))
+        mask = layers[-1]
+        layers.append(step(mask, i, mask | 1))
     return layers
 
 
@@ -138,7 +147,8 @@ def reachable_sums(seq: Sequence, weights: WeightSet) -> set[int]:
     """All residues of the form sum(a_i * x_i) over nonempty subsequences."""
     _check_moduli(seq, weights)
     r = _subset_layers(seq, weights)[-1]
-    return {t for t in range(seq.modulus) if r >> t & 1}
+    bit = _bit_index(weights)
+    return {t for t in range(seq.modulus) if r >> bit[t] & 1}
 
 
 def _backtrack_subset(
@@ -147,12 +157,13 @@ def _backtrack_subset(
     # Skip a term whenever the residual target survives without it (smallest
     # index set), then take the smallest usable weight.
     n = seq.modulus
+    bit = _bit_index(weights)
     terms = seq.terms
     picked: list[tuple[int, int]] = []
     t = target
     j = len(terms)
     while True:
-        if j > 0 and layers[j - 1] >> t & 1:
+        if j > 0 and layers[j - 1] >> bit[t] & 1:
             j -= 1
             continue
         if j == 0:
@@ -166,7 +177,7 @@ def _backtrack_subset(
                 picked.append((j - 1, a))
                 stop = True
                 break
-            if prev >> s & 1:
+            if prev >> bit[s] & 1:
                 picked.append((j - 1, a))
                 t = s
                 j -= 1
@@ -205,38 +216,39 @@ def has_fixed_length_zero_subseq(
     if length == 0:
         return Certificate(picked=(), claimed_sum=0) if allow_empty else None
     n = seq.modulus
-    full = (1 << n) - 1
-    shifts = _shift_table(n, weights.elements, seq.terms)
+    # layers[j][c] holds the sums of c weighted picks among the first j
+    # terms.  A cell with c < length - (len(seq) - j) cannot grow to `length`
+    # picks, and backtracking starts from the first row where `length` picks
+    # reach 0, so neither those cells nor later rows are computed.
+    step = _reach_step(weights, seq.terms)
+    spare = len(seq) - length
     layers: list[list[int]] = [[1] + [0] * length]
     prev = layers[0]
-    for j, shs in enumerate(shifts, start=1):
+    for j in range(len(seq)):
         cur = prev[:]
-        top = min(j, length)
-        for c in range(1, top + 1):
-            src = prev[c - 1]
-            if not src:
-                continue
-            acc = cur[c]
-            for s in shs:
-                acc |= ((src << s) | (src >> (n - s))) & full if s else src
-            cur[c] = acc
+        for c in range(max(1, j + 1 - spare), min(j + 1, length) + 1):
+            if prev[c - 1]:
+                cur[c] = step(cur[c], j, prev[c - 1])
         layers.append(cur)
         prev = cur
-    if not layers[-1][length] & 1:
+        if cur[length] & 1:
+            break
+    else:
         return None
 
+    bit = _bit_index(weights)
     terms = seq.terms
     picked: list[tuple[int, int]] = []
-    t, c, j = 0, length, len(terms)
+    t, c, j = 0, length, len(layers) - 1
     while c > 0:
-        if layers[j - 1][c] >> t & 1:
+        if layers[j - 1][c] >> bit[t] & 1:
             j -= 1
             continue
         x = terms[j - 1]
         prev_row = layers[j - 1][c - 1]
         for a in weights.elements:
             s = (t - a * x) % n
-            if prev_row >> s & 1:
+            if prev_row >> bit[s] & 1:
                 picked.append((j - 1, a))
                 t, c, j = s, c - 1, j - 1
                 break
@@ -258,17 +270,13 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     vals = list(values)
     if any(not 0 <= v < n for v in vals):
         raise ValueError("values outside residue range")
-    full = (1 << n) - 1
+    step = _reach_step(weights, vals)
     layers = [1]
-    cur = 1
-    for shs in _shift_table(n, weights.elements, vals):
-        nxt = 0
-        for s in shs:
-            nxt |= ((cur << s) | (cur >> (n - s))) & full if s else cur
-        layers.append(nxt)
-        cur = nxt
-    if not cur & 1:
+    for j in range(len(vals)):
+        layers.append(step(0, j, layers[-1]))
+    if not layers[-1] & 1:
         return None
+    bit = _bit_index(weights)
     ws: list[int] = []
     t = 0
     for j in range(len(vals) - 1, -1, -1):
@@ -276,7 +284,7 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
         prev = layers[j]
         for a in weights.elements:
             s = (t - a * x) % n
-            if prev >> s & 1:
+            if prev >> bit[s] & 1:
                 ws.append(a)
                 t = s
                 break

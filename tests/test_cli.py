@@ -86,6 +86,22 @@ def test_davenport_inconclusive_exit_code(capsys):
     assert payload["stats"]["exhausted_by"] == "seconds"
 
 
+def test_davenport_too_deep_for_recursion_is_inconclusive(capsys):
+    # D_{1}(Z_1100) = 1100: the all-ones path outgrows the recursion limit,
+    # which must stop the search like a budget, not crash it.
+    code, out, _ = run(capsys, "davenport", "--n", "1100", "--weights", "one",
+                       "--method", "search", "--budget-ms", "2000")
+    assert code == EXIT_INCONCLUSIVE
+    payload = json.loads(out)
+    assert payload["conclusive"] is False and payload["search"] is None
+    assert payload["stats"]["exhausted_by"] == "depth"
+    witness = payload["witness"]
+    assert payload["lower"] == len(witness) + 1 >= 100
+    # With weight 1, a nonempty subsequence sums to a value in
+    # [1, sum(witness)], which is short of 1100 for zero-sum-freeness.
+    assert all(0 < t for t in witness) and sum(witness) < 1100
+
+
 def test_davenport_cache_hit_is_byte_identical(capsys, isolated_cache):
     code1, out1, _ = run(capsys, "davenport", "--n", "55", "--weights", "cubes",
                          "--method", "both")

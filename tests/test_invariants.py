@@ -17,7 +17,7 @@ from wzs.invariants import (
     theorem_hypothesis_failure,
 )
 from wzs.modarith import factor, units
-from wzs.weightsets import cubes, singleton_one, units_weights
+from wzs.weightsets import by_kind, cubes, singleton_one, units_weights
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 FORMULA_CASES = {5: 2, 11: 2, 17: 2, 19: 3, 23: 2, 29: 2, 31: 3, 55: 3, 85: 3, 95: 4}
@@ -81,6 +81,18 @@ def test_e_direct_small_values():
 def test_e_direct_reproduces_gao_relation_at_5():
     search = davenport_search(5, units_weights(5))
     assert e_direct(5, units_weights(5)).value == gao_E(search.value, 5)
+
+
+@pytest.mark.parametrize("kind, top", [("one", 7), ("pm1", 8), ("units", 8), ("squares", 7), ("cubes", 8)])
+def test_e_direct_matches_gao_relation(kind, top):
+    # Yuan and Zeng (2010): E_A(Z_n) = D_A(Z_n) + n - 1.  The scan at length
+    # E checks every multiset; for A = {1} (the squares mod 8 too) that is
+    # 170k fixed-length DPs, about 8 s, so those two stop at n = 7.  The
+    # units mod 5 and 7 (two orbits) run the DP on orbit masks.
+    for n in range(2, top + 1):
+        weights = by_kind(kind, n)
+        d = davenport_search(n, weights).value
+        assert e_direct(n, weights).value == gao_E(d, n), (kind, n)
 
 
 def test_e_direct_refutation_mode_brackets():

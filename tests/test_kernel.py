@@ -1,0 +1,179 @@
+"""The reachable-sum kernel against an oracle over plain Python sets, and its
+two mask forms (orbit ids, residues) against each other."""
+
+import dataclasses
+import random
+
+from wzs.extremal import enumerate_extremal
+from wzs.invariants import Budget, davenport_search, lower_bound_witness
+from wzs.modarith import factor
+from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
+from wzs.zerosum import (
+    Sequence,
+    full_zero_sum_weights,
+    has_fixed_length_zero_subseq,
+    has_weighted_zero_subseq,
+    reachable_sums,
+)
+
+KINDS = ("one", "pm1", "units", "squares", "cubes")
+UNLIMITED = Budget(max_nodes=10**12, max_seconds=float("inf"))
+
+
+def images(x, weights):
+    n = weights.modulus
+    return {a * x % n for a in weights.elements}
+
+
+def by_orbit_size(terms, weights):
+    # Both oracles give the same sets in any term order; adding the largest
+    # images first keeps the set they are added to small.
+    return sorted(terms, key=lambda x: -len(images(x, weights)))
+
+
+def oracle_sums(terms, weights):
+    """Sums of nonempty weighted subsequences, one set union per term."""
+    n = weights.modulus
+    reach = set()
+    for x in by_orbit_size(terms, weights):
+        ys = images(x, weights)
+        reach |= ys | {(r + y) % n for r in reach for y in ys}
+    return reach
+
+
+def oracle_zero_lengths(terms, weights):
+    """The lengths L >= 1 for which some L terms have a weighted sum 0."""
+    n = weights.modulus
+    states = {(0, 0)}
+    for x in by_orbit_size(terms, weights):
+        ys = images(x, weights)
+        states |= {(c + 1, (s + y) % n) for c, s in states for y in ys}
+    return {c for c, s in states if s == 0 and c > 0}
+
+
+def check_against_oracle(seq, weights):
+    n = weights.modulus
+    sums = oracle_sums(seq.terms, weights)
+    assert reachable_sums(seq, weights) == sums, (n, weights.kind, seq.terms)
+    cert = has_weighted_zero_subseq(seq, weights)
+    assert (cert is not None) == (0 in sums), (n, weights.kind, seq.terms)
+    assert cert is None or cert.verify(seq, weights)
+    zero_lengths = oracle_zero_lengths(seq.terms, weights)
+    for length in range(1, len(seq) + 1):
+        fixed = has_fixed_length_zero_subseq(seq, weights, length)
+        assert (fixed is not None) == (length in zero_lengths), (n, weights.kind, seq.terms, length)
+        assert fixed is None or (len(fixed.picked) == length and fixed.verify(seq, weights))
+
+
+def residue_twin(weights):
+    """A fresh copy of a weight set whose kernel runs on residue masks."""
+    twin = dataclasses.replace(weights)
+    vars(twin)["uses_orbits"] = False
+    return twin
+
+
+def test_kernel_matches_set_oracle_for_every_kind_to_150():
+    rng = random.Random(41)
+    for kind in KINDS:
+        for n in range(2, 151):
+            weights = by_kind(kind, n)
+            for length in (rng.randrange(1, 4), rng.randrange(4, 7)):
+                check_against_oracle(Sequence.make(n, (rng.randrange(n) for _ in range(length))), weights)
+
+
+def test_kernel_matches_set_oracle_at_2945_and_5423():
+    # Terms that are multiples of all but one prime of n have small images;
+    # at most one unit term keeps the oracle's set sums cheap.
+    rng = random.Random(43)
+    for n in (2945, 5423):
+        weights = cubes(n)
+        assert weights.uses_orbits
+        primes = [p for p, _ in factor(n).factors]
+        cofactors = [n // p for p in primes]
+        witness = lower_bound_witness(factor(n)).terms
+        unit = next(u for u in range(rng.randrange(2, n), n) if all(u % p for p in primes))
+        seqs = [
+            witness,
+            [unit * x % n for x in witness],
+            witness + (cofactors[0],),
+            [unit] + [c * rng.randrange(1, n) % n for c in cofactors],
+            [unit, 0] + [rng.choice(cofactors) * rng.randrange(1, n) % n for _ in range(4)],
+        ]
+        for terms in seqs:
+            check_against_oracle(Sequence.make(n, terms), weights)
+
+
+def test_kernel_matches_set_oracle_on_non_subgroup_sets():
+    rng = random.Random(47)
+    sets = [(8, [3, 5]), (6, [1, 3]), (12, [1, 5, 7]), (10, [5]), (9, [2, 4]), (30, [1, 2, 3])]
+    sets += [(n, [1, 2]) for n in range(5, 40)]
+    for n, elems in sets:
+        weights = custom(n, elems)
+        assert not weights.is_subgroup and not weights.uses_orbits
+        for length in range(1, 6):
+            check_against_oracle(Sequence.make(n, (rng.randrange(n) for _ in range(length))), weights)
+
+
+def test_orbit_and_residue_masks_give_identical_answers():
+    rng = random.Random(53)
+    cases = [(cubes(n), trials) for n, trials in ((95, 12), (185, 12), (589, 8), (935, 8), (2945, 4), (5423, 3))]
+    cases += [(units_weights(n), 20) for n in (5, 7, 11, 97, 105)]
+    for weights, trials in cases:
+        assert weights.uses_orbits
+        twin = residue_twin(weights)
+        assert not twin.uses_orbits
+        n = weights.modulus
+        for _ in range(trials):
+            seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(1, 9))))
+            assert reachable_sums(seq, weights) == reachable_sums(seq, twin)
+            assert has_weighted_zero_subseq(seq, weights) == has_weighted_zero_subseq(seq, twin)
+            for length in range(1, len(seq) + 1):
+                assert has_fixed_length_zero_subseq(seq, weights, length) == (
+                    has_fixed_length_zero_subseq(seq, twin, length)
+                )
+            assert full_zero_sum_weights(seq.terms, weights) == full_zero_sum_weights(seq.terms, twin)
+
+
+def test_search_and_enumeration_agree_across_mask_forms():
+    for n in (95, 185):
+        weights = cubes(n)
+        twin = residue_twin(weights)
+        a, b = davenport_search(n, weights, UNLIMITED), davenport_search(n, twin, UNLIMITED)
+        assert (a.value, a.witness, a.stats.nodes, a.stats.states) == (
+            b.value, b.witness, b.stats.nodes, b.stats.states
+        )
+        ea, eb = enumerate_extremal(n, weights, UNLIMITED), enumerate_extremal(n, twin, UNLIMITED)
+        assert ea.classes == eb.classes and ea.stats.nodes == eb.stats.nodes
+
+
+def test_representation_rule():
+    # A subgroup with k orbits on Z_n takes orbit masks when k * k < n.
+    for n, orbits in ((5423, 8), (2945, 32), (95, 8)):
+        weights = cubes(n)
+        assert max(weights.orbit_id) + 1 == orbits
+        assert weights.uses_orbits, n
+    for n, orbits in ((224, 24), (180, 30)):
+        weights = cubes(n)
+        assert max(weights.orbit_id) + 1 == orbits
+        assert not weights.uses_orbits, n
+    for n in (2, 95, 5423):
+        assert not singleton_one(n).uses_orbits
+    assert not custom(30, [1, 2, 3]).uses_orbits
+
+
+def test_orbit_tables_match_their_definitions():
+    for weights in (cubes(95), cubes(185), units_weights(60), by_kind("squares", 91)):
+        n = weights.modulus
+        oid = weights.orbit_id
+        assert oid[0] == 0
+        for x in range(n):
+            assert {oid[a * x % n] for a in weights.elements} == {oid[x]}
+        # ids are numbered by the least member of each orbit
+        firsts = [oid.index(o) for o in range(max(oid) + 1)]
+        assert firsts == sorted(firsts)
+        for y in random.Random(n).sample(range(n), 12):
+            met = [set() for _ in range(max(oid) + 1)]
+            for r in range(n):
+                met[oid[r]] |= {oid[(r + a * y) % n] for a in weights.elements}
+            col = weights.orbit_columns[oid[y]]
+            assert col == tuple(sum(1 << p for p in m) for m in met), (n, y)

@@ -117,11 +117,11 @@ def test_exhausted_branch_leaves_no_partial_entry():
     n = 16
     weights = by_kind("one", n)
     firsts, alphabet = reduced_alphabet(weights)
-    fresh = _explore_branch(n, weights.elements, alphabet, firsts[0], 10**9, 60.0)
+    fresh = _explore_branch(weights, alphabet, firsts[0], 10**9, 60.0)
     table: dict[int, int] = {}
-    cut = _explore_branch(n, weights.elements, alphabet, firsts[0], 500, 60.0, table)
+    cut = _explore_branch(weights, alphabet, firsts[0], 500, 60.0, table)
     assert cut[4] == "nodes"
-    resumed = _explore_branch(n, weights.elements, alphabet, firsts[0], 10**9, 60.0, table)
+    resumed = _explore_branch(weights, alphabet, firsts[0], 10**9, 60.0, table)
     assert resumed[:2] == fresh[:2]
     assert resumed[4] is None
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_reachable_sums_monotone_under_subsequence():
         keep = [t for t in terms if rng.random() < 0.5]
         big = Sequence.make(95, terms)
         small = Sequence.make(95, keep)
-        assert small.is_subsequence_of(big)
+        assert not Counter(small.terms) - Counter(big.terms)
         assert reachable_sums(small, t95) <= reachable_sums(big, t95)
 
 
