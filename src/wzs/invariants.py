@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from typing import NamedTuple
@@ -204,7 +203,7 @@ def _explore_branch(
     alphabet: list[int],
     first: int,
     max_nodes: int,
-    max_seconds: float,
+    deadline: float,
     table: dict[int, int] | None = None,
 ) -> tuple[int, tuple[int, ...], int, int, str | None]:
     """Longest zero-sum-free sorted sequence starting at `first`.
@@ -214,19 +213,20 @@ def _explore_branch(
     once its state is fully explored.  A finished branch reads its witness
     back from the table; an exhausted one reports the longest path it saw.
     The walk recurses one frame per term, so a path as long as the frames
-    left stops it like a budget ("depth").  Apart from filling `table`, a
-    pure function of its arguments, so branches can run on independent
-    workers; returns (best length, best terms, nodes used, states added,
-    exhausted budget or None).
+    left stops it like a budget ("depth").  `deadline` is a perf_counter()
+    reading, the same for every branch of one search.  Apart from filling
+    `table`, a pure function of its arguments, so branches can run on
+    independent workers; returns (best length, best terms, nodes used,
+    states added, exhausted budget or None).
     """
-    if max_seconds <= 0 or max_nodes <= 0:
-        return 0, (), 0, 0, "seconds" if max_seconds <= 0 else "nodes"
+    out_of_time = time.perf_counter() >= deadline
+    if out_of_time or max_nodes <= 0:
+        return 0, (), 0, 0, "seconds" if out_of_time else "nodes"
     table = {} if table is None else table
     states_before = len(table)
     step = _reach_step(weights, alphabet)
     size = len(alphabet)
     bits = size.bit_length()
-    deadline = time.perf_counter() + max_seconds
     room = _frames_left()
     path: list[int] = []
     best: tuple[int, ...] = ()
@@ -317,22 +317,27 @@ def davenport_search(
         incumbent = lower_bound_witness(factor(n))
 
     t0 = time.perf_counter()
+    # One deadline for every branch, serial or on workers: on Linux
+    # perf_counter reads CLOCK_MONOTONIC, one clock for all processes.
+    deadline = t0 + budget.max_seconds
     results: list[tuple[int, tuple[int, ...], int, int, str | None]] = []
     if jobs <= 1:
         table: dict[int, int] = {}
         remaining = budget.max_nodes
         for first in firsts:
-            left = budget.max_seconds - (time.perf_counter() - t0)
-            res = _explore_branch(weights, alphabet, first, remaining, left, table)
+            res = _explore_branch(weights, alphabet, first, remaining, deadline, table)
             results.append(res)
             remaining -= res[2]
             if res[4]:
                 break
     else:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         share = max(1, budget.max_nodes // max(1, len(firsts)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_explore_branch, weights, alphabet, first, share, budget.max_seconds)
+                pool.submit(_explore_branch, weights, alphabet, first, share, deadline)
                 for first in firsts
             ]
             results = [f.result() for f in futures]

@@ -1,18 +1,26 @@
 """CLI dispatch, JSON/CSV shapes, caching, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wzs
+from wzs import cli
 from wzs.cli import (
     EXIT_CONTRACT,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_USAGE,
+    Cache,
     RunRecord,
     main,
 )
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(wzs.__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -121,6 +129,89 @@ def test_cache_corruption_is_skipped_with_warning(capsys, isolated_cache):
     assert "corrupt" in err
 
 
+def test_corrupt_line_is_warned_about_once_per_process(capsys, isolated_cache):
+    isolated_cache.write_text("this is not json\n[1, 2]\n")
+    code, _, err = run(capsys, "table", "--from", "5", "--to", "9")
+    assert code == EXIT_OK
+    assert err.count("corrupt cache line 1") == 1
+    assert err.count("corrupt cache line 2") == 1
+
+
+def _record(payload: str, params=None) -> RunRecord:
+    return RunRecord("davenport", params or {"n": 95}, payload, 0.0, "0.1.0", 0.0)
+
+
+def test_cache_opens_its_file_once(isolated_cache, monkeypatch):
+    Cache().store(_record("stored"))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    cache = Cache()
+    for n in range(50):
+        assert cache.lookup("davenport", {"n": n}) is None
+    cache.store(_record("later", {"n": 7}))
+    assert cache.lookup("davenport", {"n": 7}) == "later"
+    assert cache.lookup("davenport", {"n": 95}) == "stored"
+    assert opened == [str(isolated_cache)]
+
+
+def test_first_record_for_a_key_wins(isolated_cache):
+    isolated_cache.write_text(_record("first").to_json() + "\n"
+                              + _record("second").to_json() + "\n")
+    assert Cache().lookup("davenport", {"n": 95}) == "first"
+    cache = Cache()
+    cache.store(_record("third"))
+    assert cache.lookup("davenport", {"n": 95}) == "first"
+
+
+def test_cache_misses_once_the_code_identity_changes(isolated_cache, monkeypatch):
+    Cache().store(_record("old code"))
+    assert Cache().lookup("davenport", {"n": 95}) == "old code"
+    key = json.loads(cli.cache_key("davenport", {"n": 95}))
+    assert key["code"] == cli._code_identity() and "version" not in key
+    monkeypatch.setattr(cli, "_code_identity", lambda: "changed")
+    assert Cache().lookup("davenport", {"n": 95}) is None
+
+
+def _python(code: str, *args: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_concurrent_large_appends_stay_whole_lines(isolated_cache):
+    writer = (
+        "import sys\n"
+        "from wzs.cli import Cache, RunRecord\n"
+        "cache = Cache(sys.argv[1])\n"
+        "for i in range(40):\n"
+        "    payload = sys.argv[2] * (70_000 + i)\n"
+        "    cache.store(RunRecord('extremal-enumerate', {'i': i, 'by': sys.argv[2]},\n"
+        "                          payload, 0.0, '0.1.0', 0.0))\n"
+    )
+    procs = [_python(writer, str(isolated_cache), tag) for tag in "ab"]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    lines = isolated_cache.read_text().splitlines()
+    assert len(lines) == 80
+    for line in lines:
+        rec = json.loads(line)
+        tag, i = rec["params"]["by"], rec["params"]["i"]
+        assert rec["payload"] == tag * (70_000 + i)
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    proc = _python("import wzs.cli, sys; print('multiprocessing' in sys.modules)")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.strip() == "False"
+
+
 def test_cache_stats_and_clear(capsys, isolated_cache):
     run(capsys, "davenport", "--n", "55", "--weights", "cubes", "--method", "both")
     code, out, _ = run(capsys, "cache")
@@ -150,6 +241,29 @@ def test_table_reruns_identically(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WZS_CACHE", str(tmp_path / "b.jsonl"))
     _, out2, _ = run(capsys, "table", "--weights", "cubes", "--from", "5", "--to", "9")
     assert out1 == out2  # rows are pure functions of n and weight kind
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_reread_from_cache_is_byte_identical(capsys, isolated_cache, fmt):
+    argv = ("table", "--weights", "cubes", "--from", "5", "--to", "30", "--format", fmt)
+    code1, fill, _ = run(capsys, *argv)
+    code2, reread, _ = run(capsys, *argv)
+    assert code1 == code2 == EXIT_OK
+    assert reread == fill
+    # every row came from the cache: the re-read stored nothing
+    assert len(isolated_cache.read_text().splitlines()) == 26
+
+
+def test_table_inconclusive_row_exits_2_and_is_not_cached(capsys, isolated_cache):
+    code, out, _ = run(capsys, "table", "--from", "126", "--to", "126",
+                       "--format", "json", "--budget-ms", "20")
+    assert code == EXIT_INCONCLUSIVE
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == [126] and rows[0]["D_search"] is None
+    assert not isolated_cache.exists()
+    code, out, _ = run(capsys, "table", "--from", "126", "--to", "126", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)[0]["D_search"] == 7
 
 
 def test_table_accepts_out_alias(capsys):

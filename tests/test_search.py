@@ -2,12 +2,20 @@
 replaced, against closed forms from the literature, and under budgets."""
 
 import math
+import time
 
 import pytest
 
 from wzs.invariants import Budget, _explore_branch, davenport_search, lower_bound_witness
 from wzs.modarith import factor
-from wzs.weightsets import by_kind, custom, pm_one, reduced_alphabet, units_weights
+from wzs.weightsets import (
+    by_kind,
+    custom,
+    pm_one,
+    reduced_alphabet,
+    singleton_one,
+    units_weights,
+)
 from wzs.zerosum import has_weighted_zero_subseq
 
 UNLIMITED = Budget(max_nodes=10**12, max_seconds=float("inf"))
@@ -97,6 +105,20 @@ def test_conclusive_answer_does_not_depend_on_jobs():
     assert serial.witness == parallel.witness
 
 
+def test_parallel_search_keeps_one_deadline():
+    # {1} mod 1100 has 17 first-term branches, none of which finishes in
+    # 0.5 s; when each branch got the whole budget, two workers took 4 s.
+    weights = singleton_one(1100)
+    t0 = time.perf_counter()
+    res = davenport_search(1100, weights, Budget(max_seconds=0.5), jobs=2)
+    elapsed = time.perf_counter() - t0
+    assert not res.conclusive
+    assert res.stats.exhausted_by in ("seconds", "depth")
+    assert has_weighted_zero_subseq(res.witness, weights) is None
+    assert res.lower == len(res.witness) + 1 >= 2
+    assert elapsed < 2.0, elapsed
+
+
 def test_search_node_count_falls_with_the_table():
     res = davenport_search(180, by_kind("cubes", 180))
     assert res.conclusive and res.value == 7
@@ -117,11 +139,12 @@ def test_exhausted_branch_leaves_no_partial_entry():
     n = 16
     weights = by_kind("one", n)
     firsts, alphabet = reduced_alphabet(weights)
-    fresh = _explore_branch(weights, alphabet, firsts[0], 10**9, 60.0)
+    deadline = time.perf_counter() + 60.0
+    fresh = _explore_branch(weights, alphabet, firsts[0], 10**9, deadline)
     table: dict[int, int] = {}
-    cut = _explore_branch(weights, alphabet, firsts[0], 500, 60.0, table)
+    cut = _explore_branch(weights, alphabet, firsts[0], 500, deadline, table)
     assert cut[4] == "nodes"
-    resumed = _explore_branch(weights, alphabet, firsts[0], 10**9, 60.0, table)
+    resumed = _explore_branch(weights, alphabet, firsts[0], 10**9, deadline, table)
     assert resumed[:2] == fresh[:2]
     assert resumed[4] is None
 
