@@ -15,9 +15,9 @@ from wzs.extremal import (
     orbit_transform,
     reconstruct,
 )
-from wzs.invariants import Budget, davenport_formula
-from wzs.modarith import factor, units
-from wzs.weightsets import cubes, custom, squares
+from wzs.invariants import Budget, davenport_formula, davenport_search
+from wzs.modarith import factor, theorem_hypothesis_failure, units
+from wzs.weightsets import by_kind, cubes, custom, squares
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 
@@ -131,6 +131,31 @@ def test_enumerate_extremal_honors_small_budgets():
         assert not enum.complete
         assert len(enum.classes) < 31
     assert len(enumerate_extremal(589, cubes(589)).classes) == 31
+
+
+# (d_value, class count) pinned from the enumerator before it read its
+# classes back from the search table.
+@pytest.mark.parametrize(
+    "kind, n, d_value, count",
+    [
+        ("cubes", 95, 4, 7),
+        ("cubes", 91, 5, 38),
+        ("cubes", 126, 7, 2801),
+        ("cubes", 589, 5, 31),
+        ("cubes", 2945, 6, 1249),
+        ("units", 60, 5, 136),
+        ("squares", 45, 8, 14),
+        ("pm1", 40, 6, 90),
+        ("one", 12, 12, 1),
+    ],
+)
+def test_enumerate_extremal_pins(kind, n, d_value, count):
+    weights = by_kind(kind, n)
+    enum = enumerate_extremal(n, weights)
+    assert enum.complete and enum.stats.exhausted_by is None
+    assert (enum.d_value, len(enum.classes)) == (d_value, count)
+    if kind != "cubes" or theorem_hypothesis_failure(factor(n)) is not None:
+        assert enum.d_value == davenport_search(n, weights).value
 
 
 def test_enumerate_extremal_55():

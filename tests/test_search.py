@@ -119,6 +119,30 @@ def test_parallel_search_keeps_one_deadline():
     assert elapsed < 2.0, elapsed
 
 
+# D, nodes, states and witness of the cube search off the theorem's
+# hypotheses, taken from the recursive search before the explicit stack.
+@pytest.mark.parametrize(
+    "n, value, nodes, states, witness",
+    [
+        (108, 7, 8138, 1350, (1, 2, 4, 8, 16, 36)),
+        (144, 8, 13654, 2759, (1, 2, 4, 8, 16, 32, 64)),
+        (180, 7, 33078, 4650, (1, 2, 4, 8, 16, 36)),
+        (182, 6, 19659, 2479, (1, 2, 4, 14, 28)),
+        (189, 7, 21481, 2964, (1, 2, 4, 9, 18, 63)),
+        (224, 8, 12213, 2819, (1, 2, 4, 8, 16, 32, 64)),
+        (266, 6, 17805, 2298, (1, 2, 4, 14, 28)),
+        (273, 6, 11753, 1499, (1, 2, 7, 14, 91)),
+        (294, 7, 22412, 3751, (1, 2, 4, 14, 28, 98)),
+        (351, 7, 12044, 1607, (1, 2, 4, 9, 18, 117)),
+    ],
+)
+def test_cube_search_pins(n, value, nodes, states, witness):
+    res = davenport_search(n, by_kind("cubes", n))
+    assert res.conclusive and res.stats.exhausted_by is None
+    assert (res.value, res.stats.nodes, res.stats.states) == (value, nodes, states)
+    assert res.witness.terms == witness
+
+
 def test_search_node_count_falls_with_the_table():
     res = davenport_search(180, by_kind("cubes", 180))
     assert res.conclusive and res.value == 7
