@@ -86,12 +86,6 @@ class RunRecord:
         return cls(command, params, payload, time.time(), __version__,
                    time.perf_counter() - started)
 
-    @classmethod
-    def from_json(cls, line: str) -> RunRecord:
-        body = json.loads(line)
-        body.pop("key", None)
-        return cls(**body)
-
 
 @functools.cache
 def _code_identity() -> str:

@@ -1,5 +1,6 @@
 """Extremal sequences: canonical forms under the orbit action, exhaustive
-enumeration of classes, recursive construction, and structure classification.
+enumeration of classes (read back from the Davenport search's state table),
+recursive construction, and structure classification.
 
 Two sequences are in the same orbit when one is a uniform unit multiple of a
 per-term weight rescaling of the other, up to permutation; zero-sum-freeness
@@ -17,10 +18,10 @@ from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
 from .invariants import (
     Budget,
     SearchStats,
-    _frames_left,
     _least_non_cube,
+    _longest_paths,
+    _serial_branches,
     davenport_formula,
-    davenport_search,
     theorem_hypothesis_failure,
 )
 from .zerosum import Sequence, _reach_step, has_weighted_zero_subseq
@@ -120,72 +121,57 @@ def enumerate_extremal(
 ) -> ExtremalClasses:
     """All canonical classes of zero-sum-free sequences of length D - 1.
 
-    D comes from the closed form when its hypotheses hold, else from a
-    conclusive search; enumeration walks the orbit-reduced space and dedupes
-    by canonical form.
+    One memoized search over the orbit-reduced space fills a state table,
+    and the classes are read back from it: every sorted sequence of length
+    D - 1 along states with enough tabled depth is canonicalized and deduped
+    by canonical form.  D is `d_value` when given, else the closed form when
+    its hypotheses hold, else 1 + the longest branch of that search.  A stop
+    inside the search returns no classes; a stop during the read-back
+    returns the classes found so far.
     """
     if weights.modulus != n:
         raise ValueError("weight set modulus does not match n")
+    if d_value is not None and d_value < 1:
+        raise ValueError("need d_value >= 1")
     _require_subgroup(weights)
     budget = budget or Budget()
-    if d_value is None:
-        if weights.kind == "cubes" and theorem_hypothesis_failure(factor(n)) is None:
-            d_value = davenport_formula(factor(n)).value
-        else:
-            res = davenport_search(n, weights, budget)
-            if not res.conclusive:
-                raise HypothesisError("D_A(n) known", "search was inconclusive")
-            d_value = res.value
-    target = d_value - 1
+    if d_value is None and weights.kind == "cubes" and not theorem_hypothesis_failure(factor(n)):
+        d_value = davenport_formula(factor(n)).value
 
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
     firsts, alphabet = reduced_alphabet(weights)
+    table: dict[int, int] = {}
+    results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, table)
+    exhausted_by = next((res[4] for res in results if res[4]), None)
+    if d_value is None:
+        if exhausted_by:
+            raise HypothesisError("D_A(n) known", "search was inconclusive")
+        d_value = 1 + max((res[0] for res in results), default=0)
+    target = d_value - 1
+
     step = _reach_step(weights, alphabet)
+    bits = len(alphabet).bit_length()
+    roots = [(lo, step(0, lo, 1)) for lo in map(alphabet.index, firsts)]
+    # Every zero-sum-free sorted sequence of length target, in sorted order.
+    leaves = [()] if target == 0 else (
+        (alphabet[lo],) + rest
+        for lo, mask in roots
+        if not mask & 1
+        for rest in _longest_paths(step, alphabet, table, bits, mask, lo, target - 1)
+    )
     found: dict[tuple[int, ...], CanonicalSequence] = {}
-    nodes = 0
-    # rec recurses one frame per term, so a target deeper than the frames
-    # left is refused like an exhausted budget.
-    complete = budget.max_seconds > 0 and budget.max_nodes > 0 and target < _frames_left()
-
-    def rec(terms: tuple[int, ...], mask: int, lo: int) -> None:
-        nonlocal nodes, complete
-        if not complete:
-            return
-        if len(terms) == target:
-            canon = canonicalize(Sequence(n, terms), weights)
-            found.setdefault(canon.canonical.terms, canon)
-            if time.perf_counter() > deadline:
-                complete = False
-            return
-        for i in range(lo, len(alphabet)):
-            nodes += 1
-            if nodes > budget.max_nodes or (
-                nodes % 4096 == 0 and time.perf_counter() > deadline
-            ):
-                complete = False
-                return
-            new = step(mask, i, mask | 1)
-            if new & 1:
-                continue
-            rec(terms + (alphabet[i],), new, i)
-
-    if target == 0:
-        if complete:
-            found[()] = canonicalize(Sequence(n, ()), weights)
-    else:
-        for first in firsts:
-            if not complete:
-                break
-            nodes += 1
-            lo = alphabet.index(first)
-            mask = step(0, lo, 1)
-            if not mask & 1:
-                rec((first,), mask, lo)
+    for terms in () if exhausted_by else leaves:
+        canon = canonicalize(Sequence(n, terms), weights)
+        found.setdefault(canon.canonical.terms, canon)
+        if time.perf_counter() > deadline:
+            exhausted_by = "seconds"
+            break
 
     classes = tuple(found[key] for key in sorted(found))
-    stats = SearchStats(nodes=nodes, wall_time=time.perf_counter() - t0)
-    return ExtremalClasses(classes=classes, complete=complete, d_value=d_value, stats=stats)
+    stats = SearchStats(sum(res[2] for res in results), time.perf_counter() - t0,
+                        exhausted_by, len(table))
+    return ExtremalClasses(classes, exhausted_by is None, d_value, stats)
 
 
 def _construct_terms(n: int) -> list[int]:

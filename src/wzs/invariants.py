@@ -7,19 +7,19 @@ reachable weighted sum.  Everything below a sequence depends only on its
 state: the mask of its reachable sums and the index lo of its last symbol.
 A table keyed by mask << bits | lo holds depth(mask, lo), the length of the
 longest zero-sum-free extension over alphabet[lo:], so each state is
-explored once; the serial first-term branches share one table per search,
-and each parallel branch builds its own.  The witness is read back from the
-table by walking down from the first term, taking at each level the first
-symbol whose state has the depth still needed, which is the first longest
-sequence in sorted order.  Budgets cap nodes (extend steps taken from states
-not yet in the table) and wall time; an exhausted budget yields an explicit
-inconclusive bracket from the longest path seen, never a silent wrong answer.
+explored once, by one explicit-stack walk; the serial first-term branches
+share one table per search, and each parallel branch builds its own.
+Sequences are read back from the table lazily and in sorted order, entering
+only states with the depth still needed: the first one is the witness, and
+the extremal enumeration takes all of them.  Budgets cap nodes (extend steps
+taken from states not yet in the table) and wall time; an exhausted budget
+yields an explicit inconclusive bracket from the longest path seen, never a
+silent wrong answer.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
@@ -48,8 +48,7 @@ class Budget:
 class SearchStats:
     """Work done by a search: nodes are extend steps from states not yet in
     the table, states the table entries written, and exhausted_by the budget
-    that ran out ("nodes", "seconds", or "depth" when a sequence grew as long
-    as the interpreter's recursion limit allows), or None."""
+    that ran out ("nodes" or "seconds"), or None."""
 
     nodes: int
     wall_time: float
@@ -185,17 +184,45 @@ def lower_bound_witness(profile: ModulusProfile, family: str = "cubes") -> Seque
     return seq
 
 
-class _Exhausted(Exception):
-    """Unwinds a search whose budget ran out; args[0] names the budget."""
-
-
-def _frames_left(margin: int = 50) -> int:
-    """How many more Python frames a recursive walk may open below its
-    caller before the interpreter's recursion limit, less a margin."""
-    used, frame = 0, sys._getframe()
-    while frame is not None:
-        used, frame = used + 1, frame.f_back
-    return sys.getrecursionlimit() - used - margin
+def _longest_paths(step, alphabet, table, bits, mask, lo, need):
+    """Every sorted extension of the state (mask, lo) by `need` terms over
+    alphabet[lo:], in sorted order, read lazily from a table that
+    _explore_branch filled: a child state is entered only when its tabled
+    depth leaves room for the terms still needed.  Yields nothing when the
+    state's own depth is short of `need`; the state must be fully explored.
+    """
+    if table[mask << bits | lo] < need:
+        return
+    if need == 0:
+        yield ()
+        return
+    size = len(alphabet)
+    path: list[int] = []
+    frames = [[mask, lo]]  # a state's mask and the next symbol index to try
+    found = False
+    while frames:
+        frame = frames[-1]
+        mask, i = frame
+        left = need - len(frames)  # depth the next child must have
+        while i < size:
+            new = step(mask, i, mask | 1)
+            i += 1
+            if not new & 1 and table[new << bits | i - 1] >= left:
+                break
+        else:
+            frames.pop()
+            if path:
+                path.pop()
+            continue
+        frame[1] = i
+        if left:
+            path.append(alphabet[i - 1])
+            frames.append([new, i - 1])
+        else:
+            found = True
+            yield (*path, alphabet[i - 1])
+    if not found:
+        raise ContractError("table read-back found no state at the tabled depth")
 
 
 def _explore_branch(
@@ -210,14 +237,13 @@ def _explore_branch(
 
     `table` maps a state key mask << bits | lo to depth(mask, lo); it may be
     shared by branches over the same alphabet, and an entry is written only
-    once its state is fully explored.  A finished branch reads its witness
-    back from the table; an exhausted one reports the longest path it saw.
-    The walk recurses one frame per term, so a path as long as the frames
-    left stops it like a budget ("depth").  `deadline` is a perf_counter()
-    reading, the same for every branch of one search.  Apart from filling
-    `table`, a pure function of its arguments, so branches can run on
-    independent workers; returns (best length, best terms, nodes used,
-    states added, exhausted budget or None).
+    once its state is fully explored.  The walk keeps its own stack, so
+    only the budget bounds how deep it goes.  A finished branch reads its
+    witness back from the table; an exhausted one reports the longest path
+    it saw.  `deadline` is a perf_counter() reading, the same for every
+    branch of one search.  Apart from filling `table`, a pure function of
+    its arguments, so branches can run on independent workers; returns (best
+    length, best terms, nodes used, states added, exhausted budget or None).
     """
     out_of_time = time.perf_counter() >= deadline
     if out_of_time or max_nodes <= 0:
@@ -227,71 +253,72 @@ def _explore_branch(
     step = _reach_step(weights, alphabet)
     size = len(alphabet)
     bits = size.bit_length()
-    room = _frames_left()
-    path: list[int] = []
-    best: tuple[int, ...] = ()
-    nodes = 0
-
-    def walk(mask: int, lo: int, need: int) -> tuple[int, ...]:
-        # The first longest extension in sorted order, read from the table:
-        # at each level the first symbol whose state has the depth still needed.
-        terms = []
-        while need:
-            for i in range(lo, size):
-                new = step(mask, i, mask | 1)
-                if not new & 1 and table[new << bits | i] == need - 1:
-                    terms.append(alphabet[i])
-                    mask, lo, need = new, i, need - 1
-                    break
-            else:
-                raise ContractError("witness walk found no state at the tabled depth")
-        return tuple(terms)
-
-    def depth(mask: int, lo: int) -> int:
-        # Longest zero-sum-free extension over alphabet[lo:] of a sequence
-        # whose nonempty weighted sums are `mask`; `path` holds that sequence
-        # so that an exhausted search can report the longest one it saw.
-        nonlocal best, nodes
-        key = mask << bits | lo
-        d = table.get(key)
-        if d is not None:
-            return d
-        if len(path) > len(best):
-            best = tuple(path)
-            if len(path) >= room:
-                raise _Exhausted("depth")
-        d = 0
-        for i in range(lo, size):
+    nodes = 1
+    start = alphabet.index(first)
+    first_mask = step(0, start, 1)
+    if first_mask & 1:
+        return 0, (), nodes, 0, None
+    root = first_mask << bits | start
+    exhausted_by = None
+    # A frame holds a state (mask, lo), the next symbol index to try and the
+    # longest extension found so far; alphabet[lo] is the frame's own term.
+    best = (first,)
+    frames = [] if root in table else [[first_mask, start, start, 0]]
+    while frames:
+        frame = frames[-1]
+        mask, lo, i, d = frame
+        while i < size:
             nodes += 1
             if nodes > max_nodes:
-                raise _Exhausted("nodes")
+                exhausted_by = "nodes"
+                break
             if nodes % 4096 == 0 and time.perf_counter() > deadline:
-                raise _Exhausted("seconds")
+                exhausted_by = "seconds"
+                break
             new = step(mask, i, mask | 1)
-            if new & 1:
-                continue
-            path.append(alphabet[i])
-            d = max(d, 1 + depth(new, i))
-            path.pop()
-        table[key] = d
-        return d
-
-    exhausted_by = None
-    nodes += 1
-    start_idx = alphabet.index(first)
-    first_mask = step(0, start_idx, 1)
-    if not first_mask & 1:
-        path.append(first)
-        try:
-            d = depth(first_mask, start_idx)
-        except _Exhausted as exc:
-            exhausted_by = exc.args[0]
+            i += 1
+            if not new & 1:
+                known = table.get(new << bits | i - 1)
+                if known is None:
+                    break
+                if known >= d:
+                    d = known + 1
         else:
-            best = (first,) + walk(first_mask, start_idx, d)
-    # depth refers to itself; break that cycle so the table it holds is freed
-    # now rather than at some later run of the cycle collector.
-    del depth
+            table[mask << bits | lo] = d
+            frames.pop()
+            if frames and d >= frames[-1][3]:
+                frames[-1][3] = d + 1
+            continue
+        if exhausted_by:
+            break
+        frame[2], frame[3] = i, d
+        frames.append([new, i - 1, i - 1, 0])
+        if len(frames) > len(best):
+            best = tuple(alphabet[f[1]] for f in frames)
+    if exhausted_by is None:
+        rest = _longest_paths(step, alphabet, table, bits, first_mask, start, table[root])
+        best = (first,) + next(rest)
     return len(best), best, nodes, len(table) - states_before, exhausted_by
+
+
+def _serial_branches(
+    weights: WeightSet,
+    alphabet: list[int],
+    firsts: list[int],
+    max_nodes: int,
+    deadline: float,
+    table: dict[int, int],
+) -> list[tuple[int, tuple[int, ...], int, int, str | None]]:
+    """_explore_branch for each first term in turn over one shared table and
+    one node budget, stopping at the first branch that exhausts it."""
+    results = []
+    for first in firsts:
+        res = _explore_branch(weights, alphabet, first, max_nodes, deadline, table)
+        results.append(res)
+        max_nodes -= res[2]
+        if res[4]:
+            break
+    return results
 
 
 def davenport_search(
@@ -320,16 +347,8 @@ def davenport_search(
     # One deadline for every branch, serial or on workers: on Linux
     # perf_counter reads CLOCK_MONOTONIC, one clock for all processes.
     deadline = t0 + budget.max_seconds
-    results: list[tuple[int, tuple[int, ...], int, int, str | None]] = []
     if jobs <= 1:
-        table: dict[int, int] = {}
-        remaining = budget.max_nodes
-        for first in firsts:
-            res = _explore_branch(weights, alphabet, first, remaining, deadline, table)
-            results.append(res)
-            remaining -= res[2]
-            if res[4]:
-                break
+        results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
     else:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

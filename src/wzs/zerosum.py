@@ -40,9 +40,6 @@ class Sequence:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def multiplicity(self, g: int) -> int:
-        return self.terms.count(g)
-
 
 @dataclass(frozen=True)
 class Certificate:

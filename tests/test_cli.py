@@ -17,6 +17,7 @@ from wzs.cli import (
     EXIT_USAGE,
     Cache,
     RunRecord,
+    cache_key,
     main,
 )
 
@@ -94,20 +95,17 @@ def test_davenport_inconclusive_exit_code(capsys):
     assert payload["stats"]["exhausted_by"] == "seconds"
 
 
-def test_davenport_too_deep_for_recursion_is_inconclusive(capsys):
-    # D_{1}(Z_1100) = 1100: the all-ones path outgrows the recursion limit,
-    # which must stop the search like a budget, not crash it.
+def test_long_davenport_search_runs_to_its_deadline(capsys):
+    # D_{1}(Z_1100) = 1100: the search walks the all-ones path to its end
+    # at once, then runs out of time among the shorter branches.
     code, out, _ = run(capsys, "davenport", "--n", "1100", "--weights", "one",
                        "--method", "search", "--budget-ms", "2000")
     assert code == EXIT_INCONCLUSIVE
     payload = json.loads(out)
     assert payload["conclusive"] is False and payload["search"] is None
-    assert payload["stats"]["exhausted_by"] == "depth"
-    witness = payload["witness"]
-    assert payload["lower"] == len(witness) + 1 >= 100
-    # With weight 1, a nonempty subsequence sums to a value in
-    # [1, sum(witness)], which is short of 1100 for zero-sum-freeness.
-    assert all(0 < t for t in witness) and sum(witness) < 1100
+    assert payload["stats"]["exhausted_by"] == "seconds"
+    assert payload["lower"] == 1100
+    assert payload["witness"] == [1] * 1099
 
 
 def test_davenport_cache_hit_is_byte_identical(capsys, isolated_cache):
@@ -374,4 +372,6 @@ def test_run_record_round_trips():
         version="0.1.0",
         duration=0.25,
     )
-    assert RunRecord.from_json(rec.to_json()) == rec
+    body = json.loads(rec.to_json())
+    assert body.pop("key") == cache_key("davenport", {"n": 95, "weights": "cubes"})
+    assert RunRecord(**body) == rec

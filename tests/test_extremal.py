@@ -158,6 +158,20 @@ def test_enumerate_extremal_pins(kind, n, d_value, count):
         assert enum.d_value == davenport_search(n, weights).value
 
 
+def test_enumerate_extremal_refuses_d_value_below_one():
+    for d_value in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_extremal(2945, cubes(2945), d_value=d_value)
+
+
+def test_exhausted_enumeration_names_its_budget():
+    enum = enumerate_extremal(2945, cubes(2945), Budget(max_nodes=1000))
+    assert not enum.complete and enum.stats.exhausted_by == "nodes"
+    assert enum.classes == ()
+    enum = enumerate_extremal(2945, cubes(2945), Budget(max_seconds=0))
+    assert not enum.complete and enum.stats.exhausted_by == "seconds"
+
+
 def test_enumerate_extremal_55():
     enum = enumerate_extremal(55, cubes(55))
     assert enum.complete

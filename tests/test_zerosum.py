@@ -287,7 +287,7 @@ def test_sequence_validation():
     with pytest.raises(ValueError):
         Sequence.make(5, [-1])
     assert Sequence.make(5, [3, 1, 2]).terms == (1, 2, 3)
-    assert Sequence.make(6, [2, 2, 4]).multiplicity(2) == 2
+    assert Counter(Sequence.make(6, [2, 2, 4]).terms)[2] == 2
 
 
 def test_modulus_mismatch_rejected():
