@@ -95,9 +95,10 @@ def test_davenport_inconclusive_exit_code(capsys):
     assert payload["stats"]["exhausted_by"] == "seconds"
 
 
-def test_long_davenport_search_runs_to_its_deadline(capsys):
-    # D_{1}(Z_1100) = 1100: the search walks the all-ones path to its end
-    # at once, then runs out of time among the shorter branches.
+def test_davenport_too_deep_for_recursion_is_inconclusive(capsys):
+    # D_{1}(Z_1100) = 1100: the all-ones path is deeper than Python's
+    # recursion limit. The search walks it to its end at once, then runs
+    # out of time among the shorter branches: inconclusive, not a crash.
     code, out, _ = run(capsys, "davenport", "--n", "1100", "--weights", "one",
                        "--method", "search", "--budget-ms", "2000")
     assert code == EXIT_INCONCLUSIVE
