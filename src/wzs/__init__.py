@@ -47,7 +47,6 @@ from .invariants import (
     SearchStats,
     davenport_formula,
     davenport_search,
-    e_direct,
     e_formula,
     gao_E,
     lower_bound_witness,

@@ -207,6 +207,13 @@ def _weights_from(args):
     return by_kind(args.weights, args.n, elems)
 
 
+def _require_cubes(weights) -> None:
+    """The closed forms, the construction and the structure result speak only
+    about cube weights."""
+    if weights.kind != "cubes":
+        raise HypothesisError("the weights are the cubes", f"kind = {weights.kind}")
+
+
 def _cmd_weights(args) -> int:
     ws = by_kind(args.kind, args.n, _parse_residues(args.elems) if args.elems else None)
     _emit(ws.to_dict())
@@ -251,6 +258,7 @@ def _cmd_davenport(args) -> int:
     code = EXIT_OK
     if args.method in ("formula", "both"):
         try:
+            _require_cubes(weights)
             prof = factor(args.n)
             out["formula"] = davenport_formula(prof).value
             out["E_formula"] = e_formula(prof).value
@@ -378,6 +386,8 @@ def _cmd_extremal(args) -> int:
     weights = _weights_from(args)
     budget = _budget_from(args)
     prof = factor(args.n)
+    if args.action != "enumerate":
+        _require_cubes(weights)
 
     if args.action == "construct":
         seq = construct_extremal(prof)
@@ -433,7 +443,8 @@ def _cmd_extremal(args) -> int:
 
 def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     """The check matrix for one n, and the names of the checks the budget
-    left undecided (an inconclusive search or an incomplete enumeration)."""
+    left undecided (a walk stopped before it knew D, or an incomplete
+    enumeration)."""
     prof = factor(n)
     require_hypotheses(prof)
     rng = random.Random(seed)
@@ -441,12 +452,15 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     checks: dict[str, dict] = {}
 
     d_form = davenport_formula(prof).value
-    d_search = davenport_search(n, weights, budget)
-    undecided = set() if d_search.conclusive else {"formula_matches_search", "prior_bound_ceiling"}
+    # one walk gives D (None if the budget ran out) and the extremal classes
+    enum = enumerate_extremal(n, weights, budget)
+    undecided = set() if enum.complete else {"extremal_classification"}
+    if enum.d_value is None:
+        undecided |= {"formula_matches_search", "prior_bound_ceiling"}
     checks["formula_matches_search"] = {
-        "pass": d_search.conclusive and d_search.value == d_form,
+        "pass": enum.d_value == d_form,
         "formula": d_form,
-        "search": d_search.value,
+        "search": enum.d_value,
     }
     checks["e_value_relation"] = {
         "pass": e_formula(prof).value == gao_E(d_form, n),
@@ -469,17 +483,15 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
             break
     checks["extraction_certificates"] = {"pass": ok, "trials": 25, "m": m}
 
-    # the enumeration gets what the search left of the budget
-    left = Budget(budget.max_nodes - d_search.stats.nodes,
-                  budget.max_seconds - d_search.stats.wall_time)
-    enum = enumerate_extremal(n, weights, left)
-    if not enum.complete:
-        undecided.add("extremal_classification")
-    classify_ok = enum.complete
+    # classify_structure refuses a class whose length is not the closed
+    # form's D - 1, so a walk that disagrees fails this check, not the run
+    d_agrees = enum.d_value == d_form
+    classify_ok = enum.complete and d_agrees
     minima_ok = True
     for c in enum.classes:
-        report = classify_structure(c.canonical, prof)
-        if not equivalent(reconstruct(report), c.canonical, weights):
+        if d_agrees and not equivalent(
+            reconstruct(classify_structure(c.canonical, prof)), c.canonical, weights
+        ):
             classify_ok = False
         for p in prof.primes_n1():
             if sum(1 for t in c.canonical.terms if t % p != 0) < 2:
@@ -533,7 +545,7 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
 
     bound = prior_upper_bound(prof).d_bound
     checks["prior_bound_ceiling"] = {
-        "pass": d_search.value is not None and d_search.value <= bound,
+        "pass": enum.d_value is not None and enum.d_value <= bound,
         "bound": bound,
     }
 

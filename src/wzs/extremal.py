@@ -22,7 +22,6 @@ from .invariants import (
     _longest_paths,
     _serial_branches,
     davenport_formula,
-    theorem_hypothesis_failure,
 )
 from .zerosum import Sequence, _reach_step, has_weighted_zero_subseq
 
@@ -74,7 +73,7 @@ class StructureReport:
 class ExtremalClasses:
     classes: tuple[CanonicalSequence, ...]
     complete: bool
-    d_value: int
+    d_value: int | None
     stats: SearchStats
 
 
@@ -114,29 +113,23 @@ def equivalent(s: Sequence, t: Sequence, weights: WeightSet) -> bool:
 
 
 def enumerate_extremal(
-    n: int,
-    weights: WeightSet,
-    budget: Budget | None = None,
-    d_value: int | None = None,
+    n: int, weights: WeightSet, budget: Budget | None = None
 ) -> ExtremalClasses:
     """All canonical classes of zero-sum-free sequences of length D - 1.
 
-    One memoized search over the orbit-reduced space fills a state table,
-    and the classes are read back from it: every sorted sequence of length
-    D - 1 along states with enough tabled depth is canonicalized and deduped
-    by canonical form.  D is `d_value` when given, else the closed form when
-    its hypotheses hold, else 1 + the longest branch of that search.  A stop
-    inside the search returns no classes; a stop during the read-back
-    returns the classes found so far.
+    One memoized search over the orbit-reduced space fills a state table;
+    D is 1 + the longest branch of that walk, so it is certified by the
+    same walk that yields the classes, and None when the walk ran out of
+    budget.  The classes are read back from the table: every sorted
+    sequence of length D - 1 along states with enough tabled depth is
+    canonicalized and deduped by canonical form.  A stop inside the search
+    returns no classes; a stop during the read-back returns the classes
+    found so far.
     """
     if weights.modulus != n:
         raise ValueError("weight set modulus does not match n")
-    if d_value is not None and d_value < 1:
-        raise ValueError("need d_value >= 1")
     _require_subgroup(weights)
     budget = budget or Budget()
-    if d_value is None and weights.kind == "cubes" and not theorem_hypothesis_failure(factor(n)):
-        d_value = davenport_formula(factor(n)).value
 
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
@@ -144,21 +137,18 @@ def enumerate_extremal(
     table: dict[int, int] = {}
     results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, table)
     exhausted_by = next((res[4] for res in results if res[4]), None)
-    if d_value is None:
-        if exhausted_by:
-            raise HypothesisError("D_A(n) known", "search was inconclusive")
-        d_value = 1 + max((res[0] for res in results), default=0)
-    target = d_value - 1
+    longest = max((res[0] for res in results), default=0)
+    d_value = None if exhausted_by else longest + 1
 
     step = _reach_step(weights, alphabet)
     bits = len(alphabet).bit_length()
     roots = [(lo, step(0, lo, 1)) for lo in map(alphabet.index, firsts)]
-    # Every zero-sum-free sorted sequence of length target, in sorted order.
-    leaves = [()] if target == 0 else (
+    # Every zero-sum-free sorted sequence of length D - 1, in sorted order.
+    leaves = [()] if longest == 0 else (
         (alphabet[lo],) + rest
         for lo, mask in roots
         if not mask & 1
-        for rest in _longest_paths(step, alphabet, table, bits, mask, lo, target - 1)
+        for rest in _longest_paths(step, alphabet, table, bits, mask, lo, longest - 1)
     )
     found: dict[tuple[int, ...], CanonicalSequence] = {}
     for terms in () if exhausted_by else leaves:

@@ -19,21 +19,14 @@ silent wrong answer.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError
 from .modarith import ModulusProfile, factor, require_hypotheses, theorem_hypothesis_failure
 from .weightsets import WeightSet, cubes, reduced_alphabet
-from .zerosum import (
-    Sequence,
-    _reach_step,
-    has_fixed_length_zero_subseq,
-    has_weighted_zero_subseq,
-)
+from .zerosum import Sequence, _reach_step, has_weighted_zero_subseq
 
 
 @dataclass(frozen=True)
@@ -411,101 +404,3 @@ def davenport_search(
         stats=stats,
     )
 
-
-def _scaling_reduced_multisets(n: int, weights: WeightSet, length: int):
-    """One representative per scaling-equivalence class of multisets.
-
-    Zeros are fixed by the action, so a multiset splits into zeros plus a
-    nonzero part enumerated over the reduced alphabet.
-    """
-    if weights.is_subgroup:
-        firsts, symbols = reduced_alphabet(weights)
-        for z in range(length, -1, -1):
-            k = length - z
-            if k == 0:
-                yield (0,) * z
-                continue
-            for first in firsts:
-                lo = symbols.index(first)
-                for rest in combinations_with_replacement(symbols[lo:], k - 1):
-                    yield (0,) * z + (first,) + rest
-    else:
-        yield from combinations_with_replacement(range(n), length)
-
-
-def e_direct(
-    n: int,
-    weights: WeightSet,
-    budget: Budget | None = None,
-    exhaustive_limit: int = 8,
-    rng_seed: int = 0,
-) -> InvariantResult:
-    """Least length forcing a weighted zero-sum subsequence of exactly n terms.
-
-    Exhaustive multiset enumeration (up to the scaling action) for small n;
-    beyond the guard it only hunts counterexamples and reports a bracket.
-    """
-    if weights.modulus != n:
-        raise ValueError("weight set modulus does not match n")
-    budget = budget or Budget()
-    deadline = time.perf_counter() + budget.max_seconds
-
-    if n <= exhaustive_limit:
-        length = n
-        while length <= 2 * n:
-            all_ok = True
-            for ms in _scaling_reduced_multisets(n, weights, length):
-                if time.perf_counter() > deadline:
-                    return InvariantResult(
-                        n=n,
-                        weights=weights.kind,
-                        value=None,
-                        method="direct_E",
-                        conclusive=False,
-                        lower=length,
-                        upper=None,
-                    )
-                seq = Sequence.make(n, ms)
-                if has_fixed_length_zero_subseq(seq, weights, n) is None:
-                    all_ok = False
-                    break
-            if all_ok:
-                return InvariantResult(
-                    n=n, weights=weights.kind, value=length, method="direct_E"
-                )
-            length += 1
-        raise ContractError(f"exhaustive E scan for n={n} exceeded 2n; enumerator broken")
-
-    # Falsification only: a refuted length L proves E >= L + 1.
-    rng = random.Random(rng_seed)
-    best_refuted = n - 1
-    if weights.kind == "cubes":
-        try:
-            w = lower_bound_witness(factor(n))
-            padded = Sequence.make(n, w.terms + (0,) * (n - 1))
-            if has_fixed_length_zero_subseq(padded, weights, n) is None:
-                best_refuted = max(best_refuted, len(padded))
-        except HypothesisError:
-            pass
-    while time.perf_counter() < deadline:
-        target = best_refuted + 1
-        refuted = False
-        for _ in range(200):
-            if time.perf_counter() > deadline:
-                break
-            seq = Sequence.make(n, (rng.randrange(n) for _ in range(target)))
-            if has_fixed_length_zero_subseq(seq, weights, n) is None:
-                refuted = True
-                break
-        if not refuted:
-            break
-        best_refuted = target
-    return InvariantResult(
-        n=n,
-        weights=weights.kind,
-        value=None,
-        method="direct_E",
-        conclusive=False,
-        lower=best_refuted + 1,
-        upper=None,
-    )

@@ -148,12 +148,23 @@ def reachable_sums(seq: Sequence, weights: WeightSet) -> set[int]:
     return {t for t in range(seq.modulus) if r >> bit[t] & 1}
 
 
+def _pick_weight(weights: WeightSet, bit, prev: int, t: int, x: int) -> tuple[int, int]:
+    """The first weight a whose residual s = t - a*x lies in the mask prev,
+    as (a, s): one backtracking step of every certificate."""
+    n = weights.modulus
+    for a in weights.elements:
+        s = (t - a * x) % n
+        if prev >> bit[s] & 1:
+            return a, s
+    raise ContractError("no weight reproduces a reachable DP state")
+
+
 def _backtrack_subset(
     seq: Sequence, weights: WeightSet, layers: list[int], target: int
 ) -> Certificate:
     # Skip a term whenever the residual target survives without it (smallest
-    # index set), then take the smallest usable weight.
-    n = seq.modulus
+    # index set), then take the smallest usable weight.  Bit 0 is residue 0
+    # (orbit 0 is {0}), so prev | 1 lets a residual of 0 end the subset.
     bit = _bit_index(weights)
     terms = seq.terms
     picked: list[tuple[int, int]] = []
@@ -165,24 +176,11 @@ def _backtrack_subset(
             continue
         if j == 0:
             raise ContractError("certificate backtracking fell off the table")
-        x = terms[j - 1]
-        prev = layers[j - 1]
-        stop = False
-        for a in weights.elements:
-            s = (t - a * x) % n
-            if s == 0:
-                picked.append((j - 1, a))
-                stop = True
-                break
-            if prev >> bit[s] & 1:
-                picked.append((j - 1, a))
-                t = s
-                j -= 1
-                break
-        else:
-            raise ContractError("no weight reproduces a reachable DP state")
-        if stop:
+        a, t = _pick_weight(weights, bit, layers[j - 1] | 1, t, terms[j - 1])
+        picked.append((j - 1, a))
+        if t == 0:
             break
+        j -= 1
     cert = Certificate(picked=tuple(sorted(picked)), claimed_sum=target)
     if not cert.verify(seq, weights):
         raise ContractError(f"backtracked certificate failed verification {cert}")
@@ -212,7 +210,6 @@ def has_fixed_length_zero_subseq(
         return None
     if length == 0:
         return Certificate(picked=(), claimed_sum=0) if allow_empty else None
-    n = seq.modulus
     # layers[j][c] holds the sums of c weighted picks among the first j
     # terms.  A cell with c < length - (len(seq) - j) cannot grow to `length`
     # picks, and backtracking starts from the first row where `length` picks
@@ -241,16 +238,9 @@ def has_fixed_length_zero_subseq(
         if layers[j - 1][c] >> bit[t] & 1:
             j -= 1
             continue
-        x = terms[j - 1]
-        prev_row = layers[j - 1][c - 1]
-        for a in weights.elements:
-            s = (t - a * x) % n
-            if prev_row >> bit[s] & 1:
-                picked.append((j - 1, a))
-                t, c, j = s, c - 1, j - 1
-                break
-        else:
-            raise ContractError("fixed-length backtracking lost the DP trail")
+        a, t = _pick_weight(weights, bit, layers[j - 1][c - 1], t, terms[j - 1])
+        picked.append((j - 1, a))
+        c, j = c - 1, j - 1
     cert = Certificate(picked=tuple(sorted(picked)), claimed_sum=0)
     if not cert.verify(seq, weights):
         raise ContractError(f"fixed-length certificate failed verification {cert}")
@@ -277,16 +267,8 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     ws: list[int] = []
     t = 0
     for j in range(len(vals) - 1, -1, -1):
-        x = vals[j]
-        prev = layers[j]
-        for a in weights.elements:
-            s = (t - a * x) % n
-            if prev >> bit[s] & 1:
-                ws.append(a)
-                t = s
-                break
-        else:
-            raise ContractError("full-selection backtracking lost the DP trail")
+        a, t = _pick_weight(weights, bit, layers[j], t, vals[j])
+        ws.append(a)
     if t != 0:
         raise ContractError("full-selection backtracking ended off zero")
     return ws[::-1]

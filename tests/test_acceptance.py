@@ -8,6 +8,7 @@ trial counts under fixed seeds.
 import random
 import time
 
+from e_oracle import e_direct
 from wzs.extremal import (
     canonicalize,
     classify_structure,
@@ -20,7 +21,6 @@ from wzs.extremal import (
 from wzs.invariants import (
     davenport_formula,
     davenport_search,
-    e_direct,
     e_formula,
     lower_bound_witness,
     prior_upper_bound,

@@ -20,6 +20,7 @@ from wzs.cli import (
     cache_key,
     main,
 )
+from wzs.extremal import ExtremalClasses
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wzs.__file__)))
 
@@ -83,6 +84,21 @@ def test_davenport_formula_refusal_exit_code(capsys):
                        "--method", "formula")
     assert code == EXIT_REFUSED
     assert "7" in json.loads(out)["reason"]
+    # the closed form is a statement about cube weights only
+    code, out, _ = run(capsys, "davenport", "--n", "95", "--weights", "squares",
+                       "--method", "formula")
+    assert code == EXIT_REFUSED
+    assert "cubes" in json.loads(out)["reason"]
+
+
+def test_davenport_both_gives_no_formula_for_other_weights(capsys):
+    code, out, _ = run(capsys, "davenport", "--n", "95", "--weights", "units",
+                       "--method", "both")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["search"] == 3
+    assert payload["formula"] is None and payload["E_formula"] is None
+    assert payload["agrees"] is None and "cubes" in payload["formula_refusal"]
 
 
 def test_davenport_inconclusive_exit_code(capsys):
@@ -283,11 +299,15 @@ def test_extremal_enumerate_55(capsys):
 
 
 def test_extremal_enumerate_zero_budget_is_inconclusive(capsys, isolated_cache):
-    code, out, _ = run(capsys, "extremal", "enumerate", "--n", "589",
-                       "--weights", "cubes", "--budget-ms", "0")
-    assert code == EXIT_INCONCLUSIVE
-    assert json.loads(out)["complete"] is False
-    assert not isolated_cache.exists()
+    # in and out of the closed form's hypotheses alike, a walk stopped
+    # before it knows D reports no D and caches nothing
+    for n, kind in ((589, "cubes"), (126, "cubes"), (60, "units")):
+        code, out, _ = run(capsys, "extremal", "enumerate", "--n", str(n),
+                           "--weights", kind, "--budget-ms", "0")
+        assert code == EXIT_INCONCLUSIVE, (n, kind)
+        payload = json.loads(out)
+        assert payload["complete"] is False and payload["d_value"] is None
+        assert not isolated_cache.exists()
 
 
 def test_extremal_construct_and_classify(capsys):
@@ -301,6 +321,13 @@ def test_extremal_construct_and_classify(capsys):
     assert code == EXIT_OK
     report = json.loads(out)["report"]
     assert report["case"] == "case1" and report["p"] == 19
+
+
+def test_extremal_construct_and_classify_refuse_other_weights(capsys):
+    for argv in (("construct",), ("classify", "--seq", "19,20,40")):
+        code, out, _ = run(capsys, "extremal", *argv, "--n", "95", "--weights", "units")
+        assert code == EXIT_REFUSED, argv
+        assert "cubes" in json.loads(out)["reason"]
 
 
 def test_extremal_classify_needs_seq(capsys):
@@ -330,6 +357,31 @@ def test_verify_55_all_pass(capsys):
         "equivalence_invariance",
         "prior_bound_ceiling",
     }
+
+
+def test_verify_searches_once(capsys, monkeypatch):
+    def no_second_search(*args, **kwargs):
+        raise AssertionError("verify reads D from the enumeration's walk")
+
+    monkeypatch.setattr(cli, "davenport_search", no_second_search)
+    code, out, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_OK
+    assert json.loads(out)["checks"]["formula_matches_search"]["search"] == 3
+
+
+def test_verify_walk_disagreeing_with_formula_is_a_contract_failure(capsys, monkeypatch):
+    enumerate_extremal = cli.enumerate_extremal
+
+    def off_by_one(*args):
+        enum = enumerate_extremal(*args)
+        return ExtremalClasses(enum.classes, enum.complete, enum.d_value + 1, enum.stats)
+
+    monkeypatch.setattr(cli, "enumerate_extremal", off_by_one)
+    code, out, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_CONTRACT
+    checks = json.loads(out)["checks"]
+    assert checks["formula_matches_search"] == {"pass": False, "formula": 3, "search": 4}
+    assert checks["extremal_classification"]["pass"] is False
 
 
 def test_verify_refuses_out_of_hypothesis_n(capsys):

@@ -16,7 +16,7 @@ from wzs.extremal import (
     reconstruct,
 )
 from wzs.invariants import Budget, davenport_formula, davenport_search
-from wzs.modarith import factor, theorem_hypothesis_failure, units
+from wzs.modarith import factor, units
 from wzs.weightsets import by_kind, cubes, custom, squares
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
@@ -154,22 +154,16 @@ def test_enumerate_extremal_pins(kind, n, d_value, count):
     enum = enumerate_extremal(n, weights)
     assert enum.complete and enum.stats.exhausted_by is None
     assert (enum.d_value, len(enum.classes)) == (d_value, count)
-    if kind != "cubes" or theorem_hypothesis_failure(factor(n)) is not None:
-        assert enum.d_value == davenport_search(n, weights).value
-
-
-def test_enumerate_extremal_refuses_d_value_below_one():
-    for d_value in (0, -1):
-        with pytest.raises(ValueError):
-            enumerate_extremal(2945, cubes(2945), d_value=d_value)
+    assert enum.d_value == davenport_search(n, weights).value
 
 
 def test_exhausted_enumeration_names_its_budget():
     enum = enumerate_extremal(2945, cubes(2945), Budget(max_nodes=1000))
     assert not enum.complete and enum.stats.exhausted_by == "nodes"
-    assert enum.classes == ()
+    assert enum.classes == () and enum.d_value is None
     enum = enumerate_extremal(2945, cubes(2945), Budget(max_seconds=0))
     assert not enum.complete and enum.stats.exhausted_by == "seconds"
+    assert enum.d_value is None
 
 
 def test_enumerate_extremal_55():

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from e_oracle import e_direct
 from wzs.errors import HypothesisError
 from wzs.invariants import (
     Budget,
     davenport_formula,
     davenport_search,
-    e_direct,
     e_formula,
     gao_E,
     lower_bound_witness,
@@ -93,14 +93,6 @@ def test_e_direct_matches_gao_relation(kind, top):
         weights = by_kind(kind, n)
         d = davenport_search(n, weights).value
         assert e_direct(n, weights).value == gao_E(d, n), (kind, n)
-
-
-def test_e_direct_refutation_mode_brackets():
-    res = e_direct(95, cubes(95), budget=Budget(max_seconds=2.0))
-    assert not res.conclusive
-    assert res.value is None
-    # the zero-padded witness already forces the true lower bound
-    assert res.lower >= 98
 
 
 def test_lower_bound_witness_tight_on_verification_list():
