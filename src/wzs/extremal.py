@@ -23,7 +23,7 @@ from .invariants import (
     _serial_branches,
     davenport_formula,
 )
-from .zerosum import Sequence, _reach_step, has_weighted_zero_subseq
+from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def enumerate_extremal(
     longest = max((res[0] for res in results), default=0)
     d_value = None if exhausted_by else longest + 1
 
-    step = _reach_step(weights, alphabet)
+    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
     bits = len(alphabet).bit_length()
     roots = [(lo, step(0, lo, 1)) for lo in map(alphabet.index, firsts)]
     # Every zero-sum-free sorted sequence of length D - 1, in sorted order.
@@ -148,7 +148,7 @@ def enumerate_extremal(
         (alphabet[lo],) + rest
         for lo, mask in roots
         if not mask & 1
-        for rest in _longest_paths(step, alphabet, table, bits, mask, lo, longest - 1)
+        for rest in _longest_paths(step, rows, alphabet, table, bits, mask, lo, longest - 1)
     )
     found: dict[tuple[int, ...], CanonicalSequence] = {}
     for terms in () if exhausted_by else leaves:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError
 from .modarith import ModulusProfile, factor, require_hypotheses, theorem_hypothesis_failure
 from .weightsets import WeightSet, cubes, reduced_alphabet
-from .zerosum import Sequence, _reach_step, has_weighted_zero_subseq
+from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def lower_bound_witness(profile: ModulusProfile, family: str = "cubes") -> Seque
     return seq
 
 
-def _longest_paths(step, alphabet, table, bits, mask, lo, need):
+def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
     """Every sorted extension of the state (mask, lo) by `need` terms over
     alphabet[lo:], in sorted order, read lazily from a table that
     _explore_branch filled: a child state is entered only when its tabled
@@ -189,16 +190,17 @@ def _longest_paths(step, alphabet, table, bits, mask, lo, need):
     if need == 0:
         yield ()
         return
+    expand, fields, full = rows or (None, None, 0)
     size = len(alphabet)
     path: list[int] = []
-    frames = [[mask, lo]]  # a state's mask and the next symbol index to try
+    frames = [[mask, lo, expand(mask | 1) if rows else 0]]  # mask, next symbol, row
     found = False
     while frames:
         frame = frames[-1]
-        mask, i = frame
+        mask, i, row = frame
         left = need - len(frames)  # depth the next child must have
         while i < size:
-            new = step(mask, i, mask | 1)
+            new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
             i += 1
             if not new & 1 and table[new << bits | i - 1] >= left:
                 break
@@ -210,7 +212,7 @@ def _longest_paths(step, alphabet, table, bits, mask, lo, need):
         frame[1] = i
         if left:
             path.append(alphabet[i - 1])
-            frames.append([new, i - 1])
+            frames.append([new, i - 1, row | expand(new ^ mask) if rows else 0])
         else:
             found = True
             yield (*path, alphabet[i - 1])
@@ -243,7 +245,8 @@ def _explore_branch(
         return 0, (), 0, 0, "seconds" if out_of_time else "nodes"
     table = {} if table is None else table
     states_before = len(table)
-    step = _reach_step(weights, alphabet)
+    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
+    expand, fields, full = rows or (None, None, 0)
     size = len(alphabet)
     bits = size.bit_length()
     nodes = 1
@@ -253,13 +256,13 @@ def _explore_branch(
         return 0, (), nodes, 0, None
     root = first_mask << bits | start
     exhausted_by = None
-    # A frame holds a state (mask, lo), the next symbol index to try and the
-    # longest extension found so far; alphabet[lo] is the frame's own term.
-    best = (first,)
-    frames = [] if root in table else [[first_mask, start, start, 0]]
+    # A frame: a state (mask, lo), the next symbol index to try, the longest
+    # extension found so far and the state's row; alphabet[lo] is its term.
+    row, best = expand(first_mask | 1) if rows else 0, (first,)
+    frames = [] if root in table else [[first_mask, start, start, 0, row]]
     while frames:
         frame = frames[-1]
-        mask, lo, i, d = frame
+        mask, lo, i, d, row = frame
         while i < size:
             nodes += 1
             if nodes > max_nodes:
@@ -268,7 +271,7 @@ def _explore_branch(
             if nodes % 4096 == 0 and time.perf_counter() > deadline:
                 exhausted_by = "seconds"
                 break
-            new = step(mask, i, mask | 1)
+            new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
             i += 1
             if not new & 1:
                 known = table.get(new << bits | i - 1)
@@ -285,15 +288,23 @@ def _explore_branch(
         if exhausted_by:
             break
         frame[2], frame[3] = i, d
-        frames.append([new, i - 1, i - 1, 0])
+        frames.append([new, i - 1, i - 1, 0, row | expand(new ^ mask) if rows else 0])
         if len(frames) > len(best):
             # A list, not a generator expression: with one, repeated searches
             # held memory until a full collection ran (+0.5 MB of peak RSS).
             best = tuple([alphabet[f[1]] for f in frames])
     if exhausted_by is None:
-        rest = _longest_paths(step, alphabet, table, bits, first_mask, start, table[root])
+        rest = _longest_paths(step, rows, alphabet, table, bits, first_mask, start, table[root])
         best = (first,) + next(rest)
     return len(best), best, nodes, len(table) - states_before, exhausted_by
+
+
+@lru_cache(maxsize=None)
+def _pool(jobs: int):
+    """One process pool per worker count, shared by all searches of a process."""
+    from concurrent.futures import ProcessPoolExecutor  # never loaded by serial runs
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _serial_branches(
@@ -345,16 +356,17 @@ def davenport_search(
     if jobs <= 1:
         results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
     else:
-        # imported here so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         share = max(1, budget.max_nodes // max(1, len(firsts)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_explore_branch, weights, alphabet, first, share, deadline)
-                for first in firsts
-            ]
-            results = [f.result() for f in futures]
+        futures = [
+            _pool(jobs).submit(_explore_branch, weights, alphabet, first, share, deadline)
+            for first in firsts
+        ]
+        results = [f.result() for f in futures]
+        # branches short of their share rerun serially on the nodes left over
+        short = [first for first, res in zip(firsts, results) if res[4] == "nodes"]
+        left = budget.max_nodes - sum(res[2] for res in results if res[4] != "nodes")
+        redo = dict(zip(short, _serial_branches(weights, alphabet, short, left, deadline, {})))
+        results = [redo.get(first, res) for first, res in zip(firsts, results)]
 
     best_len = len(incumbent) if incumbent is not None else 0
     best_terms = incumbent.terms if incumbent is not None else ()

@@ -3,7 +3,7 @@
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
 dynamic programming inner loops want fast iteration.  Derived tables (coset
-minima, orbit ids and the orbit-sum columns of the reachable-sum kernel) are
+minima, orbit ids, the kernel's orbit columns and packed orbit rows) are
 built lazily, once per instance; kind constructors share one per modulus.
 """
 
@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .modarith import factor, units
+
+MAX_ROW_ORBITS = 128  # the walks use orbit rows up to k orbits: k*k*k bits
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,10 @@ class WeightSet:
     def uses_orbits(self) -> bool:
         """Whether the reachable-sum kernel carries masks over orbit ids
         rather than n-bit residue masks: for a subgroup with k orbits, when
-        k*k < n.  An orbit holds about n/k residues, so the residue step does
+        k*k < n or k <= min(MAX_ROW_ORBITS, 16*|A|).  The residue step does
         about n/k rotate-ORs per term where the orbit step does at most k ORs."""
-        return self.is_subgroup and len(set(self._coset_minima)) ** 2 < self.modulus
+        k, n = len(set(self._coset_minima)), self.modulus
+        return self.is_subgroup and (k * k < n or k <= min(MAX_ROW_ORBITS, 16 * len(self)))
 
     @cached_property
     def orbit_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -87,6 +90,12 @@ class WeightSet:
                 acc[o] |= 1 << p
             cols.append(tuple(acc))
         return tuple(cols)
+
+    @cached_property
+    def orbit_rows(self) -> tuple[int, ...]:
+        """orbit_rows[o] holds orbit_columns[q][o] in field q, k bits wide."""
+        cols, k = self.orbit_columns, len(self.orbit_columns)
+        return tuple(sum(c[o] << q * k for q, c in enumerate(cols)) for o in range(k))
 
     @cached_property
     def unit_group(self) -> tuple[int, ...]:

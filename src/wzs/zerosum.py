@@ -6,9 +6,9 @@ programming pass.  One kernel, _reach_step, extends a mask by a term for the
 DP, the Davenport search and the extremal enumeration.  A mask has one bit
 per orbit A*x when the weight set is a subgroup with few orbits (every
 reachable set is then a union of orbits), else one bit per residue; the
-weight set owns the tables and picks the form.  Certificates name term
-indices and weights and are always re-verified arithmetically before being
-returned.
+weight set owns the tables and picks the form, and _reach_rows expands a
+walk's state by every symbol at once.  Certificates name term indices and
+weights and are always re-verified arithmetically before being returned.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, crt_combine, factor, theorem_hypothesis_failure
-from .weightsets import WeightSet, cubes
+from .weightsets import MAX_ROW_ORBITS, WeightSet, cubes
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,25 @@ def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
         return acc
 
     return step
+
+
+def _reach_rows(weights: WeightSet, symbols):
+    """(expand, fields, full): the step from src by symbols[i] is expand(src)
+    >> fields[i] & full, where expand ORs the rows of src's orbits.  None on
+    residue masks and past MAX_ROW_ORBITS orbits: there, call _reach_step."""
+    if not weights.uses_orbits or len(weights.orbit_columns) > MAX_ROW_ORBITS:
+        return None
+    rows = weights.orbit_rows
+
+    def expand(src: int) -> int:
+        acc = 0
+        while src:
+            low = src & -src
+            acc |= rows[low.bit_length() - 1]
+            src ^= low
+        return acc
+
+    return expand, [len(rows) * weights.orbit_id[x] for x in symbols], (1 << len(rows)) - 1
 
 
 def _bit_index(weights: WeightSet):

@@ -258,6 +258,36 @@ def test_table_reruns_identically(capsys, tmp_path, monkeypatch):
     assert out1 == out2  # rows are pure functions of n and weight kind
 
 
+def test_table_jobs_opens_one_pool(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+    import functools
+
+    from wzs import invariants
+
+    made = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    # a fresh pool cache for this test; the shared one comes back after it
+    monkeypatch.setattr(invariants, "_pool", functools.lru_cache(invariants._pool.__wrapped__))
+    argv = ("table", "--weights", "cubes", "--from", "5", "--to", "20", "--format", "json")
+    monkeypatch.setenv("WZS_CACHE", str(tmp_path / "a.jsonl"))
+    try:
+        code2, parallel, _ = run(capsys, *argv, "--jobs", "2")
+    finally:
+        for pool in made:
+            pool.shutdown()
+    monkeypatch.setenv("WZS_CACHE", str(tmp_path / "b.jsonl"))
+    code1, serial, _ = run(capsys, *argv, "--jobs", "1")
+    assert code1 == code2 == EXIT_OK
+    assert parallel == serial
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_table_reread_from_cache_is_byte_identical(capsys, isolated_cache, fmt):
     argv = ("table", "--weights", "cubes", "--from", "5", "--to", "30", "--format", fmt)

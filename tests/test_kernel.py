@@ -4,12 +4,15 @@ two mask forms (orbit ids, residues) against each other."""
 import dataclasses
 import random
 
+from wzs import zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
 from wzs.modarith import factor
-from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
+from wzs.weightsets import by_kind, cubes, custom, pm_one, singleton_one, units_weights
 from wzs.zerosum import (
     Sequence,
+    _reach_rows,
+    _reach_step,
     full_zero_sum_weights,
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
@@ -135,29 +138,49 @@ def test_orbit_and_residue_masks_give_identical_answers():
 
 
 def test_search_and_enumeration_agree_across_mask_forms():
-    for n in (95, 185):
+    for n in (95, 108, 126, 180, 185, 224, 351):
         weights = cubes(n)
         twin = residue_twin(weights)
+        assert _reach_rows(weights, [1]) is not None and _reach_rows(twin, [1]) is None
         a, b = davenport_search(n, weights, UNLIMITED), davenport_search(n, twin, UNLIMITED)
         assert (a.value, a.witness, a.stats.nodes, a.stats.states) == (
             b.value, b.witness, b.stats.nodes, b.stats.states
-        )
+        ), n
+    for n in (95, 185):
+        weights = cubes(n)
+        twin = residue_twin(weights)
         ea, eb = enumerate_extremal(n, weights, UNLIMITED), enumerate_extremal(n, twin, UNLIMITED)
         assert ea.classes == eb.classes and ea.stats.nodes == eb.stats.nodes
 
 
+def test_walks_step_per_child_past_the_row_limit(monkeypatch):
+    # Above MAX_ROW_ORBITS orbits the walks keep orbit masks but no rows.
+    def walks():
+        res = davenport_search(180, cubes(180), UNLIMITED)
+        ext = enumerate_extremal(95, cubes(95), UNLIMITED)
+        return res.value, res.witness, res.stats.nodes, res.stats.states, ext.classes, ext.stats
+
+    with_rows = walks()
+    monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
+    assert cubes(180).uses_orbits and _reach_rows(cubes(180), [1]) is None
+    without_rows = walks()
+    assert without_rows[:5] == with_rows[:5]
+    assert without_rows[5].nodes == with_rows[5].nodes
+
+
 def test_representation_rule():
-    # A subgroup with k orbits on Z_n takes orbit masks when k * k < n.
-    for n, orbits in ((5423, 8), (2945, 32), (95, 8)):
+    # A subgroup with k orbits on Z_n takes orbit masks when k * k < n, or
+    # when k <= min(128, 16 * |A|).
+    for n, orbits in ((5423, 8), (2945, 32), (95, 8), (108, 24), (126, 40), (180, 30),
+                      (224, 24), (351, 32)):
         weights = cubes(n)
         assert max(weights.orbit_id) + 1 == orbits
         assert weights.uses_orbits, n
-    for n, orbits in ((224, 24), (180, 30)):
-        weights = cubes(n)
-        assert max(weights.orbit_id) + 1 == orbits
-        assert not weights.uses_orbits, n
-    for n in (2, 95, 5423):
+    assert singleton_one(16).uses_orbits and pm_one(63).uses_orbits
+    for n in (17, 95, 5423):
         assert not singleton_one(n).uses_orbits
+    assert max(pm_one(64).orbit_id) + 1 == 33
+    assert not pm_one(64).uses_orbits
     assert not custom(30, [1, 2, 3]).uses_orbits
 
 
@@ -177,3 +200,22 @@ def test_orbit_tables_match_their_definitions():
                 met[oid[r]] |= {oid[(r + a * y) % n] for a in weights.elements}
             col = weights.orbit_columns[oid[y]]
             assert col == tuple(sum(1 << p for p in m) for m in met), (n, y)
+
+
+def test_orbit_rows_pack_the_columns():
+    for weights in (cubes(95), cubes(185), units_weights(60), by_kind("squares", 91)):
+        k = len(weights.orbit_columns)
+        assert len(weights.orbit_rows) == k
+        for o, row in enumerate(weights.orbit_rows):
+            assert row < 1 << k * k
+            for q, col in enumerate(weights.orbit_columns):
+                assert row >> q * k & (1 << k) - 1 == col[o], (weights.modulus, o, q)
+        # the step by any symbol is one field of the expanded source
+        rng = random.Random(k)
+        symbols = rng.sample(range(weights.modulus), 6)
+        step = _reach_step(weights, symbols)
+        expand, fields, full = _reach_rows(weights, symbols)
+        for _ in range(20):
+            src = rng.getrandbits(k) | 1
+            for i in range(len(symbols)):
+                assert expand(src) >> fields[i] & full == step(0, i, src)

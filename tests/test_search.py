@@ -105,6 +105,19 @@ def test_conclusive_answer_does_not_depend_on_jobs():
     assert serial.witness == parallel.witness
 
 
+def test_node_budget_answer_does_not_depend_on_jobs():
+    # 180 has 17 first terms; when each parallel branch had only its 1/17
+    # share of the nodes, jobs=2 stopped inconclusive where jobs=1 finished.
+    weights = by_kind("cubes", 180)
+    budget = Budget(max_nodes=60_000)
+    serial = davenport_search(180, weights, budget, jobs=1)
+    parallel = davenport_search(180, weights, budget, jobs=2)
+    assert serial.conclusive and parallel.conclusive
+    assert parallel.stats.exhausted_by is None
+    assert (parallel.value, parallel.witness) == (serial.value, serial.witness)
+    assert serial.value == 7
+
+
 def test_parallel_search_keeps_one_deadline():
     # {1} mod 1100 has 17 first-term branches, none of which finishes in
     # 0.5 s; when each branch got the whole budget, two workers took 4 s.
