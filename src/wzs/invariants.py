@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError
@@ -301,10 +301,19 @@ def _explore_branch(
 
 @lru_cache(maxsize=None)
 def _pool(jobs: int):
-    """One process pool per worker count, shared by all searches of a process."""
-    from concurrent.futures import ProcessPoolExecutor  # never loaded by serial runs
+    """One process pool per worker count, shared by all searches of a process.
+    Workers are spawned: a process that keeps a pool has threads to fork."""
+    import multiprocessing  # never loaded by serial runs
+    from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _tabled_branch(weights, alphabet, max_nodes, deadline, first):
+    """_explore_branch on a table of its own, returned too if it ran out of nodes."""
+    table: dict[int, int] = {}
+    res = _explore_branch(weights, alphabet, first, max_nodes, deadline, table)
+    return res, table if res[4] == "nodes" else {}
 
 
 def _serial_branches(
@@ -357,16 +366,26 @@ def davenport_search(
         results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
     else:
         share = max(1, budget.max_nodes // max(1, len(firsts)))
-        futures = [
-            _pool(jobs).submit(_explore_branch, weights, alphabet, first, share, deadline)
-            for first in firsts
-        ]
-        results = [f.result() for f in futures]
-        # branches short of their share rerun serially on the nodes left over
-        short = [first for first, res in zip(firsts, results) if res[4] == "nodes"]
-        left = budget.max_nodes - sum(res[2] for res in results if res[4] != "nodes")
-        redo = dict(zip(short, _serial_branches(weights, alphabet, short, left, deadline, {})))
-        results = [redo.get(first, res) for first, res in zip(firsts, results)]
+        pool, branch = _pool(jobs), partial(_tabled_branch, weights, alphabet, share, deadline)
+        try:  # map cancels the branches still queued when one fails
+            runs = list(pool.map(branch, firsts))
+        except BaseException:
+            _pool.cache_clear()  # a broken pool would fail every later search
+            pool.shutdown(wait=False)
+            raise
+        results = [res for res, _ in runs]
+        # Branches short of their share run again serially, over one table of
+        # the states their workers finished, on the nodes the workers left.
+        short = [i for i, res in enumerate(results) if res[4] == "nodes"]
+        table = {key: d for i in short for key, d in runs[i][1].items()}
+        left = budget.max_nodes - sum(res[2] for res in results)
+        again = [firsts[i] for i in short]
+        redo = _serial_branches(weights, alphabet, again, left, deadline, table)
+        for i, new in zip(short, redo):
+            # a rerun cut short keeps the longer path; a finished one is exact
+            old = results[i]
+            keep = new if new[0] >= old[0] else old
+            results[i] = (*keep[:2], old[2] + new[2], old[3] + new[3], new[4])
 
     best_len = len(incumbent) if incumbent is not None else 0
     best_terms = incumbent.terms if incumbent is not None else ()

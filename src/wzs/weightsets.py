@@ -71,10 +71,11 @@ class WeightSet:
     def uses_orbits(self) -> bool:
         """Whether the reachable-sum kernel carries masks over orbit ids
         rather than n-bit residue masks: for a subgroup with k orbits, when
-        k*k < n or k <= min(MAX_ROW_ORBITS, 16*|A|).  The residue step does
-        about n/k rotate-ORs per term where the orbit step does at most k ORs."""
+        k*k < n or k <= min(MAX_ROW_ORBITS, 4*|A|).  The residue step does
+        about n/k rotate-ORs per term where the orbit step does at most k ORs;
+        past 4*|A| orbits the DP measured slower on orbit masks."""
         k, n = len(set(self._coset_minima)), self.modulus
-        return self.is_subgroup and (k * k < n or k <= min(MAX_ROW_ORBITS, 16 * len(self)))
+        return self.is_subgroup and (k * k < n or k <= min(MAX_ROW_ORBITS, 4 * len(self)))
 
     @cached_property
     def orbit_columns(self) -> tuple[tuple[int, ...], ...]:

@@ -138,7 +138,7 @@ def test_orbit_and_residue_masks_give_identical_answers():
 
 
 def test_search_and_enumeration_agree_across_mask_forms():
-    for n in (95, 108, 126, 180, 185, 224, 351):
+    for n in (95, 108, 180, 182, 185, 224, 351):
         weights = cubes(n)
         twin = residue_twin(weights)
         assert _reach_rows(weights, [1]) is not None and _reach_rows(twin, [1]) is None
@@ -170,17 +170,19 @@ def test_walks_step_per_child_past_the_row_limit(monkeypatch):
 
 def test_representation_rule():
     # A subgroup with k orbits on Z_n takes orbit masks when k * k < n, or
-    # when k <= min(128, 16 * |A|).
-    for n, orbits in ((5423, 8), (2945, 32), (95, 8), (108, 24), (126, 40), (180, 30),
+    # when k <= min(128, 4 * |A|).
+    for n, orbits in ((5423, 8), (2945, 32), (95, 8), (108, 24), (180, 30), (182, 32),
                       (224, 24), (351, 32)):
         weights = cubes(n)
         assert max(weights.orbit_id) + 1 == orbits
         assert weights.uses_orbits, n
-    assert singleton_one(16).uses_orbits and pm_one(63).uses_orbits
-    for n in (17, 95, 5423):
+    # 40 orbits of 4 cubes mod 126: past 4 * |A|
+    assert max(cubes(126).orbit_id) + 1 == 40 and not cubes(126).uses_orbits
+    assert singleton_one(4).uses_orbits and pm_one(15).uses_orbits
+    for n in (5, 17, 95, 5423):
         assert not singleton_one(n).uses_orbits
-    assert max(pm_one(64).orbit_id) + 1 == 33
-    assert not pm_one(64).uses_orbits
+    assert max(pm_one(16).orbit_id) + 1 == 9
+    assert not pm_one(16).uses_orbits and not pm_one(64).uses_orbits
     assert not custom(30, [1, 2, 3]).uses_orbits
 
 

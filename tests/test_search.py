@@ -2,10 +2,13 @@
 replaced, against closed forms from the literature, and under budgets."""
 
 import math
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from wzs import invariants
 from wzs.invariants import Budget, _explore_branch, davenport_search, lower_bound_witness
 from wzs.modarith import factor
 from wzs.weightsets import (
@@ -116,6 +119,42 @@ def test_node_budget_answer_does_not_depend_on_jobs():
     assert parallel.stats.exhausted_by is None
     assert (parallel.value, parallel.witness) == (serial.value, serial.witness)
     assert serial.value == 7
+    # the workers and the rerun together stay within the cap
+    assert serial.stats.nodes < parallel.stats.nodes <= 60_000
+
+
+def test_parallel_rerun_past_its_deadline_keeps_the_workers_results(monkeypatch):
+    # The branches short of their share get a rerun whose deadline has
+    # passed: the search stops on time, but keeps the paths and the node
+    # counts the workers reported (34,257 nodes, lower bound 7).
+    rerun = invariants._serial_branches
+
+    def late(weights, alphabet, firsts, max_nodes, deadline, table):
+        return rerun(weights, alphabet, firsts, max_nodes, time.perf_counter() - 1, table)
+
+    monkeypatch.setattr(invariants, "_serial_branches", late)
+    res = davenport_search(180, by_kind("cubes", 180), Budget(max_nodes=60_000), jobs=2)
+    assert not res.conclusive
+    assert res.stats.exhausted_by == "seconds"
+    assert (res.lower, res.stats.nodes) == (7, 34_257)
+
+
+class _ExitOnLoad:
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
+def test_parallel_search_recovers_from_a_dead_worker(monkeypatch):
+    # A worker that dies breaks its pool; the next parallel search must get
+    # a fresh one rather than fail on the broken pool.
+    weights = by_kind("cubes", 35)
+    firsts, alphabet = reduced_alphabet(weights)
+    poisoned = (firsts, alphabet + [_ExitOnLoad()])
+    monkeypatch.setattr(invariants, "reduced_alphabet", lambda w: poisoned)
+    with pytest.raises(BrokenProcessPool):
+        davenport_search(35, weights, jobs=2)
+    monkeypatch.undo()
+    assert davenport_search(35, weights, jobs=2).value == davenport_search(35, weights).value
 
 
 def test_parallel_search_keeps_one_deadline():
