@@ -450,6 +450,7 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     rng = random.Random(seed)
     weights = by_kind("cubes", n)
     checks: dict[str, dict] = {}
+    deadline = time.perf_counter() + budget.max_seconds
 
     d_form = davenport_formula(prof).value
     # one walk gives D (None if the budget ran out) and the extremal classes
@@ -484,12 +485,17 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     checks["extraction_certificates"] = {"pass": ok, "trials": 25, "m": m}
 
     # classify_structure refuses a class whose length is not the closed
-    # form's D - 1, so a walk that disagrees fails this check, not the run
-    d_agrees = enum.d_value == d_form
-    classify_ok = enum.complete and d_agrees
+    # form's D - 1, so a walk that disagrees fails this check, not the run;
+    # an incomplete enumeration is undecided already, so none is classified
+    classify_ok = enum.complete and enum.d_value == d_form
     minima_ok = True
     for c in enum.classes:
-        if d_agrees and not equivalent(
+        if time.perf_counter() > deadline:  # what has not failed is undecided
+            cut = {"extremal_classification": classify_ok, "coprimality_minima": minima_ok}
+            undecided |= {name for name, ok in cut.items() if ok}
+            classify_ok = minima_ok = False
+            break
+        if classify_ok and not equivalent(
             reconstruct(classify_structure(c.canonical, prof)), c.canonical, weights
         ):
             classify_ok = False

@@ -264,10 +264,10 @@ def _explore_branch(
         frame = frames[-1]
         mask, lo, i, d, row = frame
         while i < size:
-            nodes += 1
-            if nodes > max_nodes:
+            if nodes >= max_nodes:
                 exhausted_by = "nodes"
                 break
+            nodes += 1
             if nodes % 4096 == 0 and time.perf_counter() > deadline:
                 exhausted_by = "seconds"
                 break
@@ -365,7 +365,7 @@ def davenport_search(
     if jobs <= 1:
         results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
     else:
-        share = max(1, budget.max_nodes // max(1, len(firsts)))
+        share = budget.max_nodes // max(1, len(firsts))
         pool, branch = _pool(jobs), partial(_tabled_branch, weights, alphabet, share, deadline)
         try:  # map cancels the branches still queued when one fails
             runs = list(pool.map(branch, firsts))

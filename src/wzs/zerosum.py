@@ -13,6 +13,7 @@ weights and are always re-verified arithmetically before being returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -169,8 +170,22 @@ def reachable_sums(seq: Sequence, weights: WeightSet) -> set[int]:
 
 def _pick_weight(weights: WeightSet, bit, prev: int, t: int, x: int) -> tuple[int, int]:
     """The first weight a whose residual s = t - a*x lies in the mask prev,
-    as (a, s): one backtracking step of every certificate."""
+    as (a, s): one backtracking step of every certificate.
+
+    The last pick of a certificate has prev == 1 (residue 0 only, which is
+    bit 0 in both mask forms), so it needs a*x = t.  With g = gcd(x, n) and
+    m = n/g those a are a0, a0 + m, ... for a0 = (t/g)*(x/g)^-1 mod m, none
+    if g does not divide t.  Tried in increasing order they give the scan's
+    weight in at most g membership tests, so this solve replaces the scan
+    when g < |A|.  Other steps scan A in order."""
     n = weights.modulus
+    if prev == 1 and (g := math.gcd(x, n)) < len(weights):
+        if t % g == 0:
+            m = n // g
+            for a in range(t // g * pow(x // g, -1, m) % m, n, m):
+                if a in weights.members:
+                    return a, 0
+        raise ContractError("no weight reproduces a reachable DP state")
     for a in weights.elements:
         s = (t - a * x) % n
         if prev >> bit[s] & 1:

@@ -428,6 +428,18 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
     assert failing <= {"formula_matches_search", "prior_bound_ceiling", "extremal_classification"}
 
 
+def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monkeypatch):
+    # 32395 has over 100,000 extremal classes; a walk cut at 0.5 s leaves the
+    # classification undecided, so none of the found classes is classified.
+    calls = []
+    classify = cli.classify_structure
+    monkeypatch.setattr(cli, "classify_structure", lambda *a: calls.append(a) or classify(*a))
+    code, out, _ = run(capsys, "verify", "--n", "32395", "--budget-ms", "500")
+    assert code == EXIT_INCONCLUSIVE
+    assert calls == []
+    assert json.loads(out)["checks"]["extremal_classification"]["pass"] is False
+
+
 def test_budget_env_variable_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("WZS_BUDGET_MS", "1")
     code, out, _ = run(capsys, "davenport", "--n", "29", "--weights", "one",

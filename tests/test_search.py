@@ -123,10 +123,24 @@ def test_node_budget_answer_does_not_depend_on_jobs():
     assert serial.stats.nodes < parallel.stats.nodes <= 60_000
 
 
+def test_node_cap_is_never_passed():
+    # The step that would pass the cap is not taken, and a parallel branch
+    # may get no share at all (a cap of 16 over 17 first terms): the serial
+    # rerun then spends what the workers left.
+    weights = by_kind("cubes", 180)
+    for cap in (1, 16, 20_000):
+        for jobs in (1, 2):
+            res = davenport_search(180, weights, Budget(max_nodes=cap), jobs=jobs)
+            assert not res.conclusive and res.stats.exhausted_by == "nodes"
+            assert res.stats.nodes <= cap, (cap, jobs)
+            if jobs == 1:
+                assert res.stats.nodes == cap
+
+
 def test_parallel_rerun_past_its_deadline_keeps_the_workers_results(monkeypatch):
     # The branches short of their share get a rerun whose deadline has
     # passed: the search stops on time, but keeps the paths and the node
-    # counts the workers reported (34,257 nodes, lower bound 7).
+    # counts the workers reported (34,250 nodes, lower bound 7).
     rerun = invariants._serial_branches
 
     def late(weights, alphabet, firsts, max_nodes, deadline, table):
@@ -136,7 +150,7 @@ def test_parallel_rerun_past_its_deadline_keeps_the_workers_results(monkeypatch)
     res = davenport_search(180, by_kind("cubes", 180), Budget(max_nodes=60_000), jobs=2)
     assert not res.conclusive
     assert res.stats.exhausted_by == "seconds"
-    assert (res.lower, res.stats.nodes) == (7, 34_257)
+    assert (res.lower, res.stats.nodes) == (7, 34_250)
 
 
 class _ExitOnLoad:

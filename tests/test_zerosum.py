@@ -6,12 +6,15 @@ from collections import Counter
 
 import pytest
 
-from wzs.errors import HypothesisError
+from wzs import zerosum
+from wzs.errors import ContractError, HypothesisError
 from wzs.modarith import factor, units
-from wzs.weightsets import cubes, custom, singleton_one, units_weights
+from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
 from wzs.zerosum import (
     Certificate,
     Sequence,
+    _bit_index,
+    _pick_weight,
     crt_zero_check,
     extract_length_m,
     full_zero_sum_weights,
@@ -300,3 +303,64 @@ def test_custom_weights_supported():
     seq = Sequence.make(8, [1, 1])
     got = reachable_sums(seq, ws)
     assert got == oracle_reachable(seq.terms, ws)
+
+
+def scan_pick(weights, bit, prev, t, x):
+    """The reference backtracking step: scan A in increasing order."""
+    n = weights.modulus
+    for a in weights.elements:
+        s = (t - a * x) % n
+        if prev >> bit[s] & 1:
+            return a, s
+    raise ContractError("no weight reproduces a reachable DP state")
+
+
+def pick_or_error(pick, weights, t, x):
+    try:
+        return pick(weights, _bit_index(weights), 1, t, x)
+    except ContractError:
+        return "no weight"
+
+
+SPARSE_126 = custom(126, [1, 2, 5, 8, 55, 84])
+PICK_SETS = [cubes(2945), cubes(5423), cubes(180), cubes(126), by_kind("units", 180),
+             by_kind("squares", 126), SPARSE_126, custom(45, [3, 9, 21])]
+
+
+def test_last_pick_is_solved_as_the_scan_picks_it():
+    # prev == 1: the weight solves a*x = t.  Every x (0 and non-units too),
+    # one t that some weight reaches and one at random, often with no weight.
+    rng = random.Random(53)
+    for weights in PICK_SETS:
+        n = weights.modulus
+        for x in range(n):
+            ts = (rng.choice(weights.elements) * x % n, rng.randrange(n))
+            for t in ts[: 1 if n > 5000 else 2]:
+                want = pick_or_error(scan_pick, weights, t, x)
+                assert pick_or_error(_pick_weight, weights, t, x) == want, (n, weights.kind, t, x)
+    # gcd(5, 2945) = 5 does not divide 1; 2*a = 6 mod 126 only for a = 3, 66
+    for weights, t, x in ((cubes(2945), 1, 5), (SPARSE_126, 6, 2)):
+        with pytest.raises(ContractError):
+            _pick_weight(weights, _bit_index(weights), 1, t, x)
+    assert _pick_weight(cubes(2945), _bit_index(cubes(2945)), 1, 0, 0) == (1, 0)
+
+
+def certificates(weights, terms):
+    seq = Sequence.make(weights.modulus, terms)
+    fixed = [has_fixed_length_zero_subseq(seq, weights, k) for k in range(1, len(seq) + 1)]
+    return has_weighted_zero_subseq(seq, weights), fixed, full_zero_sum_weights(terms, weights)
+
+
+def test_certificates_match_the_scan_reference(monkeypatch):
+    rng = random.Random(59)
+    cases = []
+    for weights in PICK_SETS:
+        n = weights.modulus
+        divisors = factor(n).divisors()
+        for _ in range(100):
+            cases.append((weights, [rng.choice(divisors) * rng.randrange(n) % n
+                                    for _ in range(rng.randrange(1, 8))]))
+    solved = [certificates(w, terms) for w, terms in cases]
+    monkeypatch.setattr(zerosum, "_pick_weight", scan_pick)
+    for (weights, terms), got in zip(cases, solved):
+        assert got == certificates(weights, terms), (weights.modulus, weights.kind, terms)
