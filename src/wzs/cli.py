@@ -199,6 +199,8 @@ def _budget_from(args) -> Budget:
     ms = args.budget_ms
     if ms is None:
         ms = int(os.environ.get("WZS_BUDGET_MS", "60000"))
+    if ms < 0:
+        raise ValueError(f"the budget must be at least 0 ms, not {ms}")
     return Budget(max_seconds=ms / 1000.0)
 
 
@@ -581,6 +583,13 @@ def _cmd_cache(args) -> int:
     return EXIT_OK
 
 
+def _jobs(raw: str) -> int:
+    jobs = int(raw)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="wzs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -609,7 +618,7 @@ def build_parser() -> _Parser:
     add_weights_flags(p)
     p.add_argument("--method", default="both", choices=["search", "formula", "both"])
     p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_davenport)
 
     p = sub.add_parser("table", help="sweep a range of moduli into CSV/JSON rows")
@@ -620,7 +629,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", "--out", dest="format", default="csv",
                    choices=["csv", "json"])
     p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("extremal", help="enumerate, construct or classify extremal sequences")

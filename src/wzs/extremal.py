@@ -1,6 +1,6 @@
 """Extremal sequences: canonical forms under the orbit action, exhaustive
 enumeration of classes (read back from the Davenport search's state table),
-recursive construction, and structure classification.
+the construction (the lower-bound witness), and structure classification.
 
 Two sequences are in the same orbit when one is a uniform unit multiple of a
 per-term weight rescaling of the other, up to permutation; zero-sum-freeness
@@ -13,17 +13,17 @@ import time
 from dataclasses import dataclass
 
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, crt_combine, factor, require_hypotheses
+from .modarith import ModulusProfile, factor, require_hypotheses
 from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
 from .invariants import (
     Budget,
     SearchStats,
-    _least_non_cube,
-    _longest_paths,
+    _sequences_of_length,
     _serial_branches,
     davenport_formula,
+    lower_bound_witness,
 )
-from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
+from .zerosum import Sequence, has_weighted_zero_subseq
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,8 @@ def enumerate_extremal(
     longest = max((res[0] for res in results), default=0)
     d_value = None if exhausted_by else longest + 1
 
-    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
-    bits = len(alphabet).bit_length()
-    roots = [(lo, step(0, lo, 1)) for lo in map(alphabet.index, firsts)]
-    # Every zero-sum-free sorted sequence of length D - 1, in sorted order.
-    leaves = [()] if longest == 0 else (
-        (alphabet[lo],) + rest
-        for lo, mask in roots
-        if not mask & 1
-        for rest in _longest_paths(step, rows, alphabet, table, bits, mask, lo, longest - 1)
-    )
     found: dict[tuple[int, ...], CanonicalSequence] = {}
+    leaves = _sequences_of_length(weights, alphabet, firsts, table, longest)
     for terms in () if exhausted_by else leaves:
         canon = canonicalize(Sequence(n, terms), weights)
         found.setdefault(canon.canonical.terms, canon)
@@ -164,36 +155,15 @@ def enumerate_extremal(
     return ExtremalClasses(classes, exhausted_by is None, d_value, stats)
 
 
-def _construct_terms(n: int) -> list[int]:
-    if n == 1:
-        return []
-    p = max(q for q, _ in factor(n).factors)
-    sub = n // p
-    rest = [p * x for x in _construct_terms(sub)]
-    if p % 3 == 1:
-        x_star = crt_combine([(1, p), (0, sub)])
-        x_dstar = crt_combine([(_least_non_cube(p), p), (0, sub)])
-        return [x_star, x_dstar] + rest
-    x_star = crt_combine([(1, p), (0, sub)])
-    return [x_star] + rest
-
-
 def construct_extremal(profile: ModulusProfile) -> Sequence:
-    """Build an extremal sequence recursively, largest prime first.
-
-    Strips the largest prime p: a zero-sum-free unit pair (images 1 and the
-    least non-cube mod p, both 0 mod n/p) when the cube subgroup mod p is
-    proper, a single unit lift otherwise; the recursive tail is multiplied by
-    p.  The output is re-verified before being returned.
-    """
+    """An extremal sequence (length D - 1, zero-sum-free) for n within the
+    exact-value hypotheses: the lower-bound witness, which the witness
+    construction has already checked zero-sum-free."""
     require_hypotheses(profile)
-    n = profile.n
-    seq = Sequence.make(n, _construct_terms(n))
-    expected = 2 * profile.big_omega_n1 + profile.big_omega_n2
+    seq = lower_bound_witness(profile)
+    expected = davenport_formula(profile).value - 1
     if len(seq) != expected:
-        raise ContractError(f"construction length {len(seq)} != {expected} for n={n}")
-    if n >= 2 and has_weighted_zero_subseq(seq, cubes(n)) is not None:
-        raise ContractError(f"constructed sequence is not zero-sum-free: {seq}")
+        raise ContractError(f"construction length {len(seq)} != {expected} for n={profile.n}")
     return seq
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .errors import ContractError, HypothesisError
+from .errors import ContractError
 from .modarith import ModulusProfile, factor, require_hypotheses, theorem_hypothesis_failure
 from .weightsets import WeightSet, cubes, reduced_alphabet
 from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
@@ -72,19 +72,6 @@ class InvariantResult:
     witness: Sequence | None = None
     stats: SearchStats | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "weights": self.weights,
-            "value": self.value,
-            "method": self.method,
-            "conclusive": self.conclusive,
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness": list(self.witness.terms) if self.witness is not None else None,
-            "stats": self.stats.to_dict() if self.stats is not None else None,
-        }
-
 
 class PriorBound(NamedTuple):
     d_bound: int
@@ -122,10 +109,7 @@ def prior_upper_bound(profile: ModulusProfile) -> PriorBound:
 
     Valid for odd n coprime to 3; serves as a sanity ceiling for searches.
     """
-    if profile.n % 2 == 0:
-        raise HypothesisError("n is odd", f"n = {profile.n}")
-    if profile.n % 3 == 0:
-        raise HypothesisError("n is coprime to 3", f"n = {profile.n}")
+    require_hypotheses(profile, exact=False)
     l = next((e for p, e in profile.factors if p == 7), 0)
     bo1 = profile.big_omega_n1 - l
     bo2 = profile.big_omega_n2
@@ -158,20 +142,18 @@ def _witness_terms(n: int) -> list[int]:
     return scaled + _witness_terms(sub)
 
 
-def lower_bound_witness(profile: ModulusProfile, family: str = "cubes") -> Sequence:
+def lower_bound_witness(profile: ModulusProfile) -> Sequence:
     """Concatenation witness: a zero-sum-free sequence of length
-    2*Omega(n1) + Omega(n2) over Z_n for the cube weights.
+    2*Omega(n1) + Omega(n2) over Z_n for the cube weights, for any odd n
+    coprime to 3.
 
-    Built by scaling a one-prime atom into each factor and lifting the rest;
-    the result is re-verified by the DP check before being returned.
+    Built smallest prime first: a one-prime atom (a unit pair with non-cube
+    ratio when the cube subgroup mod p is proper, the unit 1 otherwise)
+    scaled by n/p, followed by the witness for n/p; the result is
+    re-verified by the DP check before being returned.
     """
-    if family != "cubes":
-        raise HypothesisError("witness construction is defined for the cubes family")
+    require_hypotheses(profile, exact=False)
     n = profile.n
-    if n % 2 == 0:
-        raise HypothesisError("n is odd", f"n = {profile.n}")
-    if n % 3 == 0:
-        raise HypothesisError("n is coprime to 3", f"n = {profile.n}")
     seq = Sequence.make(n, _witness_terms(n))
     if n >= 2 and has_weighted_zero_subseq(seq, cubes(n)) is not None:
         raise ContractError(f"witness construction for n={n} is not zero-sum-free: {seq}")
@@ -218,6 +200,22 @@ def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
             yield (*path, alphabet[i - 1])
     if not found:
         raise ContractError("table read-back found no state at the tabled depth")
+
+
+def _sequences_of_length(weights, alphabet, firsts, table, length):
+    """Every sorted zero-sum-free sequence of `length` terms over the
+    alphabet with its first term in `firsts`, in sorted order, read back from
+    a table that _serial_branches filled for those first terms to the end."""
+    if length == 0:
+        yield ()
+        return
+    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
+    bits = len(alphabet).bit_length()
+    for lo in map(alphabet.index, firsts):
+        mask = step(0, lo, 1)
+        if not mask & 1:
+            for rest in _longest_paths(step, rows, alphabet, table, bits, mask, lo, length - 1):
+                yield (alphabet[lo], *rest)
 
 
 def _explore_branch(
@@ -268,7 +266,9 @@ def _explore_branch(
                 exhausted_by = "nodes"
                 break
             nodes += 1
-            if nodes % 4096 == 0 and time.perf_counter() > deadline:
+            # at about 0.1 ms a node on large residue masks, 256 nodes
+            # overshoot the deadline by at most about 25 ms
+            if nodes % 256 == 0 and time.perf_counter() > deadline:
                 exhausted_by = "seconds"
                 break
             new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
@@ -354,9 +354,9 @@ def davenport_search(
     budget = budget or Budget()
     firsts, alphabet = reduced_alphabet(weights)
 
-    incumbent: Sequence | None = None
-    if weights.kind == "cubes" and n % 2 == 1 and n % 3 != 0:
-        incumbent = lower_bound_witness(factor(n))
+    # the witness seeds the incumbent, the prior bound caps an inconclusive answer
+    cube_bounds = weights.kind == "cubes" and not theorem_hypothesis_failure(factor(n), exact=False)
+    incumbent = lower_bound_witness(factor(n)) if cube_bounds else None
 
     t0 = time.perf_counter()
     # One deadline for every branch, serial or on workers: on Linux
@@ -409,12 +409,6 @@ def davenport_search(
         raise ContractError(f"search produced a witness that is not zero-sum-free: {witness}")
 
     if exhausted_by:
-        upper = None
-        if weights.kind == "cubes":
-            try:
-                upper = prior_upper_bound(factor(n)).d_bound
-            except HypothesisError:
-                pass
         return InvariantResult(
             n=n,
             weights=weights.kind,
@@ -422,7 +416,7 @@ def davenport_search(
             method="search",
             conclusive=False,
             lower=best_len + 1,
-            upper=upper,
+            upper=prior_upper_bound(factor(n)).d_bound if cube_bounds else None,
             witness=witness,
             stats=stats,
         )

@@ -77,12 +77,16 @@ class ModulusProfile:
         return sorted(ds)
 
 
-def theorem_hypothesis_failure(profile: ModulusProfile) -> str | None:
-    """Name the first failed hypothesis of the exact-value statement, if any."""
+def theorem_hypothesis_failure(profile: ModulusProfile, exact: bool = True) -> str | None:
+    """Name the first failed hypothesis of the exact-value statement, if any;
+    with exact=False, only of the cube bounds (the lower-bound witness and
+    the prior ceiling), which need n odd and coprime to 3."""
     if profile.n % 2 == 0:
         return "n is odd"
     if profile.n % 3 == 0:
         return "n is coprime to 3"
+    if not exact:
+        return None
     if not profile.is_squarefree:
         return "n is square-free"
     if profile.n % 7 == 0:
@@ -92,10 +96,10 @@ def theorem_hypothesis_failure(profile: ModulusProfile) -> str | None:
     return None
 
 
-def require_hypotheses(profile: ModulusProfile) -> None:
+def require_hypotheses(profile: ModulusProfile, exact: bool = True) -> None:
     """Refuse, naming the failed hypothesis, unless the exact-value statement
-    applies to n."""
-    failure = theorem_hypothesis_failure(profile)
+    (with exact=False, the cube bounds) applies to n."""
+    failure = theorem_hypothesis_failure(profile, exact)
     if failure:
         raise HypothesisError(failure, f"n = {profile.n}")
 

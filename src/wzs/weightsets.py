@@ -73,9 +73,12 @@ class WeightSet:
         rather than n-bit residue masks: for a subgroup with k orbits, when
         k*k < n or k <= min(MAX_ROW_ORBITS, 4*|A|).  The residue step does
         about n/k rotate-ORs per term where the orbit step does at most k ORs;
-        past 4*|A| orbits the DP measured slower on orbit masks."""
+        past 4*|A| orbits the DP measured slower on orbit masks.  A set that
+        is not a subgroup never builds the O(n*|A|) coset table here."""
+        if not self.is_subgroup:
+            return False
         k, n = len(set(self._coset_minima)), self.modulus
-        return self.is_subgroup and (k * k < n or k <= min(MAX_ROW_ORBITS, 4 * len(self)))
+        return k * k < n or k <= min(MAX_ROW_ORBITS, 4 * len(self))
 
     @cached_property
     def orbit_columns(self) -> tuple[tuple[int, ...], ...]:

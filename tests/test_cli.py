@@ -345,7 +345,7 @@ def test_extremal_construct_and_classify(capsys):
                        "--weights", "cubes")
     assert code == EXIT_OK
     witness = json.loads(out)["witness"]
-    assert witness == [19, 20, 40]
+    assert witness == [1, 2, 19]
     code, out, _ = run(capsys, "extremal", "classify", "--n", "95",
                        "--weights", "cubes", "--seq", ",".join(map(str, witness)))
     assert code == EXIT_OK
@@ -354,7 +354,7 @@ def test_extremal_construct_and_classify(capsys):
 
 
 def test_extremal_construct_and_classify_refuse_other_weights(capsys):
-    for argv in (("construct",), ("classify", "--seq", "19,20,40")):
+    for argv in (("construct",), ("classify", "--seq", "1,2,19")):
         code, out, _ = run(capsys, "extremal", *argv, "--n", "95", "--weights", "units")
         assert code == EXIT_REFUSED, argv
         assert "cubes" in json.loads(out)["reason"]
@@ -446,6 +446,28 @@ def test_budget_env_variable_is_honored(capsys, monkeypatch):
                        "--method", "search")
     assert code == EXIT_INCONCLUSIVE
     assert json.loads(out)["conclusive"] is False
+
+
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-3"], ["--budget-ms", "-5"]])
+def test_jobs_below_one_and_negative_budgets_are_usage_errors(capsys, isolated_cache, flags):
+    assert main(["davenport", "--n", "35", *flags]) == EXIT_USAGE
+    assert main(["table", "--from", "5", "--to", "7", *flags]) == EXIT_USAGE
+    capsys.readouterr()
+    assert not isolated_cache.exists()
+
+
+def test_negative_budget_from_the_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WZS_BUDGET_MS", "-5")
+    assert main(["davenport", "--n", "35"]) == EXIT_USAGE
+    assert main(["verify", "--n", "35"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_zero_budget_and_one_job_stay_valid(capsys):
+    code, _, _ = run(capsys, "davenport", "--n", "35", "--method", "search", "--budget-ms", "0")
+    assert code == EXIT_INCONCLUSIVE
+    code, out, _ = run(capsys, "davenport", "--n", "35", "--method", "search", "--jobs", "1")
+    assert code == EXIT_OK and json.loads(out)["search"] == 4
 
 
 def test_unknown_flag_exits_64(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wzs import extremal
 from wzs.errors import HypothesisError
 from wzs.extremal import (
     canonicalize,
@@ -15,8 +16,8 @@ from wzs.extremal import (
     orbit_transform,
     reconstruct,
 )
-from wzs.invariants import Budget, davenport_formula, davenport_search
-from wzs.modarith import factor, units
+from wzs.invariants import Budget, davenport_formula, davenport_search, lower_bound_witness
+from wzs.modarith import factor, theorem_hypothesis_failure, units
 from wzs.weightsets import by_kind, cubes, custom, squares
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
@@ -187,7 +188,23 @@ def test_enumerate_extremal_95_regression_and_classification():
 def test_construct_extremal_values():
     assert construct_extremal(factor(5)).terms == (1,)
     assert construct_extremal(factor(19)).terms == (1, 2)
-    assert construct_extremal(factor(95)).terms == (19, 20, 40)
+    assert construct_extremal(factor(55)).terms == (1, 11)
+    assert construct_extremal(factor(95)).terms == (1, 2, 19)
+
+
+def test_construct_is_the_lower_bound_witness():
+    hypothesis_moduli = [n for n in range(5, 600) if theorem_hypothesis_failure(factor(n)) is None]
+    assert len(hypothesis_moduli) == 147
+    for n in hypothesis_moduli:
+        prof = factor(n)
+        seq = construct_extremal(prof)
+        assert seq == lower_bound_witness(prof), n
+        assert reconstruct(classify_structure(seq, prof)) == seq, n
+
+
+def test_extremal_reads_no_kernel_names():
+    kernel = {"_reach_step", "_reach_rows", "_longest_paths", "_least_non_cube"}
+    assert not kernel & set(vars(extremal))
 
 
 def test_construct_then_classify_roundtrip():

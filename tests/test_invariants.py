@@ -118,13 +118,17 @@ def test_lower_bound_witness_allows_non_theorem_moduli():
         assert has_weighted_zero_subseq(w, cubes(n)) is None
 
 
+def assert_cube_bound_refusals(bound):
+    with pytest.raises(HypothesisError) as even:
+        bound(factor(10))
+    assert str(even.value) == "hypothesis violated: n is odd (n = 10)"
+    with pytest.raises(HypothesisError) as three:
+        bound(factor(9))
+    assert str(three.value) == "hypothesis violated: n is coprime to 3 (n = 9)"
+
+
 def test_lower_bound_witness_refusals():
-    with pytest.raises(HypothesisError):
-        lower_bound_witness(factor(10))
-    with pytest.raises(HypothesisError):
-        lower_bound_witness(factor(9))
-    with pytest.raises(HypothesisError):
-        lower_bound_witness(factor(95), family="units")
+    assert_cube_bound_refusals(lower_bound_witness)
 
 
 def test_witness_zero_sum_freeness_is_scaling_invariant():
@@ -147,10 +151,7 @@ def test_prior_upper_bound_values():
 
 
 def test_prior_upper_bound_refusals():
-    with pytest.raises(HypothesisError):
-        prior_upper_bound(factor(10))
-    with pytest.raises(HypothesisError):
-        prior_upper_bound(factor(9))
+    assert_cube_bound_refusals(prior_upper_bound)
 
 
 def test_search_respects_prior_ceiling():

@@ -220,6 +220,19 @@ def test_search_node_count_falls_with_the_table():
     assert res.stats.exhausted_by is None
 
 
+@pytest.mark.parametrize("n, weights", [(126, by_kind("cubes", 126)), (2000, custom(2000, [1, 2]))])
+def test_deadline_is_read_every_256_nodes(monkeypatch, n, weights):
+    # A clock that passes every deadline from its third reading on: the
+    # search reads it for its start and once on entering the first branch,
+    # then must stop within 256 nodes.  At about 0.1 ms a node on residue
+    # masks at n >= 20000, a 4096-node interval overshot by about 0.4 s.
+    readings = iter([0.0, 0.0])
+    monkeypatch.setattr(invariants.time, "perf_counter", lambda: next(readings, 1e9))
+    res = davenport_search(n, weights, Budget(max_seconds=1.0))
+    assert not res.conclusive and res.stats.exhausted_by == "seconds"
+    assert res.stats.nodes == 256
+
+
 def test_seconds_exhaustion_is_named():
     res = davenport_search(19, by_kind("one", 19), Budget(max_seconds=0))
     assert not res.conclusive

@@ -27,6 +27,12 @@ def brute_coset_minima(ws):
     return [min([x] + [w * x % n for w in ws.elements]) for x in range(n)]
 
 
+def test_non_subgroup_uses_no_orbits_and_builds_no_coset_table():
+    ws = custom(1000, [1, 2])
+    assert not ws.is_subgroup and not ws.uses_orbits
+    assert "_coset_minima" not in vars(ws)
+
+
 def test_cubes_prime_2_mod_3_is_all_units():
     for p in (5, 11, 17, 23, 29):
         assert set(cubes(p).elements) == units(p)
