@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import random
@@ -246,8 +247,6 @@ def _cmd_davenport(args) -> int:
         "weights": args.weights,
         "elems": args.elems,
         "method": args.method,
-        "budget_ms": int(budget.max_seconds * 1000),
-        "jobs": args.jobs,
     }
     cache = Cache()
     hit = cache.lookup("davenport", params)
@@ -271,7 +270,7 @@ def _cmd_davenport(args) -> int:
             out["E_formula"] = None
             out["formula_refusal"] = str(exc)
     if args.method in ("search", "both"):
-        res = davenport_search(args.n, weights, budget, jobs=args.jobs)
+        res = davenport_search(args.n, weights, budget)
         out["search"] = res.value
         out["conclusive"] = res.conclusive
         out["witness"] = list(res.witness.terms) if res.witness is not None else None
@@ -291,7 +290,7 @@ def _cmd_davenport(args) -> int:
     return code
 
 
-def _table_row(n: int, kind: str, budget: Budget, jobs: int) -> dict:
+def _table_row(n: int, kind: str, budget: Budget) -> dict:
     prof = factor(n)
     row: dict = {
         "n": n,
@@ -307,7 +306,7 @@ def _table_row(n: int, kind: str, budget: Budget, jobs: int) -> dict:
     else:
         row["D_formula"] = None
         row["E_formula"] = None
-    res = davenport_search(n, by_kind(kind, n), budget, jobs=jobs)
+    res = davenport_search(n, by_kind(kind, n), budget)
     row["D_search"] = res.value
     if row["D_formula"] is None or row["D_search"] is None:
         row["agrees"] = None
@@ -333,31 +332,42 @@ _TABLE_COLUMNS = [
 ]
 
 
+def _computed_rows(moduli: list[int], kind: str, budget: Budget, jobs: int):
+    """_table_row for each modulus, in order: on `jobs` spawned workers when
+    there are jobs and rows to share, else in this process.  Rows share no
+    state, so where a row runs cannot change it."""
+    rows = (moduli, itertools.repeat(kind), itertools.repeat(budget))
+    if jobs < 2 or len(moduli) < 2:
+        yield from map(_table_row, *rows)
+        return
+    import multiprocessing  # never loaded by serial runs
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield from pool.map(_table_row, *rows)
+
+
 def _cmd_table(args) -> int:
     if args.start < 2 or args.end < args.start:
         raise ValueError("table needs 2 <= from <= to")
     budget = _budget_from(args)
     cache = Cache()
-    rows = []
+    moduli = range(args.start, args.end + 1)
+    hits = {n: cache.lookup("table-row", {"n": n, "weights": args.weights}) for n in moduli}
+    by_n = {n: json.loads(hit) for n, hit in hits.items() if hit is not None}
+    missed = [n for n in moduli if n not in by_n]
     code = EXIT_OK
-    for n in range(args.start, args.end + 1):
-        params = {
-            "n": n,
-            "weights": args.weights,
-            "budget_ms": int(budget.max_seconds * 1000),
-            "jobs": args.jobs,
-        }
-        hit = cache.lookup("table-row", params)
-        if hit is not None:
-            rows.append(json.loads(hit))
-            continue
-        t0 = time.perf_counter()
-        row = _table_row(n, args.weights, budget, args.jobs)
-        rows.append(row)
+    t0 = time.perf_counter()  # a record's duration runs from the previous row's end
+    for row in _computed_rows(missed, args.weights, budget, args.jobs):
+        by_n[row["n"]] = row
         if row["D_search"] is None:  # inconclusive: printed, never cached
             code = EXIT_INCONCLUSIVE
-            continue
-        cache.store(RunRecord.finished("table-row", params, json.dumps(row, sort_keys=True), t0))
+        else:
+            params = {"n": row["n"], "weights": args.weights}
+            payload = json.dumps(row, sort_keys=True)
+            cache.store(RunRecord.finished("table-row", params, payload, t0))
+        t0 = time.perf_counter()
+    rows = [by_n[n] for n in moduli]
 
     if args.format == "json":
         _emit(rows)
@@ -408,7 +418,6 @@ def _cmd_extremal(args) -> int:
         "n": args.n,
         "weights": args.weights,
         "elems": args.elems,
-        "budget_ms": int(budget.max_seconds * 1000),
     }
     cache = Cache()
     hit = cache.lookup("extremal-enumerate", params)
@@ -618,7 +627,6 @@ def build_parser() -> _Parser:
     add_weights_flags(p)
     p.add_argument("--method", default="both", choices=["search", "formula", "both"])
     p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_davenport)
 
     p = sub.add_parser("table", help="sweep a range of moduli into CSV/JSON rows")

@@ -7,8 +7,8 @@ reachable weighted sum.  Everything below a sequence depends only on its
 state: the mask of its reachable sums and the index lo of its last symbol.
 A table keyed by mask << bits | lo holds depth(mask, lo), the length of the
 longest zero-sum-free extension over alphabet[lo:], so each state is
-explored once, by one explicit-stack walk; the serial first-term branches
-share one table per search, and each parallel branch builds its own.
+explored once, by one explicit-stack walk; the first-term branches run in
+turn and share one table and one reachable-sum kernel per search.
 Sequences are read back from the table lazily and in sorted order, entering
 only states with the depth still needed: the first one is the witness, and
 the extremal enumeration takes all of them.  Budgets cap nodes (extend steps
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import ContractError
@@ -219,31 +218,30 @@ def _sequences_of_length(weights, alphabet, firsts, table, length):
 
 
 def _explore_branch(
-    weights: WeightSet,
+    step,
+    rows,
     alphabet: list[int],
+    table: dict[int, int],
     first: int,
     max_nodes: int,
     deadline: float,
-    table: dict[int, int] | None = None,
 ) -> tuple[int, tuple[int, ...], int, int, str | None]:
     """Longest zero-sum-free sorted sequence starting at `first`.
 
-    `table` maps a state key mask << bits | lo to depth(mask, lo); it may be
-    shared by branches over the same alphabet, and an entry is written only
-    once its state is fully explored.  The walk keeps its own stack, so
-    only the budget bounds how deep it goes.  A finished branch reads its
-    witness back from the table; an exhausted one reports the longest path
-    it saw.  `deadline` is a perf_counter() reading, the same for every
-    branch of one search.  Apart from filling `table`, a pure function of
-    its arguments, so branches can run on independent workers; returns (best
-    length, best terms, nodes used, states added, exhausted budget or None).
+    `step` and `rows` are the kernel of _reach_step and _reach_rows over
+    the alphabet.  `table` maps a state key mask << bits | lo to
+    depth(mask, lo); it is shared by the branches of one search, and an
+    entry is written only once its state is fully explored.  The walk keeps
+    its own stack, so only the budget bounds how deep it goes.  A finished
+    branch reads its witness back from the table; an exhausted one reports
+    the longest path it saw.  `deadline` is a perf_counter() reading, the
+    same for every branch of one search.  Returns (best length, best terms,
+    nodes used, states added, exhausted budget or None).
     """
     out_of_time = time.perf_counter() >= deadline
     if out_of_time or max_nodes <= 0:
         return 0, (), 0, 0, "seconds" if out_of_time else "nodes"
-    table = {} if table is None else table
     states_before = len(table)
-    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
     expand, fields, full = rows or (None, None, 0)
     size = len(alphabet)
     bits = size.bit_length()
@@ -299,23 +297,6 @@ def _explore_branch(
     return len(best), best, nodes, len(table) - states_before, exhausted_by
 
 
-@lru_cache(maxsize=None)
-def _pool(jobs: int):
-    """One process pool per worker count, shared by all searches of a process.
-    Workers are spawned: a process that keeps a pool has threads to fork."""
-    import multiprocessing  # never loaded by serial runs
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
-
-
-def _tabled_branch(weights, alphabet, max_nodes, deadline, first):
-    """_explore_branch on a table of its own, returned too if it ran out of nodes."""
-    table: dict[int, int] = {}
-    res = _explore_branch(weights, alphabet, first, max_nodes, deadline, table)
-    return res, table if res[4] == "nodes" else {}
-
-
 def _serial_branches(
     weights: WeightSet,
     alphabet: list[int],
@@ -324,11 +305,12 @@ def _serial_branches(
     deadline: float,
     table: dict[int, int],
 ) -> list[tuple[int, tuple[int, ...], int, int, str | None]]:
-    """_explore_branch for each first term in turn over one shared table and
-    one node budget, stopping at the first branch that exhausts it."""
+    """_explore_branch for each first term in turn over one shared table, one
+    kernel and one node budget, stopping at the first branch that exhausts it."""
+    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
     results = []
     for first in firsts:
-        res = _explore_branch(weights, alphabet, first, max_nodes, deadline, table)
+        res = _explore_branch(step, rows, alphabet, table, first, max_nodes, deadline)
         results.append(res)
         max_nodes -= res[2]
         if res[4]:
@@ -336,14 +318,12 @@ def _serial_branches(
     return results
 
 
-def davenport_search(
-    n: int, weights: WeightSet, budget: Budget | None = None, jobs: int = 1
-) -> InvariantResult:
+def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -> InvariantResult:
     """Exact D_A by longest zero-sum-free sequence search.
 
     Sequences are explored in sorted order, and each state (reachable sums,
-    last symbol) once, through one table shared by the serial branches; for
-    subgroup weight sets the alphabet is reduced to coset-minimal
+    last symbol) once, through one table shared by the first-term branches;
+    for subgroup weight sets the alphabet is reduced to coset-minimal
     representatives with the first term anchored to a divisor of n.  A known
     lower-bound witness seeds the incumbent when available.
     """
@@ -359,33 +339,8 @@ def davenport_search(
     incumbent = lower_bound_witness(factor(n)) if cube_bounds else None
 
     t0 = time.perf_counter()
-    # One deadline for every branch, serial or on workers: on Linux
-    # perf_counter reads CLOCK_MONOTONIC, one clock for all processes.
     deadline = t0 + budget.max_seconds
-    if jobs <= 1:
-        results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
-    else:
-        share = budget.max_nodes // max(1, len(firsts))
-        pool, branch = _pool(jobs), partial(_tabled_branch, weights, alphabet, share, deadline)
-        try:  # map cancels the branches still queued when one fails
-            runs = list(pool.map(branch, firsts))
-        except BaseException:
-            _pool.cache_clear()  # a broken pool would fail every later search
-            pool.shutdown(wait=False)
-            raise
-        results = [res for res, _ in runs]
-        # Branches short of their share run again serially, over one table of
-        # the states their workers finished, on the nodes the workers left.
-        short = [i for i, res in enumerate(results) if res[4] == "nodes"]
-        table = {key: d for i in short for key, d in runs[i][1].items()}
-        left = budget.max_nodes - sum(res[2] for res in results)
-        again = [firsts[i] for i in short]
-        redo = _serial_branches(weights, alphabet, again, left, deadline, table)
-        for i, new in zip(short, redo):
-            # a rerun cut short keeps the longer path; a finished one is exact
-            old = results[i]
-            keep = new if new[0] >= old[0] else old
-            results[i] = (*keep[:2], old[2] + new[2], old[3] + new[3], new[4])
+    results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
 
     best_len = len(incumbent) if incumbent is not None else 0
     best_terms = incumbent.terms if incumbent is not None else ()

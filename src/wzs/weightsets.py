@@ -46,11 +46,8 @@ class WeightSet:
     @cached_property
     def _coset_minima(self) -> tuple[int, ...]:
         n = self.modulus
-        if not self.is_subgroup:
-            rep = list(range(n))
-            for x in range(1, n):
-                rep[x] = min(x, *(w * x % n for w in self.elements))
-            return tuple(rep)
+        if not self.is_subgroup:  # the loop below would give wrong minima
+            raise ValueError(f"coset minima need a subgroup; {self.kind} mod {n} is not one")
         # The cosets A*x partition Z_n and are met in increasing order, so the
         # first unseen x is the least member of its coset.
         rep = [0] * n
@@ -208,8 +205,9 @@ def by_kind(kind: str, n: int, elems: list[int] | None = None) -> WeightSet:
 def coset_minima(a: WeightSet) -> tuple[int, ...]:
     """rep[x] = min of the multiplicative coset A*x mod n, with rep[0] = 0.
 
-    Only meaningful when A is a subgroup (the cosets partition Z_n); used for
-    orbit-pruned search and canonical forms.  Built once per weight set.
+    Defined only when A is a subgroup (the cosets partition Z_n), else a
+    ValueError; used for orbit-pruned search and canonical forms.  Built
+    once per weight set.
     """
     return a._coset_minima
 

@@ -258,34 +258,56 @@ def test_table_reruns_identically(capsys, tmp_path, monkeypatch):
     assert out1 == out2  # rows are pure functions of n and weight kind
 
 
-def test_table_jobs_opens_one_pool(capsys, tmp_path, monkeypatch):
-    import concurrent.futures
-    import functools
+def _cached_rows(path):
+    """(n, payload) of each cached table row, in file order."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    return [(rec["params"]["n"], rec["payload"]) for rec in recs]
 
-    from wzs import invariants
 
-    made = []
-
-    class Counting(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-    # a fresh pool cache for this test; the shared one comes back after it
-    monkeypatch.setattr(invariants, "_pool", functools.lru_cache(invariants._pool.__wrapped__))
-    argv = ("table", "--weights", "cubes", "--from", "5", "--to", "20", "--format", "json")
-    monkeypatch.setenv("WZS_CACHE", str(tmp_path / "a.jsonl"))
-    try:
-        code2, parallel, _ = run(capsys, *argv, "--jobs", "2")
-    finally:
-        for pool in made:
-            pool.shutdown()
-    monkeypatch.setenv("WZS_CACHE", str(tmp_path / "b.jsonl"))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_on_two_jobs_is_byte_identical_to_one(capsys, tmp_path, monkeypatch, fmt):
+    argv = ("table", "--weights", "cubes", "--from", "5", "--to", "30", "--format", fmt)
+    monkeypatch.setenv("WZS_CACHE", str(tmp_path / "two.jsonl"))
+    code2, parallel, _ = run(capsys, *argv, "--jobs", "2")
+    monkeypatch.setenv("WZS_CACHE", str(tmp_path / "one.jsonl"))
     code1, serial, _ = run(capsys, *argv, "--jobs", "1")
     assert code1 == code2 == EXIT_OK
     assert parallel == serial
-    assert len(made) == 1
+    cached = _cached_rows(tmp_path / "two.jsonl")
+    assert [n for n, _ in cached] == list(range(5, 31))  # stored in row order
+    assert cached == _cached_rows(tmp_path / "one.jsonl")
+
+
+def test_table_on_two_jobs_with_no_budget_prints_every_row_and_caches_none(capsys, isolated_cache):
+    code, out, _ = run(capsys, "table", "--from", "5", "--to", "12", "--format", "json",
+                       "--jobs", "2", "--budget-ms", "0")
+    assert code == EXIT_INCONCLUSIVE
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == list(range(5, 13))
+    assert all(row["D_search"] is None for row in rows)
+    assert not isolated_cache.exists()
+
+
+def test_table_cache_key_holds_neither_jobs_nor_budget(capsys, isolated_cache):
+    argv = ("table", "--from", "5", "--to", "20", "--format", "json")
+    code1, fill, _ = run(capsys, *argv, "--jobs", "2", "--budget-ms", "60000")
+    stored = isolated_cache.read_text()
+    code2, reread, _ = run(capsys, *argv, "--jobs", "1", "--budget-ms", "30000")
+    assert code1 == code2 == EXIT_OK
+    assert reread == fill
+    assert isolated_cache.read_text() == stored  # no record appended
+
+
+def test_serial_table_does_not_load_the_pool():
+    proc = _python(
+        "import contextlib, io, sys, wzs.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = wzs.cli.main(['table', '--from', '5', '--to', '12', '--jobs', '1'])\n"
+        "print(code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.split() == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -463,11 +485,17 @@ def test_negative_budget_from_the_environment_is_a_usage_error(capsys, monkeypat
     capsys.readouterr()
 
 
-def test_zero_budget_and_one_job_stay_valid(capsys):
+def test_zero_budget_and_one_job_stay_valid(capsys, isolated_cache):
     code, _, _ = run(capsys, "davenport", "--n", "35", "--method", "search", "--budget-ms", "0")
     assert code == EXIT_INCONCLUSIVE
-    code, out, _ = run(capsys, "davenport", "--n", "35", "--method", "search", "--jobs", "1")
-    assert code == EXIT_OK and json.loads(out)["search"] == 4
+    code, out, _ = run(capsys, "table", "--from", "35", "--to", "35", "--format", "json",
+                       "--jobs", "1")
+    assert code == EXIT_OK and json.loads(out)[0]["D_search"] == 4
+    isolated_cache.unlink()
+    # a search runs serially: davenport has no --jobs
+    code, out, err = run(capsys, "davenport", "--n", "35", "--method", "search", "--jobs", "1")
+    assert code == EXIT_USAGE and out == "" and "--jobs" in err
+    assert not isolated_cache.exists()
 
 
 def test_unknown_flag_exits_64(capsys):

@@ -169,13 +169,6 @@ def test_budget_exhaustion_is_explicit():
     assert has_weighted_zero_subseq(res.witness, singleton_one(19)) is None
 
 
-def test_parallel_search_is_deterministic():
-    seq_res = davenport_search(55, cubes(55), jobs=1)
-    par_res = davenport_search(55, cubes(55), jobs=2)
-    assert seq_res.value == par_res.value
-    assert seq_res.witness == par_res.witness
-
-
 def test_search_rejects_bad_input():
     with pytest.raises(ValueError):
         davenport_search(7, cubes(5))

@@ -2,9 +2,7 @@
 replaced, against closed forms from the literature, and under budgets."""
 
 import math
-import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -19,7 +17,7 @@ from wzs.weightsets import (
     singleton_one,
     units_weights,
 )
-from wzs.zerosum import has_weighted_zero_subseq
+from wzs.zerosum import _reach_rows, _reach_step, has_weighted_zero_subseq
 
 UNLIMITED = Budget(max_nodes=10**12, max_seconds=float("inf"))
 
@@ -99,93 +97,44 @@ def test_search_pins_closed_forms():
         assert davenport_search(n, units_weights(n), UNLIMITED).value == omega + 1, n
 
 
-def test_conclusive_answer_does_not_depend_on_jobs():
-    weights = by_kind("cubes", 108)
-    serial = davenport_search(108, weights, UNLIMITED, jobs=1)
-    parallel = davenport_search(108, weights, UNLIMITED, jobs=2)
-    assert serial.conclusive and parallel.conclusive
-    assert serial.value == parallel.value
-    assert serial.witness == parallel.witness
-
-
-def test_node_budget_answer_does_not_depend_on_jobs():
-    # 180 has 17 first terms; when each parallel branch had only its 1/17
-    # share of the nodes, jobs=2 stopped inconclusive where jobs=1 finished.
-    weights = by_kind("cubes", 180)
-    budget = Budget(max_nodes=60_000)
-    serial = davenport_search(180, weights, budget, jobs=1)
-    parallel = davenport_search(180, weights, budget, jobs=2)
-    assert serial.conclusive and parallel.conclusive
-    assert parallel.stats.exhausted_by is None
-    assert (parallel.value, parallel.witness) == (serial.value, serial.witness)
-    assert serial.value == 7
-    # the workers and the rerun together stay within the cap
-    assert serial.stats.nodes < parallel.stats.nodes <= 60_000
-
-
 def test_node_cap_is_never_passed():
-    # The step that would pass the cap is not taken, and a parallel branch
-    # may get no share at all (a cap of 16 over 17 first terms): the serial
-    # rerun then spends what the workers left.
+    # The step that would pass the cap is not taken, so a search stopped by
+    # its node cap reports exactly the cap.
     weights = by_kind("cubes", 180)
     for cap in (1, 16, 20_000):
-        for jobs in (1, 2):
-            res = davenport_search(180, weights, Budget(max_nodes=cap), jobs=jobs)
-            assert not res.conclusive and res.stats.exhausted_by == "nodes"
-            assert res.stats.nodes <= cap, (cap, jobs)
-            if jobs == 1:
-                assert res.stats.nodes == cap
-
-
-def test_parallel_rerun_past_its_deadline_keeps_the_workers_results(monkeypatch):
-    # The branches short of their share get a rerun whose deadline has
-    # passed: the search stops on time, but keeps the paths and the node
-    # counts the workers reported (34,250 nodes, lower bound 7).
-    rerun = invariants._serial_branches
-
-    def late(weights, alphabet, firsts, max_nodes, deadline, table):
-        return rerun(weights, alphabet, firsts, max_nodes, time.perf_counter() - 1, table)
-
-    monkeypatch.setattr(invariants, "_serial_branches", late)
-    res = davenport_search(180, by_kind("cubes", 180), Budget(max_nodes=60_000), jobs=2)
-    assert not res.conclusive
-    assert res.stats.exhausted_by == "seconds"
-    assert (res.lower, res.stats.nodes) == (7, 34_250)
-
-
-class _ExitOnLoad:
-    def __reduce__(self):
-        return os._exit, (1,)
-
-
-def test_parallel_search_recovers_from_a_dead_worker(monkeypatch):
-    # A worker that dies breaks its pool; the next parallel search must get
-    # a fresh one rather than fail on the broken pool.
-    weights = by_kind("cubes", 35)
-    firsts, alphabet = reduced_alphabet(weights)
-    poisoned = (firsts, alphabet + [_ExitOnLoad()])
-    monkeypatch.setattr(invariants, "reduced_alphabet", lambda w: poisoned)
-    with pytest.raises(BrokenProcessPool):
-        davenport_search(35, weights, jobs=2)
-    monkeypatch.undo()
-    assert davenport_search(35, weights, jobs=2).value == davenport_search(35, weights).value
+        res = davenport_search(180, weights, Budget(max_nodes=cap))
+        assert not res.conclusive and res.stats.exhausted_by == "nodes"
+        assert res.stats.nodes == cap
 
 
 def test_parallel_search_keeps_one_deadline():
     # {1} mod 1100 has 17 first-term branches, none of which finishes in
-    # 0.5 s; when each branch got the whole budget, two workers took 4 s.
+    # 0.5 s; they share the search's one deadline, so the search stops on
+    # time, after the all-ones path is walked to its end: lower = D = 1100.
     weights = singleton_one(1100)
     t0 = time.perf_counter()
-    res = davenport_search(1100, weights, Budget(max_seconds=0.5), jobs=2)
+    res = davenport_search(1100, weights, Budget(max_seconds=0.5))
     elapsed = time.perf_counter() - t0
     assert not res.conclusive
     assert res.stats.exhausted_by == "seconds"
     assert has_weighted_zero_subseq(res.witness, weights) is None
-    assert res.lower == len(res.witness) + 1 >= 2
+    assert res.lower == len(res.witness) + 1 == 1100
     assert elapsed < 2.0, elapsed
-    # The all-ones path is walked to its end on either side: lower = D = 1100.
-    serial = davenport_search(1100, weights, Budget(max_seconds=0.5))
-    assert res.lower == serial.lower == 1100
+
+
+def test_search_builds_its_kernel_once(monkeypatch):
+    # 180 has 17 first-term branches; each built its own kernel before.
+    calls = []
+    build = invariants._reach_step
+
+    def counted(weights, symbols):
+        calls.append(weights)
+        return build(weights, symbols)
+
+    monkeypatch.setattr(invariants, "_reach_step", counted)
+    res = davenport_search(180, by_kind("cubes", 180))
+    assert res.conclusive and res.value == 7
+    assert len(calls) == 1
 
 
 # D, nodes, states and witness of the cube search off the theorem's
@@ -245,12 +194,13 @@ def test_exhausted_branch_leaves_no_partial_entry():
     n = 16
     weights = by_kind("one", n)
     firsts, alphabet = reduced_alphabet(weights)
+    kernel = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
     deadline = time.perf_counter() + 60.0
-    fresh = _explore_branch(weights, alphabet, firsts[0], 10**9, deadline)
+    fresh = _explore_branch(*kernel, alphabet, {}, firsts[0], 10**9, deadline)
     table: dict[int, int] = {}
-    cut = _explore_branch(weights, alphabet, firsts[0], 500, deadline, table)
+    cut = _explore_branch(*kernel, alphabet, table, firsts[0], 500, deadline)
     assert cut[4] == "nodes"
-    resumed = _explore_branch(weights, alphabet, firsts[0], 10**9, deadline, table)
+    resumed = _explore_branch(*kernel, alphabet, table, firsts[0], 10**9, deadline)
     assert resumed[:2] == fresh[:2]
     assert resumed[4] is None
 

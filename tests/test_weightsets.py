@@ -142,9 +142,16 @@ def test_reduced_alphabet_divisor_anchors():
 def test_coset_minima_matches_brute_double_loop():
     kinds = (cubes, squares, units_weights, pm_one, singleton_one)
     sets = [make(n) for n in list(range(2, 151)) + [243, 343, 500] for make in kinds]
-    sets += [custom(7, [2, 3]), custom(6, [1, 3]), custom(12, [5, 7]), custom(7, [1, 2, 4])]
+    sets.append(custom(7, [1, 2, 4]))
     for ws in sets:
         assert list(coset_minima(ws)) == brute_coset_minima(ws), (ws.kind, ws.modulus)
+
+
+@pytest.mark.parametrize("ws", [custom(7, [2, 3]), custom(6, [1, 3]), custom(12, [5, 7])])
+def test_coset_minima_refuse_a_non_subgroup(ws):
+    # the cosets of a non-subgroup do not partition Z_n: no silent minima
+    with pytest.raises(ValueError, match="subgroup"):
+        coset_minima(ws)
 
 
 def test_kind_constructors_return_one_instance_per_modulus():
