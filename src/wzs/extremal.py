@@ -9,6 +9,7 @@ is an orbit invariant, so one canonical representative per class suffices.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -167,6 +168,14 @@ def construct_extremal(profile: ModulusProfile) -> Sequence:
     return seq
 
 
+def _unit_pair_zero_sum_free(x: int, y: int, p: int) -> bool:
+    """Whether units x, y mod the prime p are cube-weighted zero-sum-free:
+    a*x + b*y = 0 needs -y/x = a/b, a cube, and by Euler's criterion a unit
+    r is a cube mod p exactly when r^((p-1)/gcd(3, p-1)) = 1."""
+    r = -y * pow(x, -1, p) % p
+    return pow(r, (p - 1) // math.gcd(3, p - 1), p) != 1
+
+
 def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
     n = profile.n
     if len(profile.factors) <= 1:
@@ -215,13 +224,11 @@ def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
     sub_profile = factor(sub_n)
     remainder = Sequence.make(sub_n, divided)
 
-    if case == "case1":
-        image = Sequence.make(p, (t % p for t in coprime))
-        if has_weighted_zero_subseq(image, cubes(p)) is not None:
-            raise TheoremViolation(
-                "coprime pair image admits a weighted zero-sum",
-                {"n": n, "p": p, "pair": list(coprime)},
-            )
+    if case == "case1" and not _unit_pair_zero_sum_free(*coprime, p):
+        raise TheoremViolation(
+            "coprime pair image admits a weighted zero-sum",
+            {"n": n, "p": p, "pair": list(coprime)},
+        )
 
     sub_d = davenport_formula(sub_profile).value
     if len(remainder) != sub_d - 1:

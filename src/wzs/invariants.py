@@ -171,8 +171,8 @@ def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
     if need == 0:
         yield ()
         return
-    expand, fields, full = rows or (None, None, 0)
     size = len(alphabet)
+    expand, fields, full, neg = rows or (None, None, 0, [0] * size)
     path: list[int] = []
     frames = [[mask, lo, expand(mask | 1) if rows else 0]]  # mask, next symbol, row
     found = False
@@ -181,6 +181,9 @@ def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
         mask, i, row = frame
         left = need - len(frames)  # depth the next child must have
         while i < size:
+            if mask >> neg[i] & 1:
+                i += 1
+                continue
             new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
             i += 1
             if not new & 1 and table[new << bits | i - 1] >= left:
@@ -208,10 +211,11 @@ def _sequences_of_length(weights, alphabet, firsts, table, length):
     if length == 0:
         yield ()
         return
-    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
+    rows = _reach_rows(weights, alphabet)
+    step = None if rows else _reach_step(weights, alphabet)
     bits = len(alphabet).bit_length()
     for lo in map(alphabet.index, firsts):
-        mask = step(0, lo, 1)
+        mask = rows[0](1) >> rows[1][lo] & rows[2] if rows else step(0, lo, 1)
         if not mask & 1:
             for rest in _longest_paths(step, rows, alphabet, table, bits, mask, lo, length - 1):
                 yield (alphabet[lo], *rest)
@@ -228,8 +232,9 @@ def _explore_branch(
 ) -> tuple[int, tuple[int, ...], int, int, str | None]:
     """Longest zero-sum-free sorted sequence starting at `first`.
 
-    `step` and `rows` are the kernel of _reach_step and _reach_rows over
-    the alphabet.  `table` maps a state key mask << bits | lo to
+    `rows` is the kernel of _reach_rows over the alphabet, or None and
+    `step` that of _reach_step.  A child that would make 0 reachable (bit
+    neg[i] of the mask) is skipped unbuilt, but counts as a node.  `table` maps a state key mask << bits | lo to
     depth(mask, lo); it is shared by the branches of one search, and an
     entry is written only once its state is fully explored.  The walk keeps
     its own stack, so only the budget bounds how deep it goes.  A finished
@@ -242,12 +247,13 @@ def _explore_branch(
     if out_of_time or max_nodes <= 0:
         return 0, (), 0, 0, "seconds" if out_of_time else "nodes"
     states_before = len(table)
-    expand, fields, full = rows or (None, None, 0)
     size = len(alphabet)
+    # without rows, neg = 0 never skips: bit 0 of a zero-sum-free mask is clear
+    expand, fields, full, neg = rows or (None, None, 0, [0] * size)
     bits = size.bit_length()
     nodes = 1
     start = alphabet.index(first)
-    first_mask = step(0, start, 1)
+    first_mask = expand(1) >> fields[start] & full if rows else step(0, start, 1)
     if first_mask & 1:
         return 0, (), nodes, 0, None
     root = first_mask << bits | start
@@ -269,6 +275,9 @@ def _explore_branch(
             if nodes % 256 == 0 and time.perf_counter() > deadline:
                 exhausted_by = "seconds"
                 break
+            if mask >> neg[i] & 1:
+                i += 1
+                continue
             new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
             i += 1
             if not new & 1:
@@ -307,7 +316,8 @@ def _serial_branches(
 ) -> list[tuple[int, tuple[int, ...], int, int, str | None]]:
     """_explore_branch for each first term in turn over one shared table, one
     kernel and one node budget, stopping at the first branch that exhausts it."""
-    step, rows = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
+    rows = _reach_rows(weights, alphabet)
+    step = None if rows else _reach_step(weights, alphabet)
     results = []
     for first in firsts:
         res = _explore_branch(step, rows, alphabet, table, first, max_nodes, deadline)

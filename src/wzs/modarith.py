@@ -165,6 +165,13 @@ def _power_values(k: int, q: int) -> frozenset[int]:
     return frozenset(pow(x, k, q) for x in range(q))
 
 
+@lru_cache(maxsize=64)
+def _power_parts(k: int, m: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    # (q, k-th powers mod q) for each maximal prime power q of m, decided
+    # once per (k, m) rather than on each of a check's m calls
+    return tuple((q, _power_values(k, q)) for q in factor(m).prime_powers())
+
+
 def is_kth_power_residue(a: int, k: int, m: int) -> bool:
     """Whether x**k = a (mod m) has a solution.
 
@@ -178,9 +185,7 @@ def is_kth_power_residue(a: int, k: int, m: int) -> bool:
         raise ValueError("exponent must be positive")
     if not 0 <= a < m:
         raise ValueError(f"residue {a} not in [0, {m - 1}]")
-    if m == 1:
-        return True
-    return all(a % q in _power_values(k, q) for q in factor(m).prime_powers())
+    return all(a % q in values for q, values in _power_parts(k, m))
 
 
 def crt_combine(parts: list[tuple[int, int]]) -> int:

@@ -65,17 +65,23 @@ class WeightSet:
         return tuple(ids.setdefault(r, len(ids)) for r in self._coset_minima)
 
     @cached_property
+    def orbit_count(self) -> int:
+        """The number k of orbits A*x, {0} included; A must be a subgroup."""
+        return len(set(self._coset_minima))
+
+    @cached_property
     def uses_orbits(self) -> bool:
-        """Whether the reachable-sum kernel carries masks over orbit ids
+        """Whether the DP's kernel (_reach_step) carries masks over orbit ids
         rather than n-bit residue masks: for a subgroup with k orbits, when
         k*k < n or k <= min(MAX_ROW_ORBITS, 4*|A|).  The residue step does
         about n/k rotate-ORs per term where the orbit step does at most k ORs;
-        past 4*|A| orbits the DP measured slower on orbit masks.  A set that
-        is not a subgroup never builds the O(n*|A|) coset table here."""
+        past 4*|A| orbits the DP measured slower on orbit masks.  The walks
+        take orbit rows up to MAX_ROW_ORBITS orbits whatever this says.  A
+        set that is not a subgroup never builds the O(n*|A|) coset table."""
         if not self.is_subgroup:
             return False
-        k, n = len(set(self._coset_minima)), self.modulus
-        return k * k < n or k <= min(MAX_ROW_ORBITS, 4 * len(self))
+        k = self.orbit_count
+        return k * k < self.modulus or k <= min(MAX_ROW_ORBITS, 4 * len(self))
 
     @cached_property
     def orbit_columns(self) -> tuple[tuple[int, ...], ...]:

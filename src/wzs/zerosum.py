@@ -3,12 +3,12 @@
 Reachable weighted sums are tracked as bitmasks with a snapshot kept per
 term, so existence checks and certificate backtracking share one dynamic
 programming pass.  One kernel, _reach_step, extends a mask by a term for the
-DP, the Davenport search and the extremal enumeration.  A mask has one bit
-per orbit A*x when the weight set is a subgroup with few orbits (every
-reachable set is then a union of orbits), else one bit per residue; the
-weight set owns the tables and picks the form, and _reach_rows expands a
-walk's state by every symbol at once.  Certificates name term indices and
-weights and are always re-verified arithmetically before being returned.
+DP.  A mask has one bit per orbit A*x when the weight set is a subgroup with
+few orbits (every reachable set is then a union of orbits), else one bit per
+residue; the weight set owns the tables and picks the form.  The search and
+the enumeration walk on _reach_rows, which expands a state by every symbol
+at once.  Certificates name term indices and weights and are always
+re-verified arithmetically before being returned.
 """
 
 from __future__ import annotations
@@ -103,16 +103,16 @@ def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
 
         return step
 
+    # images are sorted on a symbol's first step: no O(n*|A|) set-up
     n = weights.modulus
     full = (1 << n) - 1
-    images: dict[int, list[int]] = {}
-    for x in symbols:
-        if x not in images:
-            images[x] = sorted({a * x % n for a in weights.elements})
-    shifts = [images[x] for x in symbols]
+    shifts: list[list[int] | None] = [None] * len(symbols)
 
     def step(acc: int, i: int, src: int) -> int:
-        for s in shifts[i]:
+        images = shifts[i]
+        if images is None:
+            images = shifts[i] = sorted({a * symbols[i] % n for a in weights.elements})
+        for s in images:
             acc |= ((src << s) | (src >> (n - s))) & full if s else src
         return acc
 
@@ -120,22 +120,35 @@ def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
 
 
 def _reach_rows(weights: WeightSet, symbols):
-    """(expand, fields, full): the step from src by symbols[i] is expand(src)
-    >> fields[i] & full, where expand ORs the rows of src's orbits.  None on
-    residue masks and past MAX_ROW_ORBITS orbits: there, call _reach_step."""
-    if not weights.uses_orbits or len(weights.orbit_columns) > MAX_ROW_ORBITS:
+    """(expand, fields, full, neg), the walks' kernel on orbit masks for
+    every subgroup up to MAX_ROW_ORBITS orbits, whatever uses_orbits picks
+    for the DP; None past that and for non-subgroups: there, call
+    _reach_step.  The step from src by symbols[i] is expand(src) >>
+    fields[i] & full, where expand ORs the rows of src's orbits a byte at a
+    time from per-walk tables, chunk[c][v] = OR of orbit_rows[8c + b] over
+    the set bits b of v.  A zero-sum-free mask holding bit neg[i], the orbit
+    of -symbols[i], reaches 0 on adding symbols[i]."""
+    if not weights.is_subgroup or weights.orbit_count > MAX_ROW_ORBITS:
         return None
-    rows = weights.orbit_rows
+    rows, oid, n = weights.orbit_rows, weights.orbit_id, weights.modulus
+    chunks = []
+    for c in range(0, len(rows), 8):
+        chunk = [0]
+        for row in rows[c : c + 8]:
+            chunk += [v | row for v in chunk]
+        chunks.append(chunk)
 
     def expand(src: int) -> int:
         acc = 0
-        while src:
-            low = src & -src
-            acc |= rows[low.bit_length() - 1]
-            src ^= low
+        for chunk in chunks:
+            acc |= chunk[src & 255]
+            src >>= 8
+            if not src:
+                break
         return acc
 
-    return expand, [len(rows) * weights.orbit_id[x] for x in symbols], (1 << len(rows)) - 1
+    k = len(rows)
+    return expand, [k * oid[x] for x in symbols], (1 << k) - 1, [oid[-x % n] for x in symbols]
 
 
 def _bit_index(weights: WeightSet):

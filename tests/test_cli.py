@@ -411,6 +411,21 @@ def test_verify_55_all_pass(capsys):
     }
 
 
+def test_power_residue_split_stays_exhaustive(capsys, monkeypatch):
+    # every residue, for cubes and squares, against the exhaustive pow sets
+    calls = []
+    split = cli.is_kth_power_residue
+
+    def counted(a, k, m):
+        calls.append((a, k, m))
+        return split(a, k, m)
+
+    monkeypatch.setattr(cli, "is_kth_power_residue", counted)
+    code, out, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_OK and json.loads(out)["checks"]["power_residue_split"]["pass"]
+    assert sorted(calls) == sorted((a, k, 55) for k in (2, 3) for a in range(55))
+
+
 def test_verify_searches_once(capsys, monkeypatch):
     def no_second_search(*args, **kwargs):
         raise AssertionError("verify reads D from the enumeration's walk")

@@ -202,6 +202,20 @@ def test_construct_is_the_lower_bound_witness():
         assert reconstruct(classify_structure(seq, prof)) == seq, n
 
 
+def test_unit_pair_ratio_test_matches_the_dp():
+    # Every unit pair mod every prime 5 <= p < 200: the cube-coset ratio
+    # test that _classify's case-1 check runs, against the certificate DP.
+    primes = [p for p in range(5, 200) if factor(p).factors == ((p, 1),)]
+    assert len(primes) == 44
+    for p in primes:
+        weights = cubes(p)
+        for x in range(1, p):
+            for y in range(x, p):
+                free = has_weighted_zero_subseq(Sequence(p, (x, y)), weights) is None
+                assert extremal._unit_pair_zero_sum_free(x, y, p) == free, (p, x, y)
+                assert extremal._unit_pair_zero_sum_free(y, x, p) == free, (p, y, x)
+
+
 def test_extremal_reads_no_kernel_names():
     kernel = {"_reach_step", "_reach_rows", "_longest_paths", "_least_non_cube"}
     assert not kernel & set(vars(extremal))

@@ -137,20 +137,68 @@ def test_orbit_and_residue_masks_give_identical_answers():
             assert full_zero_sum_weights(seq.terms, weights) == full_zero_sum_weights(seq.terms, twin)
 
 
-def test_search_and_enumeration_agree_across_mask_forms():
-    for n in (95, 108, 180, 182, 185, 224, 351):
-        weights = cubes(n)
-        twin = residue_twin(weights)
-        assert _reach_rows(weights, [1]) is not None and _reach_rows(twin, [1]) is None
-        a, b = davenport_search(n, weights, UNLIMITED), davenport_search(n, twin, UNLIMITED)
-        assert (a.value, a.witness, a.stats.nodes, a.stats.states) == (
-            b.value, b.witness, b.stats.nodes, b.stats.states
-        ), n
-    for n in (95, 185):
-        weights = cubes(n)
-        twin = residue_twin(weights)
-        ea, eb = enumerate_extremal(n, weights, UNLIMITED), enumerate_extremal(n, twin, UNLIMITED)
-        assert ea.classes == eb.classes and ea.stats.nodes == eb.stats.nodes
+def test_search_and_enumeration_agree_across_mask_forms(monkeypatch):
+    # The walks on chunked orbit rows, with dead children skipped, against
+    # the per-child step on residue masks: the same D, witness, nodes and
+    # states, and the same classes.  126 and {1}, {+-1} past 16 take residue
+    # masks in the DP but rows in the walks.
+    sets = [cubes(63), cubes(126), cubes(234), singleton_one(24), pm_one(64), by_kind("squares", 100)]
+    enum_sets = [cubes(95), cubes(185)]
+
+    def walks(weight_sets, enum_weight_sets):
+        searches = [davenport_search(w.modulus, w, UNLIMITED) for w in weight_sets]
+        enums = [enumerate_extremal(w.modulus, w, UNLIMITED) for w in enum_weight_sets]
+        return (
+            [(r.value, r.witness, r.stats.nodes, r.stats.states) for r in searches],
+            [(e.classes, e.d_value, e.stats.nodes, e.stats.states) for e in enums],
+        )
+
+    assert not cubes(126).uses_orbits and not singleton_one(24).uses_orbits
+    assert all(_reach_rows(w, [1]) is not None for w in sets + enum_sets)
+    on_rows = walks(sets, enum_sets)
+    monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
+    twins = [residue_twin(w) for w in sets]
+    enum_twins = [residue_twin(w) for w in enum_sets]
+    assert all(_reach_rows(w, [1]) is None for w in twins + enum_twins)
+    assert walks(twins, enum_twins) == on_rows
+
+
+def test_chunked_expand_ors_the_rows_of_the_set_bits():
+    # k = 3, 8, 24, 40 and 128 orbits; the last chunk holds k mod 8 orbits
+    # at k = 3 and all 8 elsewhere.
+    sets = [units_weights(4), cubes(95), cubes(108), cubes(126), singleton_one(128)]
+    rng = random.Random(59)
+    for weights, k in zip(sets, (3, 8, 24, 40, 128)):
+        rows = weights.orbit_rows
+        assert len(rows) == k
+        expand = _reach_rows(weights, [1])[0]
+        masks = [0, 1, (1 << k) - 1, 1 << k - 1] + [rng.getrandbits(k) for _ in range(200)]
+        masks += [1 << rng.randrange(k) | 1 << rng.randrange(k) for _ in range(100)]
+        for mask in masks:
+            want = 0
+            for o in range(k):
+                if mask >> o & 1:
+                    want |= rows[o]
+            assert expand(mask) == want, (weights.modulus, k, mask)
+
+
+def test_node_cap_stays_exact_on_skipped_children(monkeypatch):
+    # Every cap below covers skipped dead children at 126: a skipped child
+    # counts as a node before the cap is tested, as a stepped one does.
+    weights = cubes(126)
+    caps = list(range(1, 400)) + [1000, 5000, 50_000]
+
+    def capped(w):
+        out = []
+        for cap in caps:
+            res = davenport_search(126, w, Budget(max_nodes=cap))
+            out.append((res.lower, res.witness, res.stats.nodes, res.stats.states, res.stats.exhausted_by))
+        return out
+
+    on_rows = capped(weights)
+    assert all(nodes == cap and by == "nodes" for cap, (_, _, nodes, _, by) in zip(caps, on_rows))
+    monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
+    assert capped(residue_twin(weights)) == on_rows
 
 
 def test_walks_step_per_child_past_the_row_limit(monkeypatch):
@@ -216,7 +264,7 @@ def test_orbit_rows_pack_the_columns():
         rng = random.Random(k)
         symbols = rng.sample(range(weights.modulus), 6)
         step = _reach_step(weights, symbols)
-        expand, fields, full = _reach_rows(weights, symbols)
+        expand, fields, full, _ = _reach_rows(weights, symbols)
         for _ in range(20):
             src = rng.getrandbits(k) | 1
             for i in range(len(symbols)):

@@ -123,18 +123,37 @@ def test_parallel_search_keeps_one_deadline():
 
 
 def test_search_builds_its_kernel_once(monkeypatch):
-    # 180 has 17 first-term branches; each built its own kernel before.
+    # 180 has 17 first-term branches; each built its own kernel before.  A
+    # walk on orbit rows builds no per-child step; one past the row limit
+    # ({1} mod 160, 160 orbits) builds the step once.
     calls = []
-    build = invariants._reach_step
+    for name in ("_reach_step", "_reach_rows"):
+        build = getattr(invariants, name)
 
-    def counted(weights, symbols):
-        calls.append(weights)
-        return build(weights, symbols)
+        def counted(weights, symbols, name=name, build=build):
+            calls.append(name)
+            return build(weights, symbols)
 
-    monkeypatch.setattr(invariants, "_reach_step", counted)
+        monkeypatch.setattr(invariants, name, counted)
     res = davenport_search(180, by_kind("cubes", 180))
     assert res.conclusive and res.value == 7
-    assert len(calls) == 1
+    assert calls == ["_reach_rows"]
+    calls.clear()
+    res = davenport_search(160, singleton_one(160), Budget(max_nodes=20_000))
+    assert res.stats.exhausted_by == "nodes"
+    assert calls == ["_reach_rows", "_reach_step"]
+
+
+def test_budget_bounds_the_residue_kernel_set_up():
+    # 299,999 symbols and 3 weights: the residue step sorts each symbol's
+    # images on its first use, so the search reaches its deadline checks at
+    # once rather than after an O(n*|A|) table (0.3 to 0.8 s, no nodes).
+    t0 = time.perf_counter()
+    res = davenport_search(300000, custom(300000, [1, 5, 7]), Budget(max_seconds=0.05))
+    elapsed = time.perf_counter() - t0
+    assert not res.conclusive and res.stats.exhausted_by == "seconds"
+    assert res.stats.nodes > 0
+    assert elapsed < 0.5, elapsed
 
 
 # D, nodes, states and witness of the cube search off the theorem's
