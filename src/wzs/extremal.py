@@ -121,8 +121,8 @@ def enumerate_extremal(
     One memoized search over the orbit-reduced space fills a state table;
     D is 1 + the longest branch of that walk, so it is certified by the
     same walk that yields the classes, and None when the walk ran out of
-    budget.  The classes are read back from the table: every sorted
-    sequence of length D - 1 along states with enough tabled depth is
+    budget.  The classes are read back from the table: every sequence of
+    length D - 1 in alphabet order along states with enough tabled depth is
     canonicalized and deduped by canonical form.  A stop inside the search
     returns no classes; a stop during the read-back returns the classes
     found so far.
@@ -144,7 +144,7 @@ def enumerate_extremal(
     found: dict[tuple[int, ...], CanonicalSequence] = {}
     leaves = _sequences_of_length(weights, alphabet, firsts, table, longest)
     for terms in () if exhausted_by else leaves:
-        canon = canonicalize(Sequence(n, terms), weights)
+        canon = canonicalize(Sequence.make(n, terms), weights)
         found.setdefault(canon.canonical.terms, canon)
         if time.perf_counter() > deadline:
             exhausted_by = "seconds"

@@ -1,15 +1,16 @@
 """Weighted Davenport and E constants: exact search, closed forms, witnesses.
 
-The search enumerates zero-sum-free sequences as sorted multisets over an
-orbit-reduced alphabet (one representative per weight-coset, first term
-anchored to a divisor of n) and kills a branch the moment 0 becomes a
+The search enumerates zero-sum-free sequences as multisets, each listed in
+the order of an orbit-reduced alphabet (for a subgroup, one representative
+per weight-coset, ordered by gcd with n and then by value, first term
+anchored to a divisor of n), and kills a branch the moment 0 becomes a
 reachable weighted sum.  Everything below a sequence depends only on its
 state: the mask of its reachable sums and the index lo of its last symbol.
 A table keyed by mask << bits | lo holds depth(mask, lo), the length of the
 longest zero-sum-free extension over alphabet[lo:], so each state is
 explored once, by one explicit-stack walk; the first-term branches run in
 turn and share one table and one reachable-sum kernel per search.
-Sequences are read back from the table lazily and in sorted order, entering
+Sequences are read back from the table lazily and in alphabet order, entering
 only states with the depth still needed: the first one is the witness, and
 the extremal enumeration takes all of them.  Budgets cap nodes (extend steps
 taken from states not yet in the table) and wall time; an exhausted budget
@@ -160,8 +161,8 @@ def lower_bound_witness(profile: ModulusProfile) -> Sequence:
 
 
 def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
-    """Every sorted extension of the state (mask, lo) by `need` terms over
-    alphabet[lo:], in sorted order, read lazily from a table that
+    """Every extension of the state (mask, lo) by `need` terms from
+    alphabet[lo:], in alphabet order, read lazily from a table that
     _explore_branch filled: a child state is entered only when its tabled
     depth leaves room for the terms still needed.  Yields nothing when the
     state's own depth is short of `need`; the state must be fully explored.
@@ -205,8 +206,8 @@ def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
 
 
 def _sequences_of_length(weights, alphabet, firsts, table, length):
-    """Every sorted zero-sum-free sequence of `length` terms over the
-    alphabet with its first term in `firsts`, in sorted order, read back from
+    """Every zero-sum-free sequence of `length` terms, listed in alphabet
+    order from a first term in `firsts`, yielded in alphabet order, read from
     a table that _serial_branches filled for those first terms to the end."""
     if length == 0:
         yield ()
@@ -230,7 +231,7 @@ def _explore_branch(
     max_nodes: int,
     deadline: float,
 ) -> tuple[int, tuple[int, ...], int, int, str | None]:
-    """Longest zero-sum-free sorted sequence starting at `first`.
+    """Longest zero-sum-free sequence in alphabet order starting at `first`.
 
     `rows` is the kernel of _reach_rows over the alphabet, or None and
     `step` that of _reach_step.  A child that would make 0 reachable (bit
@@ -331,10 +332,11 @@ def _serial_branches(
 def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -> InvariantResult:
     """Exact D_A by longest zero-sum-free sequence search.
 
-    Sequences are explored in sorted order, and each state (reachable sums,
+    Sequences are explored in alphabet order, and each state (reachable sums,
     last symbol) once, through one table shared by the first-term branches;
     for subgroup weight sets the alphabet is reduced to coset-minimal
-    representatives with the first term anchored to a divisor of n.  A known
+    representatives ordered by (gcd with n, value), with the first term
+    anchored to a divisor of n (reduced_alphabet).  A known
     lower-bound witness seeds the incumbent when available.
     """
     if weights.modulus != n:

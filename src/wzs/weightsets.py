@@ -222,14 +222,18 @@ def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:
     """(first symbols, alphabet) for enumerating multisets up to equivalence.
 
     For subgroup weight sets every nonzero residue is replaced by its
-    coset-minimal representative, and the uniform unit scaling lets the
-    minimum term be anchored to a divisor of n (divisors are coset-minimal
-    because 1 is a weight).  Non-subgroup sets get no reduction.
+    coset-minimal representative, ordered by (gcd(x, n), x).  A unit
+    scaling takes a term of least gcd g to g, a divisor (coset-minimal as 1
+    is a weight) and the least symbol of gcd g; every other term has gcd at
+    least g.  So each class starts at a divisor d in this order, and the
+    branch of d walks only terms of gcd at least d.  Non-subgroup sets get
+    no reduction.
     """
     n = a.modulus
     if a.is_subgroup:
         rep = coset_minima(a)
         symbols = [x for x in range(1, n) if rep[x] == x]
+        symbols.sort(key=lambda x: (math.gcd(x, n), x))
         firsts = [d for d in factor(n).divisors() if d < n]
         missing = set(firsts) - set(symbols)
         if missing:

@@ -7,7 +7,15 @@ import time
 import pytest
 
 from wzs import invariants
-from wzs.invariants import Budget, _explore_branch, davenport_search, lower_bound_witness
+from wzs.extremal import canonicalize
+from wzs.invariants import (
+    Budget,
+    _explore_branch,
+    _sequences_of_length,
+    _serial_branches,
+    davenport_search,
+    lower_bound_witness,
+)
 from wzs.modarith import factor
 from wzs.weightsets import (
     by_kind,
@@ -17,14 +25,26 @@ from wzs.weightsets import (
     singleton_one,
     units_weights,
 )
-from wzs.zerosum import _reach_rows, _reach_step, has_weighted_zero_subseq
+from wzs.zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
 
 UNLIMITED = Budget(max_nodes=10**12, max_seconds=float("inf"))
 
 
+def value_ordered_alphabet(weights):
+    """(firsts, symbols) of the value-ordered space, a superset of the
+    search's: for a subgroup, the coset-minimal residues in value order with
+    the divisors below n as first terms, found here by brute force; for any
+    other set, every nonzero residue."""
+    n = weights.modulus
+    if not weights.is_subgroup:
+        return list(range(1, n)), list(range(1, n))
+    symbols = [x for x in range(1, n) if all(a * x % n >= x for a in weights.elements)]
+    return [d for d in range(1, n) if n % d == 0], symbols
+
+
 def plain_branch(n, elements, alphabet, first):
-    """Every sorted zero-sum-free sequence starting at `first`, one by one;
-    the first longest one met in sorted order wins."""
+    """Every zero-sum-free sequence in alphabet order starting at `first`,
+    one by one; the first longest one met wins."""
     full = (1 << n) - 1
     shifts = {x: sorted({a * x % n for a in elements}) for x in alphabet}
     best = ()
@@ -51,9 +71,10 @@ def plain_branch(n, elements, alphabet, first):
     return best
 
 
-def plain_search(n, weights):
-    """(D, witness terms) by the exhaustive search, incumbent rule included."""
-    firsts, alphabet = reduced_alphabet(weights)
+def plain_search(n, weights, space=None):
+    """(D, witness terms) by the exhaustive search, incumbent rule included,
+    over space = (firsts, alphabet), by default value_ordered_alphabet's."""
+    firsts, alphabet = space or value_ordered_alphabet(weights)
     best = ()
     if weights.kind == "cubes" and n % 2 == 1 and n % 3 != 0:
         best = lower_bound_witness(factor(n)).terms
@@ -70,11 +91,18 @@ def plain_search(n, weights):
     "kind, top", [("one", 22), ("pm1", 40), ("units", 40), ("squares", 40), ("cubes", 40)]
 )
 def test_memoized_search_matches_plain_search(kind, top):
+    # D from the value-ordered space, which does not rely on the gcd order's
+    # anchoring argument; the witness is the first longest sequence in the
+    # search's own alphabet order, compared as a multiset.
     for n in range(2, top + 1):
         weights = by_kind(kind, n)
         res = davenport_search(n, weights, UNLIMITED)
         assert res.conclusive
-        assert (res.value, res.witness.terms) == plain_search(n, weights), (kind, n)
+        assert res.value == plain_search(n, weights)[0], (kind, n)
+        assert len(res.witness) == res.value - 1, (kind, n)
+        assert has_weighted_zero_subseq(res.witness, weights) is None, (kind, n)
+        _, terms = plain_search(n, weights, reduced_alphabet(weights))
+        assert res.witness.terms == tuple(sorted(terms)), (kind, n)
 
 
 def test_memoized_search_matches_plain_search_on_non_subgroup_set():
@@ -157,20 +185,20 @@ def test_budget_bounds_the_residue_kernel_set_up():
 
 
 # D, nodes, states and witness of the cube search off the theorem's
-# hypotheses, taken from the recursive search before the explicit stack.
+# hypotheses; each D is also the value-ordered search's.
 @pytest.mark.parametrize(
     "n, value, nodes, states, witness",
     [
-        (108, 7, 8138, 1350, (1, 2, 4, 8, 16, 36)),
-        (144, 8, 13654, 2759, (1, 2, 4, 8, 16, 32, 64)),
-        (180, 7, 33078, 4650, (1, 2, 4, 8, 16, 36)),
-        (182, 6, 19659, 2479, (1, 2, 4, 14, 28)),
-        (189, 7, 21481, 2964, (1, 2, 4, 9, 18, 63)),
-        (224, 8, 12213, 2819, (1, 2, 4, 8, 16, 32, 64)),
-        (266, 6, 17805, 2298, (1, 2, 4, 14, 28)),
-        (273, 6, 11753, 1499, (1, 2, 7, 14, 91)),
-        (294, 7, 22412, 3751, (1, 2, 4, 14, 28, 98)),
-        (351, 7, 12044, 1607, (1, 2, 4, 9, 18, 117)),
+        (108, 7, 6068, 1059, (1, 5, 7, 9, 18, 36)),
+        (144, 8, 11954, 2324, (1, 5, 7, 9, 18, 36, 72)),
+        (180, 7, 22411, 3191, (1, 7, 9, 13, 18, 36)),
+        (182, 6, 8291, 1194, (1, 3, 5, 14, 28)),
+        (189, 7, 11646, 1799, (1, 2, 4, 9, 18, 81)),
+        (224, 8, 10854, 2639, (1, 3, 5, 14, 28, 56, 112)),
+        (266, 6, 7934, 1179, (1, 3, 5, 14, 28)),
+        (273, 6, 5427, 826, (1, 2, 9, 21, 42)),
+        (294, 7, 17210, 2971, (1, 5, 11, 14, 28, 126)),
+        (351, 7, 7008, 1047, (1, 2, 4, 9, 18, 117)),
     ],
 )
 def test_cube_search_pins(n, value, nodes, states, witness):
@@ -178,6 +206,29 @@ def test_cube_search_pins(n, value, nodes, states, witness):
     assert res.conclusive and res.stats.exhausted_by is None
     assert (res.value, res.stats.nodes, res.stats.states) == (value, nodes, states)
     assert res.witness.terms == witness
+
+
+def _classes(weights, space):
+    """(longest length, canonical forms of the longest sequences) from one
+    walk and read-back over space = (firsts, alphabet)."""
+    firsts, alphabet = space
+    table: dict[int, int] = {}
+    results = _serial_branches(weights, alphabet, firsts, 10**12, float("inf"), table)
+    assert not any(res[4] for res in results)
+    longest = max(res[0] for res in results)
+    leaves = _sequences_of_length(weights, alphabet, firsts, table, longest)
+    n = weights.modulus
+    return longest, {canonicalize(Sequence.make(n, t), weights).canonical.terms for t in leaves}
+
+
+@pytest.mark.parametrize("n", [63, 95, 126, 185, 589, 2945])
+def test_gcd_ordered_alphabet_keeps_every_class(n):
+    # The gcd order walks a subset of the value-ordered space (at 126, 59,122
+    # nodes against 177,735), so it must still reach every extremal class.
+    weights = by_kind("cubes", n)
+    longest, classes = _classes(weights, reduced_alphabet(weights))
+    assert (longest, classes) == _classes(weights, value_ordered_alphabet(weights))
+    assert classes
 
 
 def test_search_node_count_falls_with_the_table():

@@ -1,5 +1,7 @@
 """Weight set construction, reduction mod divisors, and subgroup detection."""
 
+import math
+
 import pytest
 
 from wzs.modarith import units
@@ -129,14 +131,20 @@ def test_custom_non_subgroup_detected():
 
 
 def test_reduced_alphabet_divisor_anchors():
-    for n in (19, 55, 95):
-        t = cubes(n)
-        rep = coset_minima(t)
-        firsts, symbols = reduced_alphabet(t)
-        assert set(firsts) <= set(symbols)
-        for d in firsts:
-            assert rep[d] == d
-        assert all(rep[s] == s for s in symbols)
+    # The symbols are the coset minima ordered by (gcd with n, value), so a
+    # divisor d heads the symbols of gcd d, and the first terms (the divisors
+    # below n, ascending) appear in the same order as their groups.
+    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
+    for n in range(2, 200):
+        for t in (make(n) for make in kinds):
+            rep = coset_minima(t)
+            firsts, symbols = reduced_alphabet(t)
+            assert sorted(symbols) == [x for x in range(1, n) if rep[x] == x]
+            keys = [(math.gcd(x, n), x) for x in symbols]
+            assert keys == sorted(keys), (t.kind, n)
+            assert firsts == [d for d in range(1, n) if n % d == 0], (t.kind, n)
+            heads = [x for i, x in enumerate(symbols) if i == 0 or keys[i - 1][0] != keys[i][0]]
+            assert heads == firsts, (t.kind, n)
 
 
 def test_coset_minima_matches_brute_double_loop():
