@@ -452,10 +452,13 @@ def _cmd_extremal(args) -> int:
     return EXIT_OK
 
 
+_RESIDUE_CHUNK = 4096  # residues power_residue_split checks between deadline reads
+
+
 def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     """The check matrix for one n, and the names of the checks the budget
-    left undecided (a walk stopped before it knew D, or an incomplete
-    enumeration)."""
+    left undecided: a walk stopped before it knew D, an incomplete
+    enumeration, or a check the deadline cut before it failed or ended."""
     prof = factor(n)
     require_hypotheses(prof)
     rng = random.Random(seed)
@@ -484,15 +487,26 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
         "witness": list(witness.terms),
     }
 
+    def passes(name: str, trials, trial) -> bool:
+        """Whether trial(t) holds for every t of trials, in order, reading
+        the deadline before each; a check the deadline cuts is undecided."""
+        for t in trials:
+            if time.perf_counter() > deadline:
+                undecided.add(name)
+                return False
+            if not trial(t):
+                return False
+        return True
+
     m = 3 * prof.small_omega_n1 + 2 * prof.small_omega_n2
     length = m + 2 * prof.big_omega_n1 + prof.big_omega_n2
-    ok = True
-    for _ in range(25):
+
+    def extracted(_) -> bool:
         seq = Sequence.make(n, (rng.randrange(n) for _ in range(length)))
         cert = extract_length_m(seq, prof, m)
-        if len(cert.picked) != m or not cert.verify(seq, weights):
-            ok = False
-            break
+        return len(cert.picked) == m and cert.verify(seq, weights)
+
+    ok = passes("extraction_certificates", range(25), extracted)
     checks["extraction_certificates"] = {"pass": ok, "trials": 25, "m": m}
 
     # classify_structure refuses a class whose length is not the closed
@@ -522,42 +536,45 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     }
     checks["coprimality_minima"] = {"pass": minima_ok}
 
-    ok = True
-    for _ in range(100):
+    def forced(_) -> bool:
         violator = coprimality_violating_sequence(prof, rng)
-        if has_weighted_zero_subseq(violator, weights) is None:
-            ok = False
-            break
+        return has_weighted_zero_subseq(violator, weights) is not None
+
+    ok = passes("violation_forces_zero_sum", range(100), forced)
     checks["violation_forces_zero_sum"] = {"pass": ok, "trials": 100}
 
-    ok = True
-    for _ in range(200):
+    def factored(_) -> bool:
         seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(7))))
         direct = full_zero_sum_weights(seq.terms, weights) is not None
-        if crt_zero_check(seq, prof) != direct:
-            ok = False
-            break
+        return crt_zero_check(seq, prof) == direct
+
+    ok = passes("crt_factorization", range(200), factored)
     checks["crt_factorization"] = {"pass": ok, "trials": 200}
 
-    cube_values = {pow(x, 3, n) for x in range(n)}
-    square_values = {pow(x, 2, n) for x in range(n)}
-    ok = all(
-        is_kth_power_residue(a, 3, n) == (a in cube_values) for a in range(n)
-    ) and all(is_kth_power_residue(a, 2, n) == (a in square_values) for a in range(n))
-    checks["power_residue_split"] = {"pass": ok}
+    # every residue, cubes before squares, against the exhaustive pow sets;
+    # a trial is a chunk of residues, so the deadline is read once a chunk
+    powers: dict[int, set[int]] = {}
 
-    ok = True
-    for _ in range(100):
+    def split(chunk) -> bool:
+        k, start = chunk
+        if k not in powers:
+            powers[k] = {pow(x, k, n) for x in range(n)}
+        return all(is_kth_power_residue(a, k, n) == (a in powers[k])
+                   for a in range(start, min(start + _RESIDUE_CHUNK, n)))
+
+    chunks = [(k, start) for k in (3, 2) for start in range(0, n, _RESIDUE_CHUNK)]
+    checks["power_residue_split"] = {"pass": passes("power_residue_split", chunks, split)}
+
+    def invariant(_) -> bool:
         seq = Sequence.make(n, (rng.randrange(n) for _ in range(1 + rng.randrange(5))))
         moved = orbit_transform(seq, weights, rng)
         if canonicalize(seq, weights).canonical != canonicalize(moved, weights).canonical:
-            ok = False
-            break
-        if (has_weighted_zero_subseq(seq, weights) is None) != (
+            return False
+        return (has_weighted_zero_subseq(seq, weights) is None) == (
             has_weighted_zero_subseq(moved, weights) is None
-        ):
-            ok = False
-            break
+        )
+
+    ok = passes("equivalence_invariance", range(100), invariant)
     checks["equivalence_invariance"] = {"pass": ok, "trials": 100}
 
     bound = prior_upper_bound(prof).d_bound
@@ -599,7 +616,10 @@ def _jobs(raw: str) -> int:
     return jobs
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    in it between calls."""
     parser = _Parser(prog="wzs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, factor, require_hypotheses
@@ -176,6 +177,14 @@ def _unit_pair_zero_sum_free(x: int, y: int, p: int) -> bool:
     return pow(r, (p - 1) // math.gcd(3, p - 1), p) != 1
 
 
+@lru_cache(maxsize=4096)
+def _formula_d(n: int) -> int:
+    """The closed form's D for n, computed once per modulus: the structure
+    checks need it at every level of every class, for the same few divisors
+    of n.  A refusal is not cached, so it is raised on every call."""
+    return davenport_formula(factor(n)).value
+
+
 def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
     n = profile.n
     if len(profile.factors) <= 1:
@@ -230,7 +239,7 @@ def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
             {"n": n, "p": p, "pair": list(coprime)},
         )
 
-    sub_d = davenport_formula(sub_profile).value
+    sub_d = _formula_d(sub_n)
     if len(remainder) != sub_d - 1:
         raise TheoremViolation(
             "divided remainder does not have extremal length",
@@ -263,7 +272,7 @@ def classify_structure(seq: Sequence, profile: ModulusProfile) -> StructureRepor
     require_hypotheses(profile)
     if profile.n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
-    d = davenport_formula(profile).value
+    d = _formula_d(profile.n)
     if len(seq) != d - 1:
         raise HypothesisError(
             "sequence is extremal", f"length {len(seq)} != D - 1 = {d - 1}"

@@ -34,7 +34,7 @@ class Sequence:
         ts = tuple(sorted(terms))
         if n < 1:
             raise ValueError("modulus must be positive")
-        if any(not 0 <= t < n for t in ts):
+        if ts and not (0 <= ts[0] and ts[-1] < n):  # sorted: the ends bound the rest
             raise ValueError(f"terms must lie in [0, {n - 1}]")
         return cls(n, ts)
 
@@ -52,26 +52,21 @@ class Certificate:
     picked: tuple[tuple[int, int], ...]
     claimed_sum: int
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.picked)
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.picked)
-
     def verify(self, seq: Sequence, weights: WeightSet) -> bool:
-        if weights.modulus != seq.modulus:
+        """Whether the moduli agree, no index repeats or leaves [0, len(seq)),
+        every weight lies in A and the weighted sum is claimed_sum mod n, in
+        one pass over picked."""
+        n, terms, members = seq.modulus, seq.terms, weights.members
+        if weights.modulus != n:
             return False
-        idxs = self.indices
-        if len(set(idxs)) != len(idxs):
-            return False
-        if any(not 0 <= i < len(seq) for i in idxs):
-            return False
-        if any(a not in weights for a in self.weights):
-            return False
-        total = sum(a * seq.terms[i] for i, a in self.picked) % seq.modulus
-        return total == self.claimed_sum % seq.modulus
+        seen = set()
+        total = 0
+        for i, a in self.picked:
+            if i in seen or not 0 <= i < len(terms) or a not in members:
+                return False
+            seen.add(i)
+            total += a * terms[i]
+        return total % n == self.claimed_sum % n
 
     def to_dict(self) -> dict:
         return {
@@ -302,7 +297,7 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     """
     n = weights.modulus
     vals = list(values)
-    if any(not 0 <= v < n for v in vals):
+    if vals and not (0 <= min(vals) and max(vals) < n):
         raise ValueError("values outside residue range")
     step = _reach_step(weights, vals)
     layers = [1]

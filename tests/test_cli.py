@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -411,19 +412,72 @@ def test_verify_55_all_pass(capsys):
     }
 
 
+_CHECKS = {
+    "coprimality_minima": {"pass": True},
+    "crt_factorization": {"pass": True, "trials": 200},
+    "equivalence_invariance": {"pass": True, "trials": 100},
+    "extraction_certificates": {"m": 5, "pass": True, "trials": 25},
+    "extremal_classification": {"classes": 7, "pass": True},
+    "formula_matches_search": {"formula": 4, "pass": True, "search": 4},
+    "power_residue_split": {"pass": True},
+    "prior_bound_ceiling": {"bound": 5, "pass": True},
+    "violation_forces_zero_sum": {"pass": True, "trials": 100},
+}
+# verify's whole payload, and a CRC-32 of the repr of every certificate its
+# extraction, violation, CRT and equivalence checks were handed, in call order
+VERIFY_PINS = {
+    (95, 3): ({**_CHECKS, "e_value_relation": {"e_formula": 98, "pass": True},
+               "lower_bound_witness_tight": {"pass": True, "witness": [1, 2, 19]}},
+              525, 0xB6E25BFE),
+    (185, 7): ({**_CHECKS, "e_value_relation": {"e_formula": 188, "pass": True},
+                "lower_bound_witness_tight": {"pass": True, "witness": [1, 2, 37]}},
+               525, 0xC6FC0B30),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(VERIFY_PINS))
+def test_verify_payload_and_certificates_are_pinned(capsys, monkeypatch, n, seed):
+    checks, calls, crc = VERIFY_PINS[n, seed]
+    certs = []
+    for name in ("extract_length_m", "has_weighted_zero_subseq", "full_zero_sum_weights"):
+        func = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, f=func: certs.append(f(*a)) or certs[-1])
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--rng-seed", str(seed))
+    payload = {"all_pass": True, "checks": checks, "n": n, "weights": "cubes"}
+    assert code == EXIT_OK
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert (len(certs), zlib.crc32(repr(certs).encode())) == (calls, crc)
+
+
+def test_main_keeps_no_state_between_calls(capsys, isolated_cache):
+    argv = ["verify", "--n", "55", "--rng-seed", "5"]
+    outputs = [run(capsys, *argv) for _ in range(3)]
+    assert outputs[0][0] == EXIT_OK and outputs.count(outputs[0]) == 3
+    code, out, _ = run(capsys, "davenport", "--n", "35", "--method", "search")
+    assert code == EXIT_OK and json.loads(out)["search"] == 4
+    code, out, err = run(capsys, "davenport", "--n", "35", "--jobs", "2")
+    assert code == EXIT_USAGE and out == "" and "--jobs" in err
+    code, out, _ = run(capsys, "davenport", "--n", "35", "--method", "search")
+    assert code == EXIT_OK and json.loads(out)["search"] == 4
+    assert run(capsys, *argv) == outputs[0]
+
+
 def test_power_residue_split_stays_exhaustive(capsys, monkeypatch):
-    # every residue, for cubes and squares, against the exhaustive pow sets
-    calls = []
+    # every residue, for cubes and squares, against the exhaustive pow sets,
+    # however the residues are chunked between deadline reads
     split = cli.is_kth_power_residue
+    for chunk in (cli._RESIDUE_CHUNK, 10):
+        calls = []
 
-    def counted(a, k, m):
-        calls.append((a, k, m))
-        return split(a, k, m)
+        def counted(a, k, m):
+            calls.append((a, k, m))
+            return split(a, k, m)
 
-    monkeypatch.setattr(cli, "is_kth_power_residue", counted)
-    code, out, _ = run(capsys, "verify", "--n", "55")
-    assert code == EXIT_OK and json.loads(out)["checks"]["power_residue_split"]["pass"]
-    assert sorted(calls) == sorted((a, k, 55) for k in (2, 3) for a in range(55))
+        monkeypatch.setattr(cli, "_RESIDUE_CHUNK", chunk)
+        monkeypatch.setattr(cli, "is_kth_power_residue", counted)
+        code, out, _ = run(capsys, "verify", "--n", "55")
+        assert code == EXIT_OK and json.loads(out)["checks"]["power_residue_split"]["pass"]
+        assert sorted(calls) == sorted((a, k, 55) for k in (2, 3) for a in range(55))
 
 
 def test_verify_searches_once(capsys, monkeypatch):
@@ -456,13 +510,59 @@ def test_verify_refuses_out_of_hypothesis_n(capsys):
     assert code == EXIT_REFUSED
 
 
+class _Clock:
+    """A stand-in for cli's time module: perf_counter reads 0 for its first
+    `reads` calls, then a time far past any deadline."""
+
+    def __init__(self, reads):
+        self.reads, self.calls = reads, 0
+
+    def perf_counter(self):
+        self.calls += 1
+        return 0.0 if self.calls <= self.reads else 1e9
+
+
+# verify's clock reads at n = 55, in the order it makes them: the deadline,
+# then one per trial of each randomized check, one per class (3 classes) and
+# one per chunk of residues (one chunk for each of the two power sets)
+READS_55 = (("deadline", 1), ("extraction_certificates", 25), ("classes", 3),
+            ("violation_forces_zero_sum", 100), ("crt_factorization", 200),
+            ("power_residue_split", 2), ("equivalence_invariance", 100))
+TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - {"classes"}
+
+
 def test_verify_exhausted_budget_exits_inconclusive(capsys):
     code, out, _ = run(capsys, "verify", "--n", "95", "--budget-ms", "0")
     assert code == EXIT_INCONCLUSIVE
     checks = json.loads(out)["checks"]
     assert checks["formula_matches_search"]["search"] is None
     failing = {name for name, c in checks.items() if not c["pass"]}
-    assert failing <= {"formula_matches_search", "prior_bound_ceiling", "extremal_classification"}
+    # the walk's checks, and every randomized check, cut at its first trial
+    assert failing == {"formula_matches_search", "prior_bound_ceiling", "extremal_classification",
+                       *TRIAL_CHECKS}
+
+
+def test_verify_reads_the_deadline_before_every_trial(capsys, monkeypatch):
+    clock = _Clock(10**6)
+    monkeypatch.setattr(cli, "time", clock)
+    code, _, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_OK and clock.calls == sum(reads for _, reads in READS_55)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("cut", range(1, len(READS_55)))
+def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where):
+    # the clock runs out before the first or the last trial of one check;
+    # that check and every later one are undecided, the earlier ones pass
+    reads = sum(r for _, r in READS_55[:cut]) + (READS_55[cut][1] - 1 if where == "last" else 0)
+    monkeypatch.setattr(cli, "time", _Clock(reads))
+    code, out, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_INCONCLUSIVE
+    failing = {name for name, c in json.loads(out)["checks"].items() if not c["pass"]}
+    later = {name for name, _ in READS_55[cut:]}
+    if "classes" in later:
+        later ^= {"classes", "extremal_classification", "coprimality_minima"}
+    assert failing == later
 
 
 def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monkeypatch):

@@ -143,6 +143,55 @@ def test_certificate_backtracking_deterministic():
     assert has_weighted_zero_subseq(seq, ws) == has_weighted_zero_subseq(seq, ws)
 
 
+def test_certificate_verify_verdicts():
+    # cubes(7) = {1, 6}; each rejected certificate breaks exactly one rule
+    ws = cubes(7)
+    zeros = Sequence.make(7, [0, 0])
+    one = Sequence.make(7, [1])
+    assert Certificate(((0, 1), (1, 6)), 0).verify(zeros, ws) is True
+    assert Certificate(((0, 1),), 0).verify(zeros, cubes(5)) is False  # modulus
+    assert Certificate(((0, 1), (0, 1)), 0).verify(zeros, ws) is False  # repeated index
+    assert Certificate(((-1, 1),), 0).verify(zeros, ws) is False
+    assert Certificate(((2, 1),), 0).verify(zeros, ws) is False  # index len(seq)
+    assert Certificate(((0, 2),), 0).verify(zeros, ws) is False  # weight outside A
+    assert Certificate(((0, 1),), 2).verify(one, ws) is False  # wrong sum
+    assert Certificate(((0, 6),), 6).verify(one, ws) is True
+    assert Certificate(((0, 1),), 8).verify(one, ws) is True  # the sum is mod n
+    assert Certificate((), 0).verify(one, ws) is True
+    assert Certificate((), 7).verify(one, ws) is True
+    assert Certificate((), 3).verify(one, ws) is False
+
+
+def reference_verify(cert, seq, weights):
+    """Certificate.verify's rules, one pass per rule."""
+    if weights.modulus != seq.modulus:
+        return False
+    idxs = [i for i, _ in cert.picked]
+    if len(set(idxs)) != len(idxs) or any(not 0 <= i < len(seq) for i in idxs):
+        return False
+    if any(a not in weights for _, a in cert.picked):
+        return False
+    total = sum(a * seq.terms[i] for i, a in cert.picked) % seq.modulus
+    return total == cert.claimed_sum % seq.modulus
+
+
+def test_certificate_verify_matches_the_reference_on_random_certificates():
+    rng = random.Random(61)
+    for ws in (cubes(19), cubes(95), cubes(7), units_weights(12), custom(8, [3, 5])):
+        n = ws.modulus
+        for _ in range(400):
+            seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(5))))
+            # half the weights from A, and half the sums right (up to n)
+            picked = tuple((rng.randrange(-1, len(seq) + 1),
+                            rng.choice(ws.elements) if rng.randrange(2) else rng.randrange(n))
+                           for _ in range(rng.randrange(4)))
+            total = sum(a * seq.terms[i] for i, a in picked if 0 <= i < len(seq))
+            claimed = total + n * rng.randrange(-1, 2) if rng.randrange(2) else rng.randrange(n)
+            cert = Certificate(picked, claimed)
+            other = cubes(5) if rng.randrange(10) == 0 else ws
+            assert cert.verify(seq, other) == reference_verify(cert, seq, other), (n, cert)
+
+
 def test_fixed_length_conventions():
     ws = cubes(5)
     seq = Sequence.make(5, [1, 2])
@@ -195,6 +244,15 @@ def test_full_zero_sum_weights_oracle():
             else:
                 assert sum(a * x for a, x in zip(got, terms)) % q == 0
                 assert all(a in ws for a in got)
+
+
+def test_full_zero_sum_weights_rejects_values_out_of_range():
+    ws = cubes(19)
+    for values in ([19], [3, -1, 4], [0, 25, 18], [-5, 30]):
+        with pytest.raises(ValueError):
+            full_zero_sum_weights(values, ws)
+    assert full_zero_sum_weights([], ws) == []
+    assert full_zero_sum_weights([1, 18], ws) == [1, 1]
 
 
 def test_unit_rich_full_zero_sums():
@@ -289,6 +347,15 @@ def test_sequence_validation():
         Sequence.make(5, [5])
     with pytest.raises(ValueError):
         Sequence.make(5, [-1])
+    # a bad term at either end of the sorted terms, with good ones between
+    for terms in ([2, 1, 5], [3, -1, 4], [-2, 0, 9]):
+        with pytest.raises(ValueError):
+            Sequence.make(5, terms)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            Sequence.make(n, [])
+    assert Sequence.make(5, []).terms == ()
+    assert Sequence.make(5, [4, 0]).terms == (0, 4)
     assert Sequence.make(5, [3, 1, 2]).terms == (1, 2, 3)
     assert Counter(Sequence.make(6, [2, 2, 4]).terms)[2] == 2
 
