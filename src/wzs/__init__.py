@@ -35,9 +35,11 @@ from .zerosum import (
     Sequence,
     crt_zero_check,
     extract_length_m,
+    full_zero_sum_exists,
     full_zero_sum_weights,
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
+    is_zero_sum_free,
     reachable_sums,
 )
 from .invariants import (

@@ -26,8 +26,9 @@ from .zerosum import (
     Sequence,
     crt_zero_check,
     extract_length_m,
-    full_zero_sum_weights,
+    full_zero_sum_exists,
     has_weighted_zero_subseq,
+    is_zero_sum_free,
 )
 from .invariants import (
     Budget,
@@ -487,16 +488,17 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
         "witness": list(witness.terms),
     }
 
-    def passes(name: str, trials, trial) -> bool:
+    def passes(name: str, trials, trial) -> tuple[bool, int]:
         """Whether trial(t) holds for every t of trials, in order, reading
-        the deadline before each; a check the deadline cuts is undecided."""
-        for t in trials:
+        the deadline before each, and how many trials ran, a failing one
+        included; a check the deadline cuts is undecided."""
+        for ran, t in enumerate(trials):
             if time.perf_counter() > deadline:
                 undecided.add(name)
-                return False
+                return False, ran
             if not trial(t):
-                return False
-        return True
+                return False, ran + 1
+        return True, len(trials)
 
     m = 3 * prof.small_omega_n1 + 2 * prof.small_omega_n2
     length = m + 2 * prof.big_omega_n1 + prof.big_omega_n2
@@ -506,8 +508,8 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
         cert = extract_length_m(seq, prof, m)
         return len(cert.picked) == m and cert.verify(seq, weights)
 
-    ok = passes("extraction_certificates", range(25), extracted)
-    checks["extraction_certificates"] = {"pass": ok, "trials": 25, "m": m}
+    ok, ran = passes("extraction_certificates", range(25), extracted)
+    checks["extraction_certificates"] = {"pass": ok, "trials": ran, "m": m}
 
     # classify_structure refuses a class whose length is not the closed
     # form's D - 1, so a walk that disagrees fails this check, not the run;
@@ -540,16 +542,17 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
         violator = coprimality_violating_sequence(prof, rng)
         return has_weighted_zero_subseq(violator, weights) is not None
 
-    ok = passes("violation_forces_zero_sum", range(100), forced)
-    checks["violation_forces_zero_sum"] = {"pass": ok, "trials": 100}
+    ok, ran = passes("violation_forces_zero_sum", range(100), forced)
+    checks["violation_forces_zero_sum"] = {"pass": ok, "trials": ran}
 
+    # the CRT and invariance checks compare yes/no answers, so they build no
+    # certificates; every check that claims a zero-sum above verifies one
     def factored(_) -> bool:
         seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(7))))
-        direct = full_zero_sum_weights(seq.terms, weights) is not None
-        return crt_zero_check(seq, prof) == direct
+        return crt_zero_check(seq, prof) == full_zero_sum_exists(seq.terms, weights)
 
-    ok = passes("crt_factorization", range(200), factored)
-    checks["crt_factorization"] = {"pass": ok, "trials": 200}
+    ok, ran = passes("crt_factorization", range(200), factored)
+    checks["crt_factorization"] = {"pass": ok, "trials": ran}
 
     # every residue, cubes before squares, against the exhaustive pow sets;
     # a trial is a chunk of residues, so the deadline is read once a chunk
@@ -563,19 +566,17 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
                    for a in range(start, min(start + _RESIDUE_CHUNK, n)))
 
     chunks = [(k, start) for k in (3, 2) for start in range(0, n, _RESIDUE_CHUNK)]
-    checks["power_residue_split"] = {"pass": passes("power_residue_split", chunks, split)}
+    checks["power_residue_split"] = {"pass": passes("power_residue_split", chunks, split)[0]}
 
     def invariant(_) -> bool:
         seq = Sequence.make(n, (rng.randrange(n) for _ in range(1 + rng.randrange(5))))
         moved = orbit_transform(seq, weights, rng)
         if canonicalize(seq, weights).canonical != canonicalize(moved, weights).canonical:
             return False
-        return (has_weighted_zero_subseq(seq, weights) is None) == (
-            has_weighted_zero_subseq(moved, weights) is None
-        )
+        return is_zero_sum_free(seq, weights) == is_zero_sum_free(moved, weights)
 
-    ok = passes("equivalence_invariance", range(100), invariant)
-    checks["equivalence_invariance"] = {"pass": ok, "trials": 100}
+    ok, ran = passes("equivalence_invariance", range(100), invariant)
+    checks["equivalence_invariance"] = {"pass": ok, "trials": ran}
 
     bound = prior_upper_bound(prof).d_bound
     checks["prior_bound_ceiling"] = {

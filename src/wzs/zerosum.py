@@ -2,13 +2,15 @@
 
 Reachable weighted sums are tracked as bitmasks with a snapshot kept per
 term, so existence checks and certificate backtracking share one dynamic
-programming pass.  One kernel, _reach_step, extends a mask by a term for the
-DP.  A mask has one bit per orbit A*x when the weight set is a subgroup with
-few orbits (every reachable set is then a union of orbits), else one bit per
-residue; the weight set owns the tables and picks the form.  The search and
-the enumeration walk on _reach_rows, which expands a state by every symbol
-at once.  Certificates name term indices and weights and are always
-re-verified arithmetically before being returned.
+programming pass; the yes/no functions (is_zero_sum_free,
+full_zero_sum_exists) read only its last mask.  One kernel, _reach_step,
+extends a mask by a term for the DP.  A mask has one bit per orbit A*x when
+the weight set is a subgroup with few orbits (every reachable set is then a
+union of orbits), else one bit per residue; the weight set owns the tables
+and picks the form.  The search and the enumeration walk on _reach_rows,
+which expands a state by every symbol at once.  Certificates name term
+indices and weights and are always re-verified arithmetically before being
+returned.
 """
 
 from __future__ import annotations
@@ -238,6 +240,14 @@ def has_weighted_zero_subseq(seq: Sequence, weights: WeightSet) -> Certificate |
     return _backtrack_subset(seq, weights, layers, 0)
 
 
+def is_zero_sum_free(seq: Sequence, weights: WeightSet) -> bool:
+    """Whether no nonempty subsequence has a weighted sum 0: the answer of
+    has_weighted_zero_subseq(seq, weights) is None, read off the same layer
+    pass without backtracking a certificate."""
+    _check_moduli(seq, weights)
+    return not _subset_layers(seq, weights)[-1] & 1
+
+
 def has_fixed_length_zero_subseq(
     seq: Sequence, weights: WeightSet, length: int, allow_empty: bool = False
 ) -> Certificate | None:
@@ -289,12 +299,9 @@ def has_fixed_length_zero_subseq(
     return cert
 
 
-def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
-    """Weights making the WHOLE value list sum to zero, or None.
-
-    The values are taken in the order given (one weight per entry); this is
-    the exhaustive stand-in for the unit-count existence guarantees.
-    """
+def _full_layers(values, weights: WeightSet) -> tuple[list[int], list[int]]:
+    """(vals, layers): layers[j] masks the sums of the first j values, each
+    taken with one weight of A."""
     n = weights.modulus
     vals = list(values)
     if vals and not (0 <= min(vals) and max(vals) < n):
@@ -303,6 +310,23 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     layers = [1]
     for j in range(len(vals)):
         layers.append(step(0, j, layers[-1]))
+    return vals, layers
+
+
+def full_zero_sum_exists(values, weights: WeightSet) -> bool:
+    """Whether some weights make the WHOLE value list sum to zero: the answer
+    of full_zero_sum_weights(values, weights) is not None, read off the same
+    layer pass without backtracking the weights."""
+    return bool(_full_layers(values, weights)[1][-1] & 1)
+
+
+def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
+    """Weights making the WHOLE value list sum to zero, or None.
+
+    The values are taken in the order given (one weight per entry); this is
+    the exhaustive stand-in for the unit-count existence guarantees.
+    """
+    vals, layers = _full_layers(values, weights)
     if not layers[-1] & 1:
         return None
     bit = _bit_index(weights)
@@ -328,7 +352,7 @@ def crt_zero_check(seq: Sequence, profile: ModulusProfile) -> bool:
         return True
     for q in profile.prime_powers():
         proj = [t % q for t in seq.terms]
-        if full_zero_sum_weights(proj, cubes(q)) is None:
+        if not full_zero_sum_exists(proj, cubes(q)):
             return False
     return True
 

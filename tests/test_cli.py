@@ -423,30 +423,35 @@ _CHECKS = {
     "prior_bound_ceiling": {"bound": 5, "pass": True},
     "violation_forces_zero_sum": {"pass": True, "trials": 100},
 }
-# verify's whole payload, and a CRC-32 of the repr of every certificate its
-# extraction, violation, CRT and equivalence checks were handed, in call order
+# verify's whole payload; the count and CRC-32 of the repr of every
+# certificate its extraction and violation checks were handed, in call order;
+# and the same of the yes/no answers its CRT and equivalence checks compare
+# (pinned from the certificate calls these answers replace)
 VERIFY_PINS = {
     (95, 3): ({**_CHECKS, "e_value_relation": {"e_formula": 98, "pass": True},
                "lower_bound_witness_tight": {"pass": True, "witness": [1, 2, 19]}},
-              525, 0xB6E25BFE),
+              (125, 0x31A56429), (400, 0x2CA663E2)),
     (185, 7): ({**_CHECKS, "e_value_relation": {"e_formula": 188, "pass": True},
                 "lower_bound_witness_tight": {"pass": True, "witness": [1, 2, 37]}},
-               525, 0xC6FC0B30),
+               (125, 0x16025B61), (400, 0xBD405F50)),
 }
 
 
 @pytest.mark.parametrize("n, seed", sorted(VERIFY_PINS))
 def test_verify_payload_and_certificates_are_pinned(capsys, monkeypatch, n, seed):
-    checks, calls, crc = VERIFY_PINS[n, seed]
-    certs = []
-    for name in ("extract_length_m", "has_weighted_zero_subseq", "full_zero_sum_weights"):
-        func = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, f=func: certs.append(f(*a)) or certs[-1])
+    checks, cert_pin, answer_pin = VERIFY_PINS[n, seed]
+    certs, answers = [], []
+    for log, names in ((certs, ("extract_length_m", "has_weighted_zero_subseq")),
+                       (answers, ("full_zero_sum_exists", "is_zero_sum_free"))):
+        for name in names:
+            func = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, f=func, log=log: log.append(f(*a)) or log[-1])
     code, out, _ = run(capsys, "verify", "--n", str(n), "--rng-seed", str(seed))
     payload = {"all_pass": True, "checks": checks, "n": n, "weights": "cubes"}
     assert code == EXIT_OK
     assert out == json.dumps(payload, sort_keys=True) + "\n"
-    assert (len(certs), zlib.crc32(repr(certs).encode())) == (calls, crc)
+    assert (len(certs), zlib.crc32(repr(certs).encode())) == cert_pin
+    assert (len(answers), zlib.crc32(repr(answers).encode())) == answer_pin
 
 
 def test_main_keeps_no_state_between_calls(capsys, isolated_cache):
@@ -529,6 +534,12 @@ READS_55 = (("deadline", 1), ("extraction_certificates", 25), ("classes", 3),
             ("violation_forces_zero_sum", 100), ("crt_factorization", 200),
             ("power_residue_split", 2), ("equivalence_invariance", 100))
 TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - {"classes"}
+# the randomized checks, whose payload reports the trials they ran
+COUNTED_CHECKS = TRIAL_CHECKS - {"power_residue_split"}
+
+
+def trials_run(checks):
+    return {name: c["trials"] for name, c in checks.items() if "trials" in c}
 
 
 def test_verify_exhausted_budget_exits_inconclusive(capsys):
@@ -540,6 +551,7 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
     # the walk's checks, and every randomized check, cut at its first trial
     assert failing == {"formula_matches_search", "prior_bound_ceiling", "extremal_classification",
                        *TRIAL_CHECKS}
+    assert trials_run(checks) == dict.fromkeys(COUNTED_CHECKS, 0)
 
 
 def test_verify_reads_the_deadline_before_every_trial(capsys, monkeypatch):
@@ -558,11 +570,33 @@ def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where)
     monkeypatch.setattr(cli, "time", _Clock(reads))
     code, out, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_INCONCLUSIVE
-    failing = {name for name, c in json.loads(out)["checks"].items() if not c["pass"]}
+    checks = json.loads(out)["checks"]
+    failing = {name for name, c in checks.items() if not c["pass"]}
     later = {name for name, _ in READS_55[cut:]}
     if "classes" in later:
         later ^= {"classes", "extremal_classification", "coprimality_minima"}
     assert failing == later
+    # the cut check ran none or all but its last trial, every later one none
+    ran = {name: 0 if name in later else r for name, r in READS_55 if name in COUNTED_CHECKS}
+    name, r = READS_55[cut]
+    if name in COUNTED_CHECKS and where == "last":
+        ran[name] = r - 1
+    assert trials_run(checks) == ran
+
+
+def test_a_failing_trial_is_counted_and_ends_its_check(capsys, monkeypatch):
+    calls = []
+    crt_zero_check = cli.crt_zero_check
+
+    def wrong_third(seq, prof):
+        calls.append(seq)
+        return crt_zero_check(seq, prof) != (len(calls) == 3)
+
+    monkeypatch.setattr(cli, "crt_zero_check", wrong_third)
+    code, out, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_CONTRACT and len(calls) == 3
+    full = {name: r for name, r in READS_55 if name in COUNTED_CHECKS}
+    assert trials_run(json.loads(out)["checks"]) == {**full, "crt_factorization": 3}
 
 
 def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from wzs import zerosum
 from wzs.errors import ContractError, HypothesisError
-from wzs.modarith import factor, units
+from wzs.modarith import factor, theorem_hypothesis_failure, units
 from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
 from wzs.zerosum import (
     Certificate,
@@ -17,9 +17,11 @@ from wzs.zerosum import (
     _pick_weight,
     crt_zero_check,
     extract_length_m,
+    full_zero_sum_exists,
     full_zero_sum_weights,
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
+    is_zero_sum_free,
     reachable_sums,
 )
 
@@ -293,6 +295,71 @@ def test_crt_zero_check_agrees_with_direct():
         seq = Sequence.make(95, (rng.randrange(95) for _ in range(rng.randrange(7))))
         direct = full_zero_sum_weights(seq.terms, ws) is not None
         assert crt_zero_check(seq, prof) == direct
+
+
+def sumset_oracle(terms, weights):
+    """(full, free) by plain set sums: whether the whole list has a weighted
+    sum 0, and whether no nonempty subsequence has one."""
+    n = weights.modulus
+    full, some = {0}, set()
+    for x in terms:
+        ys = {a * x % n for a in weights.elements}
+        full = {(s + y) % n for s in full for y in ys}
+        some |= ys | {(s + y) % n for s in some for y in ys}
+    return 0 in full, 0 not in some
+
+
+def check_yes_no(terms, weights):
+    full, free = sumset_oracle(terms, weights)
+    ws = full_zero_sum_weights(terms, weights)
+    assert full_zero_sum_exists(terms, weights) == (ws is not None) == full, (weights, terms)
+    seq = Sequence.make(weights.modulus, terms)
+    assert is_zero_sum_free(seq, weights) == (has_weighted_zero_subseq(seq, weights) is None) == free
+    return weights.is_subgroup, weights.uses_orbits
+
+
+def yes_no_weight_sets(n):
+    """Every subgroup kind at n, and the non-subgroup {1, 2} from n = 4 on."""
+    sets = [by_kind(kind, n) for kind in ("cubes", "squares", "units", "pm1", "one")]
+    return sets + [custom(n, [1, 2])] if n >= 4 else sets
+
+
+def test_yes_no_answers_match_the_certificates_and_brute_force():
+    # every multiset of up to 4 terms at n <= 10, and random value lists of
+    # up to 8 terms in random order at every n <= 40
+    rng = random.Random(61)
+    forms = Counter()
+    for n in range(2, 41):
+        for weights in yes_no_weight_sets(n):
+            if n <= 10:
+                for terms in all_multisets(n, 4):
+                    forms[check_yes_no(list(terms), weights)] += 1
+            for _ in range(12):
+                terms = [rng.randrange(n) for _ in range(rng.randrange(5, 9))]
+                forms[check_yes_no(terms, weights)] += 1
+    # orbit masks, residue masks of a subgroup, and a non-subgroup all met
+    assert set(forms) == {(True, True), (True, False), (False, False)}
+
+
+def test_yes_no_answers_on_a_residue_mask_subgroup():
+    # pm1 at 37 has 19 orbits, past both orbit-mask rules, so its DP runs on
+    # residue masks; the zero-sum-free and full answers still match
+    rng = random.Random(67)
+    weights = by_kind("pm1", 37)
+    assert weights.is_subgroup and not weights.uses_orbits
+    for _ in range(300):
+        check_yes_no([rng.randrange(37) for _ in range(rng.randrange(9))], weights)
+
+
+def test_crt_zero_check_agrees_with_the_direct_yes_no_answer():
+    rng = random.Random(71)
+    moduli = [n for n in range(2, 400) if theorem_hypothesis_failure(factor(n)) is None]
+    assert len(moduli) == 98
+    for n in moduli:
+        prof, ws = factor(n), cubes(n)
+        for _ in range(25):
+            seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(7))))
+            assert crt_zero_check(seq, prof) == full_zero_sum_exists(seq.terms, ws), (n, seq.terms)
 
 
 def test_extract_length_m_trivial_cases():
