@@ -64,6 +64,5 @@ from .extremal import (
     construct_extremal,
     coprimality_violating_sequence,
     enumerate_extremal,
-    equivalent,
     reconstruct,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, factor, require_hypotheses
@@ -105,15 +104,6 @@ def canonicalize(seq: Sequence, weights: WeightSet) -> CanonicalSequence:
     )
 
 
-def equivalent(s: Sequence, t: Sequence, weights: WeightSet) -> bool:
-    """Whether two sequences lie in the same orbit."""
-    if s.modulus != t.modulus:
-        raise ValueError("sequences live over different moduli")
-    if len(s) != len(t):
-        return False
-    return canonicalize(s, weights).canonical == canonicalize(t, weights).canonical
-
-
 def enumerate_extremal(
     n: int, weights: WeightSet, budget: Budget | None = None
 ) -> ExtremalClasses:
@@ -177,14 +167,6 @@ def _unit_pair_zero_sum_free(x: int, y: int, p: int) -> bool:
     return pow(r, (p - 1) // math.gcd(3, p - 1), p) != 1
 
 
-@lru_cache(maxsize=4096)
-def _formula_d(n: int) -> int:
-    """The closed form's D for n, computed once per modulus: the structure
-    checks need it at every level of every class, for the same few divisors
-    of n.  A refusal is not cached, so it is raised on every call."""
-    return davenport_formula(factor(n)).value
-
-
 def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
     n = profile.n
     if len(profile.factors) <= 1:
@@ -228,29 +210,19 @@ def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
 
     case, p = qualifying[0]
     coprime = coprime_terms(p)
-    divided = tuple(t // p for t in seq.terms if t % p == 0)
-    sub_n = n // p
-    sub_profile = factor(sub_n)
-    remainder = Sequence.make(sub_n, divided)
-
     if case == "case1" and not _unit_pair_zero_sum_free(*coprime, p):
         raise TheoremViolation(
             "coprime pair image admits a weighted zero-sum",
             {"n": n, "p": p, "pair": list(coprime)},
         )
 
-    sub_d = _formula_d(sub_n)
-    if len(remainder) != sub_d - 1:
-        raise TheoremViolation(
-            "divided remainder does not have extremal length",
-            {"n": n, "p": p, "remainder": list(remainder.terms), "expected": sub_d - 1},
-        )
-    if has_weighted_zero_subseq(remainder, cubes(sub_n)) is not None:
-        raise TheoremViolation(
-            "divided remainder is not zero-sum-free",
-            {"n": n, "p": p, "remainder": list(remainder.terms)},
-        )
-    child = _classify(remainder, sub_profile)
+    # The remainder needs no check.  Its length is D(n/p) - 1: D drops by 2
+    # at a p of n1 and by 1 at a p of n2, the terms just stripped.  It is
+    # zero-sum-free: n is square-free, so its cube weights mod n/p lift by CRT
+    # to cubes mod n, and a zero-sum of it would be one of its p-multiples.
+    sub_n = n // p
+    remainder = Sequence.make(sub_n, (t // p for t in seq.terms if t % p == 0))
+    child = _classify(remainder, factor(sub_n))
     return StructureReport(
         modulus=n,
         case=case,
@@ -267,12 +239,16 @@ def classify_structure(seq: Sequence, profile: ModulusProfile) -> StructureRepor
 
     Extremality is enforced here (length D - 1 and zero-sum-free by the DP
     check), never trusted from the caller; a sequence that then fails to
-    decompose raises TheoremViolation with a full dump.
+    decompose raises TheoremViolation with a full dump.  Each divided
+    remainder inherits extremality over Z_{n/p} from these two checks: its
+    length drops with D, and since n is square-free every cube mod n/p lifts
+    by CRT to a cube mod n, so a weighted zero-sum of the remainder would be
+    one of the sequence's p-multiples.  No level re-checks it.
     """
     require_hypotheses(profile)
     if profile.n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
-    d = _formula_d(profile.n)
+    d = davenport_formula(profile).value
     if len(seq) != d - 1:
         raise HypothesisError(
             "sequence is extremal", f"length {len(seq)} != D - 1 = {d - 1}"

@@ -23,6 +23,7 @@ from wzs.weightsets import (
     pm_one,
     reduced_alphabet,
     singleton_one,
+    squares,
     units_weights,
 )
 from wzs.zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
@@ -123,6 +124,17 @@ def test_search_pins_closed_forms():
         assert davenport_search(n, pm_one(n), UNLIMITED).value == math.floor(math.log2(n)) + 1, n
         omega = sum(e for _, e in factor(n).factors)
         assert davenport_search(n, units_weights(n), UNLIMITED).value == omega + 1, n
+
+
+def test_search_pins_the_squares_closed_form():
+    # Adhikari, David and Urroz (2008), the squares result the cube result
+    # generalizes: D_squares(Z_n) = 2 * Omega(n) + 1 at square-free n
+    # coprime to 6.
+    moduli = [n for n in range(2, 400) if n % 6 in (1, 5) and factor(n).is_squarefree]
+    assert len(moduli) == 120
+    for n in moduli:
+        omega = len(factor(n).factors)
+        assert davenport_search(n, squares(n), UNLIMITED).value == 2 * omega + 1, n
 
 
 def test_node_cap_is_never_passed():
