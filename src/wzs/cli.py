@@ -471,15 +471,17 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     enum = enumerate_extremal(n, weights, budget)
     undecided = set() if enum.complete else {"extremal_classification"}
     if enum.d_value is None:
-        undecided |= {"formula_matches_search", "prior_bound_ceiling"}
+        undecided |= {"formula_matches_search", "e_value_relation", "prior_bound_ceiling"}
     checks["formula_matches_search"] = {
         "pass": enum.d_value == d_form,
         "formula": d_form,
         "search": enum.d_value,
     }
+    # E from the searched D by E = D + n - 1, against the closed form
+    e_form = e_formula(prof).value
     checks["e_value_relation"] = {
-        "pass": e_formula(prof).value == gao_E(d_form, n),
-        "e_formula": e_formula(prof).value,
+        "pass": enum.d_value is not None and gao_E(enum.d_value, n) == e_form,
+        "e_formula": e_form,
     }
     witness = lower_bound_witness(prof)
     checks["lower_bound_witness_tight"] = {
@@ -499,8 +501,9 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
                 return False, ran + 1
         return True, len(trials)
 
-    m = 3 * prof.small_omega_n1 + 2 * prof.small_omega_n2
-    length = m + 2 * prof.big_omega_n1 + prof.big_omega_n2
+    quotas = prof.unit_quotas()
+    m = sum(quota + 1 for _, quota in quotas)
+    length = m + prof.extremal_length
 
     def extracted(_) -> bool:
         seq = Sequence.make(n, (rng.randrange(n) for _ in range(length)))
@@ -523,12 +526,8 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
             break
         if classify_ok and reconstruct(classify_structure(c.canonical, prof)) != c.canonical:
             classify_ok = False
-        for p in prof.primes_n1():
-            if sum(1 for t in c.canonical.terms if t % p != 0) < 2:
-                minima_ok = False
-        for q in prof.primes_n2():
-            if sum(1 for t in c.canonical.terms if t % q != 0) < 1:
-                minima_ok = False
+        if any(sum(1 for t in c.canonical.terms if t % p) < quota for p, quota in quotas):
+            minima_ok = False
     checks["extremal_classification"] = {
         "pass": classify_ok,
         "classes": len(enum.classes),

@@ -20,7 +20,7 @@ from .invariants import (
     Budget,
     SearchStats,
     _sequences_of_length,
-    _serial_branches,
+    _walk,
     davenport_formula,
     lower_bound_witness,
 )
@@ -126,15 +126,12 @@ def enumerate_extremal(
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
     firsts, alphabet = reduced_alphabet(weights)
-    table: dict[int, int] = {}
-    results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, table)
-    exhausted_by = next((res[4] for res in results if res[4]), None)
-    longest = max((res[0] for res in results), default=0)
-    d_value = None if exhausted_by else longest + 1
+    walk = _walk(weights, firsts, alphabet, budget.max_nodes, deadline, {})
+    exhausted_by = walk.exhausted_by
+    d_value = None if exhausted_by else walk.longest + 1
 
     found: dict[tuple[int, ...], CanonicalSequence] = {}
-    leaves = _sequences_of_length(weights, alphabet, firsts, table, longest)
-    for terms in () if exhausted_by else leaves:
+    for terms in () if exhausted_by else _sequences_of_length(walk, walk.longest):
         canon = canonicalize(Sequence.make(n, terms), weights)
         found.setdefault(canon.canonical.terms, canon)
         if time.perf_counter() > deadline:
@@ -142,8 +139,7 @@ def enumerate_extremal(
             break
 
     classes = tuple(found[key] for key in sorted(found))
-    stats = SearchStats(sum(res[2] for res in results), time.perf_counter() - t0,
-                        exhausted_by, len(table))
+    stats = SearchStats(walk.nodes, time.perf_counter() - t0, exhausted_by, len(walk.table))
     return ExtremalClasses(classes, exhausted_by is None, d_value, stats)
 
 
@@ -184,24 +180,15 @@ def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
         return tuple(t for t in seq.terms if t % q != 0)
 
     qualifying: list[tuple[str, int]] = []
-    for p in profile.primes_n1():
+    for p, quota in profile.unit_quotas():
         cnt = len(coprime_terms(p))
-        if cnt < 2:
+        if cnt < quota:
             raise TheoremViolation(
-                "extremal sequence has fewer than two terms coprime to a prime of n1",
+                f"extremal sequence has fewer than {quota} terms coprime to a prime of n",
                 {"n": n, "p": p, "terms": list(seq.terms)},
             )
-        if cnt == 2:
-            qualifying.append(("case1", p))
-    for q in profile.primes_n2():
-        cnt = len(coprime_terms(q))
-        if cnt < 1:
-            raise TheoremViolation(
-                "extremal sequence has no term coprime to a prime of n2",
-                {"n": n, "q": q, "terms": list(seq.terms)},
-            )
-        if cnt == 1:
-            qualifying.append(("case2", q))
+        if cnt == quota:
+            qualifying.append(("case1" if quota == 2 else "case2", p))
     if not qualifying:
         raise TheoremViolation(
             "no prime divisor qualifies for decomposition",
@@ -274,9 +261,11 @@ def orbit_transform(seq: Sequence, weights: WeightSet, rng) -> Sequence:
     weights (the permutation is absorbed by sorted storage)."""
     _require_subgroup(weights)
     n = seq.modulus
-    unit_pool = weights.unit_group
-    c = unit_pool[rng.randrange(len(unit_pool))]
-    elems = weights.elements
+    # u -> reps[u // |A|] * A[u % |A|] maps range(|U|) onto the units U, once
+    # each: reps holds one unit per coset of A
+    reps, elems = weights.unit_coset_reps, weights.elements
+    u = rng.randrange(len(reps) * len(elems))
+    c = reps[u // len(elems)] * elems[u % len(elems)]
     terms = [c * elems[rng.randrange(len(elems))] * x % n for x in seq.terms]
     return Sequence.make(n, terms)
 
@@ -286,26 +275,26 @@ def coprimality_violating_sequence(
 ) -> Sequence:
     """A length-(D-1) sequence violating the coprimality minima on purpose.
 
-    For a chosen prime of n1 at most one term is left coprime; for a prime of
-    n2 none is.  Such sequences must always contain a weighted zero-sum
-    subsequence.
+    For a chosen prime, fewer terms than its unit quota are left coprime:
+    at most one for a prime of n1, none for a prime of n2.  Such sequences
+    must always contain a weighted zero-sum subsequence.
     """
     require_hypotheses(profile)
     n = profile.n
-    length = 2 * profile.big_omega_n1 + profile.big_omega_n2
-    pool_n1, pool_n2 = profile.primes_n1(), profile.primes_n2()
+    quotas = dict(profile.unit_quotas())
     if prime is None:
-        pool = pool_n1 + pool_n2
-        if not pool:
+        if not quotas:
             raise HypothesisError("n has an odd prime divisor", f"n = {n}")
+        pool = list(quotas)
         prime = pool[rng.randrange(len(pool))]
-    coprime_quota = rng.randrange(2) if prime in pool_n1 else 0
+    # not randrange(quota): randrange(1) draws bits and would shift the stream
+    coprime_quota = rng.randrange(2) if quotas.get(prime) == 2 else 0
     terms = []
     for _ in range(coprime_quota):
         t = rng.randrange(n)
         while t % prime == 0:
             t = rng.randrange(n)
         terms.append(t)
-    while len(terms) < length:
+    while len(terms) < profile.extremal_length:
         terms.append(prime * rng.randrange(n // prime))
     return Sequence.make(n, terms)

@@ -85,14 +85,14 @@ def davenport_formula(profile: ModulusProfile) -> InvariantResult:
     refused with the failed hypothesis named.
     """
     require_hypotheses(profile)
-    value = 2 * profile.big_omega_n1 + profile.big_omega_n2 + 1
+    value = profile.extremal_length + 1
     return InvariantResult(n=profile.n, weights="cubes", value=value, method="formula")
 
 
 def e_formula(profile: ModulusProfile) -> InvariantResult:
     """Closed form n + 2*Omega(n1) + Omega(n2) for cube weights."""
     require_hypotheses(profile)
-    value = profile.n + 2 * profile.big_omega_n1 + profile.big_omega_n2
+    value = profile.n + profile.extremal_length
     return InvariantResult(n=profile.n, weights="cubes", value=value, method="formula")
 
 
@@ -160,173 +160,164 @@ def lower_bound_witness(profile: ModulusProfile) -> Sequence:
     return seq
 
 
-def _longest_paths(step, rows, alphabet, table, bits, mask, lo, need):
-    """Every extension of the state (mask, lo) by `need` terms from
-    alphabet[lo:], in alphabet order, read lazily from a table that
-    _explore_branch filled: a child state is entered only when its tabled
-    depth leaves room for the terms still needed.  Yields nothing when the
-    state's own depth is short of `need`; the state must be fully explored.
-    """
-    if table[mask << bits | lo] < need:
-        return
-    if need == 0:
-        yield ()
-        return
-    size = len(alphabet)
-    expand, fields, full, neg = rows or (None, None, 0, [0] * size)
-    path: list[int] = []
-    frames = [[mask, lo, expand(mask | 1) if rows else 0]]  # mask, next symbol, row
-    found = False
-    while frames:
-        frame = frames[-1]
-        mask, i, row = frame
-        left = need - len(frames)  # depth the next child must have
-        while i < size:
-            if mask >> neg[i] & 1:
-                i += 1
-                continue
-            new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
-            i += 1
-            if not new & 1 and table[new << bits | i - 1] >= left:
-                break
-        else:
-            frames.pop()
-            if path:
-                path.pop()
-            continue
-        frame[1] = i
-        if left:
-            path.append(alphabet[i - 1])
-            frames.append([new, i - 1, row | expand(new ^ mask) if rows else 0])
-        else:
-            found = True
-            yield (*path, alphabet[i - 1])
-    if not found:
-        raise ContractError("table read-back found no state at the tabled depth")
+class Walk(NamedTuple):
+    """What _walk leaves: its kernel (step, rows) over the alphabet, its
+    table, the first terms whose branches finished, the longest sequence
+    those branches hold, the longest path of the branch a budget stopped
+    (empty when none did), the nodes used and the budget that ran out."""
+
+    kernel: tuple
+    alphabet: list[int]
+    table: dict[int, int]
+    finished: list[int]
+    longest: int
+    partial: tuple[int, ...]
+    nodes: int
+    exhausted_by: str | None
 
 
-def _sequences_of_length(weights, alphabet, firsts, table, length):
-    """Every zero-sum-free sequence of `length` terms, listed in alphabet
-    order from a first term in `firsts`, yielded in alphabet order, read from
-    a table that _serial_branches filled for those first terms to the end."""
-    if length == 0:
-        yield ()
-        return
-    rows = _reach_rows(weights, alphabet)
-    step = None if rows else _reach_step(weights, alphabet)
-    bits = len(alphabet).bit_length()
-    for lo in map(alphabet.index, firsts):
-        mask = rows[0](1) >> rows[1][lo] & rows[2] if rows else step(0, lo, 1)
-        if not mask & 1:
-            for rest in _longest_paths(step, rows, alphabet, table, bits, mask, lo, length - 1):
-                yield (alphabet[lo], *rest)
-
-
-def _explore_branch(
-    step,
-    rows,
+def _walk(
+    weights: WeightSet,
+    firsts: list[int],
     alphabet: list[int],
-    table: dict[int, int],
-    first: int,
     max_nodes: int,
     deadline: float,
-) -> tuple[int, tuple[int, ...], int, int, str | None]:
-    """Longest zero-sum-free sequence in alphabet order starting at `first`.
+    table: dict[int, int],
+) -> Walk:
+    """Walk the branch of each first term in turn, over one table, one
+    kernel and one node budget, until a budget runs out.
 
-    `rows` is the kernel of _reach_rows over the alphabet, or None and
-    `step` that of _reach_step.  A child that would make 0 reachable (bit
-    neg[i] of the mask) is skipped unbuilt, but counts as a node.  `table` maps a state key mask << bits | lo to
-    depth(mask, lo); it is shared by the branches of one search, and an
-    entry is written only once its state is fully explored.  The walk keeps
-    its own stack, so only the budget bounds how deep it goes.  A finished
-    branch reads its witness back from the table; an exhausted one reports
-    the longest path it saw.  `deadline` is a perf_counter() reading, the
-    same for every branch of one search.  Returns (best length, best terms,
-    nodes used, states added, exhausted budget or None).
+    The kernel is that of _reach_rows over the alphabet, or failing that of
+    _reach_step.  A child that would make 0 reachable (bit neg[i] of the
+    mask) is skipped unbuilt, but counts as a node, as does each first
+    term.  `table` maps a state key mask << bits | lo to depth(mask, lo),
+    and an entry is written only once its state is fully explored, so a
+    table left by a stopped walk serves a later one.  The walk keeps its own
+    stack, so only the budget bounds how deep it goes.  `deadline` is a
+    perf_counter() reading, read on entering each branch and every 256
+    nodes.
     """
-    out_of_time = time.perf_counter() >= deadline
-    if out_of_time or max_nodes <= 0:
-        return 0, (), 0, 0, "seconds" if out_of_time else "nodes"
-    states_before = len(table)
+    rows = _reach_rows(weights, alphabet)
+    step = None if rows else _reach_step(weights, alphabet)
     size = len(alphabet)
     # without rows, neg = 0 never skips: bit 0 of a zero-sum-free mask is clear
     expand, fields, full, neg = rows or (None, None, 0, [0] * size)
     bits = size.bit_length()
-    nodes = 1
-    start = alphabet.index(first)
-    first_mask = expand(1) >> fields[start] & full if rows else step(0, start, 1)
-    if first_mask & 1:
-        return 0, (), nodes, 0, None
-    root = first_mask << bits | start
+    finished: list[int] = []
+    longest = nodes = 0
     exhausted_by = None
-    # A frame: a state (mask, lo), the next symbol index to try, the longest
-    # extension found so far and the state's row; alphabet[lo] is its term.
-    row, best = expand(first_mask | 1) if rows else 0, (first,)
-    frames = [] if root in table else [[first_mask, start, start, 0, row]]
-    while frames:
-        frame = frames[-1]
-        mask, lo, i, d, row = frame
-        while i < size:
-            if nodes >= max_nodes:
-                exhausted_by = "nodes"
-                break
-            nodes += 1
-            # at about 0.1 ms a node on large residue masks, 256 nodes
-            # overshoot the deadline by at most about 25 ms
-            if nodes % 256 == 0 and time.perf_counter() > deadline:
-                exhausted_by = "seconds"
-                break
-            if mask >> neg[i] & 1:
-                i += 1
-                continue
-            new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
-            i += 1
-            if not new & 1:
-                known = table.get(new << bits | i - 1)
-                if known is None:
+    best: tuple[int, ...] = ()
+    for first in firsts:
+        if time.perf_counter() >= deadline:
+            exhausted_by = "seconds"
+        elif nodes >= max_nodes:
+            exhausted_by = "nodes"
+        if exhausted_by:
+            best = ()
+            break
+        nodes += 1
+        start = alphabet.index(first)
+        first_mask = expand(1) >> fields[start] & full if rows else step(0, start, 1)
+        root = first_mask << bits | start
+        # A frame: a state (mask, lo), the next symbol index to try, the longest
+        # extension found so far and the state's row; alphabet[lo] is its term.
+        row, best = expand(first_mask | 1) if rows else 0, (first,)
+        live = not first_mask & 1 and root not in table
+        frames = [[first_mask, start, start, 0, row]] if live else []
+        while frames:
+            frame = frames[-1]
+            mask, lo, i, d, row = frame
+            while i < size:
+                if nodes >= max_nodes:
+                    exhausted_by = "nodes"
                     break
-                if known >= d:
-                    d = known + 1
-        else:
-            table[mask << bits | lo] = d
-            frames.pop()
-            if frames and d >= frames[-1][3]:
-                frames[-1][3] = d + 1
-            continue
+                nodes += 1
+                # at about 0.1 ms a node on large residue masks, 256 nodes
+                # overshoot the deadline by at most about 25 ms
+                if nodes % 256 == 0 and time.perf_counter() > deadline:
+                    exhausted_by = "seconds"
+                    break
+                if mask >> neg[i] & 1:
+                    i += 1
+                    continue
+                new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
+                i += 1
+                if not new & 1:
+                    known = table.get(new << bits | i - 1)
+                    if known is None:
+                        break
+                    if known >= d:
+                        d = known + 1
+            else:
+                table[mask << bits | lo] = d
+                frames.pop()
+                if frames and d >= frames[-1][3]:
+                    frames[-1][3] = d + 1
+                continue
+            if exhausted_by:
+                break
+            frame[2], frame[3] = i, d
+            frames.append([new, i - 1, i - 1, 0, row | expand(new ^ mask) if rows else 0])
+            if len(frames) > len(best):
+                # A list, not a generator expression: with one, repeated searches
+                # held memory until a full collection ran (+0.5 MB of peak RSS).
+                best = tuple([alphabet[f[1]] for f in frames])
         if exhausted_by:
             break
-        frame[2], frame[3] = i, d
-        frames.append([new, i - 1, i - 1, 0, row | expand(new ^ mask) if rows else 0])
-        if len(frames) > len(best):
-            # A list, not a generator expression: with one, repeated searches
-            # held memory until a full collection ran (+0.5 MB of peak RSS).
-            best = tuple([alphabet[f[1]] for f in frames])
-    if exhausted_by is None:
-        rest = _longest_paths(step, rows, alphabet, table, bits, first_mask, start, table[root])
-        best = (first,) + next(rest)
-    return len(best), best, nodes, len(table) - states_before, exhausted_by
+        finished.append(first)
+        if not first_mask & 1:
+            longest = max(longest, table[root] + 1)
+    partial = best if exhausted_by else ()
+    return Walk((step, rows), alphabet, table, finished, longest, partial, nodes, exhausted_by)
 
 
-def _serial_branches(
-    weights: WeightSet,
-    alphabet: list[int],
-    firsts: list[int],
-    max_nodes: int,
-    deadline: float,
-    table: dict[int, int],
-) -> list[tuple[int, tuple[int, ...], int, int, str | None]]:
-    """_explore_branch for each first term in turn over one shared table, one
-    kernel and one node budget, stopping at the first branch that exhausts it."""
-    rows = _reach_rows(weights, alphabet)
-    step = None if rows else _reach_step(weights, alphabet)
-    results = []
-    for first in firsts:
-        res = _explore_branch(step, rows, alphabet, table, first, max_nodes, deadline)
-        results.append(res)
-        max_nodes -= res[2]
-        if res[4]:
-            break
-    return results
+def _sequences_of_length(walk: Walk, length: int):
+    """Every zero-sum-free sequence of `length` terms from a first term whose
+    branch the walk finished, in alphabet order, read lazily from its table
+    on its kernel: a child state is entered only when its tabled depth
+    leaves room for the terms still needed."""
+    if length == 0:
+        yield ()
+        return
+    (step, rows), alphabet, table = walk.kernel, walk.alphabet, walk.table
+    size = len(alphabet)
+    expand, fields, full, neg = rows or (None, None, 0, [0] * size)
+    bits = size.bit_length()
+    for lo in map(alphabet.index, walk.finished):
+        mask = expand(1) >> fields[lo] & full if rows else step(0, lo, 1)
+        if mask & 1 or table[mask << bits | lo] < length - 1:
+            continue
+        if length == 1:
+            yield (alphabet[lo],)
+            continue
+        path = [alphabet[lo]]
+        frames = [[mask, lo, expand(mask | 1) if rows else 0]]  # mask, next symbol, row
+        found = False
+        while frames:
+            frame = frames[-1]
+            mask, i, row = frame
+            left = length - 1 - len(frames)  # depth the next child must have
+            while i < size:
+                if mask >> neg[i] & 1:
+                    i += 1
+                    continue
+                new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
+                i += 1
+                if not new & 1 and table[new << bits | i - 1] >= left:
+                    break
+            else:
+                frames.pop()
+                path.pop()
+                continue
+            frame[1] = i
+            if left:
+                path.append(alphabet[i - 1])
+                frames.append([new, i - 1, row | expand(new ^ mask) if rows else 0])
+            else:
+                found = True
+                yield (*path, alphabet[i - 1])
+        if not found:
+            raise ContractError("table read-back found no state at the tabled depth")
 
 
 def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -> InvariantResult:
@@ -344,45 +335,40 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
     if n < 2:
         raise ValueError("search needs n >= 2")
     budget = budget or Budget()
-    firsts, alphabet = reduced_alphabet(weights)
 
     # the witness seeds the incumbent, the prior bound caps an inconclusive answer
     cube_bounds = weights.kind == "cubes" and not theorem_hypothesis_failure(factor(n), exact=False)
-    incumbent = lower_bound_witness(factor(n)) if cube_bounds else None
+    incumbent = lower_bound_witness(factor(n)).terms if cube_bounds else ()
 
     t0 = time.perf_counter()
-    deadline = t0 + budget.max_seconds
-    results = _serial_branches(weights, alphabet, firsts, budget.max_nodes, deadline, {})
-
-    best_len = len(incumbent) if incumbent is not None else 0
-    best_terms = incumbent.terms if incumbent is not None else ()
-    total_nodes = total_states = 0
-    exhausted_by = None
-    for blen, bterms, bnodes, bstates, bex in results:
-        total_nodes += bnodes
-        total_states += bstates
-        exhausted_by = exhausted_by or bex
-        if blen > best_len:
-            best_len, best_terms = blen, bterms
+    firsts, alphabet = reduced_alphabet(weights)
+    walk = _walk(weights, firsts, alphabet, budget.max_nodes, t0 + budget.max_seconds, {})
+    # the first longest sequence: the incumbent, a finished branch's, or the
+    # stopped branch's partial path, in that order
+    best = incumbent
+    if walk.longest > len(best):
+        best = next(_sequences_of_length(walk, walk.longest))
+    if len(walk.partial) > len(best):
+        best = walk.partial
     stats = SearchStats(
-        nodes=total_nodes,
+        nodes=walk.nodes,
         wall_time=time.perf_counter() - t0,
-        exhausted_by=exhausted_by,
-        states=total_states,
+        exhausted_by=walk.exhausted_by,
+        states=len(walk.table),
     )
 
-    witness = Sequence.make(n, best_terms)
+    witness = Sequence.make(n, best)
     if has_weighted_zero_subseq(witness, weights) is not None:
         raise ContractError(f"search produced a witness that is not zero-sum-free: {witness}")
 
-    if exhausted_by:
+    if walk.exhausted_by:
         return InvariantResult(
             n=n,
             weights=weights.kind,
             value=None,
             method="search",
             conclusive=False,
-            lower=best_len + 1,
+            lower=len(best) + 1,
             upper=prior_upper_bound(factor(n)).d_bound if cube_bounds else None,
             witness=witness,
             stats=stats,
@@ -390,9 +376,8 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
     return InvariantResult(
         n=n,
         weights=weights.kind,
-        value=best_len + 1,
+        value=len(best) + 1,
         method="search",
         witness=witness,
         stats=stats,
     )
-

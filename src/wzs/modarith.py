@@ -64,11 +64,18 @@ class ModulusProfile:
     def prime_powers(self) -> list[int]:
         return [p**e for p, e in self.factors]
 
-    def primes_n1(self) -> list[int]:
-        return sorted(p for p, _ in self.factors if p % 3 == 1)
+    def unit_quotas(self) -> list[tuple[int, int]]:
+        """The per-prime unit rule of the structure result: (p, 2) for each
+        prime of n1, then (q, 1) for each of n2, each in increasing order.
+        An extremal sequence keeps at least `quota` terms coprime to each
+        prime, and exactly that many at some prime where it decomposes."""
+        n1 = [(p, 2) for p, _ in self.factors if p % 3 == 1]
+        return n1 + [(q, 1) for q, _ in self.factors if q % 3 == 2 and q != 2]
 
-    def primes_n2(self) -> list[int]:
-        return sorted(p for p, _ in self.factors if p % 3 == 2 and p != 2)
+    @property
+    def extremal_length(self) -> int:
+        """D - 1 = 2*Omega(n1) + Omega(n2): each quota once per multiplicity."""
+        return 2 * self.big_omega_n1 + self.big_omega_n2
 
     def divisors(self) -> list[int]:
         ds = [1]

@@ -105,11 +105,6 @@ class WeightSet:
         return tuple(sum(c[o] << q * k for q, c in enumerate(cols)) for o in range(k))
 
     @cached_property
-    def unit_group(self) -> tuple[int, ...]:
-        """The units mod n in increasing order."""
-        return tuple(sorted(units(self.modulus)))
-
-    @cached_property
     def unit_coset_reps(self) -> tuple[int, ...]:
         """One unit per coset of A in the unit group (its least member);
         only meaningful when A is a subgroup."""

@@ -365,64 +365,22 @@ def _lift_weight(w: int, sub_n: int, weights: WeightSet) -> int:
     raise ContractError(f"no lift of weight {w} from modulus {sub_n}")
 
 
-def _choose_with_units(pairs, p: int, need: int, m: int) -> list[int]:
-    # Positions of the first `need` units, padded in index order up to m.
-    chosen: list[int] = []
-    taken = set()
-    for pos, (_, v) in enumerate(pairs):
-        if len(chosen) == need:
-            break
-        if v % p != 0:
-            chosen.append(pos)
-            taken.add(pos)
-    for pos in range(len(pairs)):
-        if len(chosen) == m:
-            break
-        if pos not in taken:
-            chosen.append(pos)
-            taken.add(pos)
-    return sorted(chosen)
-
-
 def _extract(pairs: list[tuple[int, int]], n: int, m: int) -> list[tuple[int, int]]:
-    """Recursive zero-sum extraction; returns (original index, weight) picks."""
+    """Recursive zero-sum extraction; returns (original index, weight) picks.
+
+    A prime with no more coprime terms than its unit quota is divided out;
+    past that, every prime sees quota + 1 units and the picks combine by CRT.
+    Z_1 takes any m terms, each with weight 0 mod 1."""
     prof = factor(n)
-
-    if len(prof.factors) == 1:
-        p = n
-        need = 3 if p % 3 == 1 else 2
-        unit_count = sum(1 for _, v in pairs if v % p != 0)
-        if unit_count >= need:
-            chosen = _choose_with_units(pairs, p, need, m)
-            weight_set = cubes(p)
-            ws = full_zero_sum_weights([pairs[pos][1] % p for pos in chosen], weight_set)
-            if ws is None:
-                raise TheoremViolation(
-                    "unit-rich sequence admitted no full weighted zero-sum",
-                    {"p": p, "pairs": pairs, "chosen": chosen},
-                )
-            return [(pairs[pos][0], a) for pos, a in zip(chosen, ws)]
-        divisible = [pos for pos, (_, v) in enumerate(pairs) if v % p == 0]
-        if len(divisible) < m:
-            raise ContractError("too few p-divisible terms in base case")
-        return [(pairs[pos][0], 1) for pos in divisible[:m]]
-
-    def coprime_count(q: int) -> int:
-        return sum(1 for _, v in pairs if v % q != 0)
-
-    for p in prof.primes_n1():
-        if coprime_count(p) <= 2:
+    for p, quota in prof.unit_quotas():
+        if sum(1 for _, v in pairs if v % p != 0) <= quota:
             return _drop_and_recurse(pairs, n, m, p)
-    for q in prof.primes_n2():
-        if coprime_count(q) <= 1:
-            return _drop_and_recurse(pairs, n, m, q)
     return _combine_by_crt(pairs, prof, m)
 
 
 def _drop_and_recurse(pairs, n: int, m: int, p: int) -> list[tuple[int, int]]:
     sub_n = n // p
-    sub = factor(sub_n)
-    needed = m + 2 * sub.big_omega_n1 + sub.big_omega_n2
+    needed = m + factor(sub_n).extremal_length
     keep = [(idx, v) for idx, v in pairs if v % p == 0]
     if len(keep) < needed:
         raise ContractError(f"not enough p-divisible terms to recurse at p={p}")
@@ -434,6 +392,8 @@ def _drop_and_recurse(pairs, n: int, m: int, p: int) -> list[tuple[int, int]]:
 def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]]:
     # Every prime sees enough units: pick a unit-rich core, pad to m terms,
     # solve per prime with full-selection DP, then glue the weights by CRT.
+    # A CRT of cubes mod each prime is a cube mod the square-free n, as
+    # extract_length_m's final check confirms.
     selected: list[int] = []
     taken: set[int] = set()
 
@@ -449,10 +409,9 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
         if have < quota:
             raise ContractError(f"could not gather {quota} units for prime {q}")
 
-    for p in prof.primes_n1():
-        ensure(p, 3)
-    for q in prof.primes_n2():
-        ensure(q, 2)
+    quotas = prof.unit_quotas()
+    for p, quota in quotas:
+        ensure(p, quota + 1)
     for pos in range(len(pairs)):
         if len(selected) == m:
             break
@@ -461,28 +420,17 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
             taken.add(pos)
     chosen = sorted(selected)
 
-    primes = prof.primes_n1() + prof.primes_n2()
-    per_prime: dict[int, list[int]] = {}
-    for r in primes:
+    per_prime = []
+    for r, _ in quotas:
         ws = full_zero_sum_weights([pairs[pos][1] % r for pos in chosen], cubes(r))
         if ws is None:
             raise TheoremViolation(
                 "unit-rich core admitted no weighted zero-sum at a prime",
                 {"prime": r, "pairs": pairs, "chosen": chosen},
             )
-        per_prime[r] = ws
-
-    weight_set = cubes(prof.n)
-    out = []
-    for k, pos in enumerate(chosen):
-        a = crt_combine([(per_prime[r][k], r) for r in primes])
-        if a not in weight_set:
-            raise TheoremViolation(
-                "CRT-combined weight left the cube set",
-                {"weight": a, "n": prof.n},
-            )
-        out.append((pairs[pos][0], a))
-    return out
+        per_prime.append((r, ws))
+    return [(pairs[pos][0], crt_combine([(ws[k], r) for r, ws in per_prime]))
+            for k, pos in enumerate(chosen)]
 
 
 def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certificate:
@@ -498,10 +446,10 @@ def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certific
     failure = "n >= 2" if n < 2 else theorem_hypothesis_failure(profile)
     if failure:
         raise HypothesisError(failure)
-    m_min = 3 * profile.small_omega_n1 + 2 * profile.small_omega_n2
+    m_min = sum(quota + 1 for _, quota in profile.unit_quotas())
     if m < m_min:
         raise HypothesisError(f"m >= 3*omega(n1) + 2*omega(n2) = {m_min}", f"got m = {m}")
-    expected_len = m + 2 * profile.big_omega_n1 + profile.big_omega_n2
+    expected_len = m + profile.extremal_length
     if len(seq) != expected_len:
         raise HypothesisError(
             f"sequence length = m + 2*Omega(n1) + Omega(n2) = {expected_len}",

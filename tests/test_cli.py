@@ -548,9 +548,10 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
     checks = json.loads(out)["checks"]
     assert checks["formula_matches_search"]["search"] is None
     failing = {name for name, c in checks.items() if not c["pass"]}
-    # the walk's checks, and every randomized check, cut at its first trial
-    assert failing == {"formula_matches_search", "prior_bound_ceiling", "extremal_classification",
-                       *TRIAL_CHECKS}
+    # the walk's checks (E from the searched D among them), and every
+    # randomized check, cut at its first trial
+    assert failing == {"formula_matches_search", "e_value_relation", "prior_bound_ceiling",
+                       "extremal_classification", *TRIAL_CHECKS}
     assert trials_run(checks) == dict.fromkeys(COUNTED_CHECKS, 0)
 
 

@@ -27,6 +27,21 @@ def test_factor_prime_power_split():
     assert prof.big_omega_n1 == 3 and prof.small_omega_n1 == 1
 
 
+def test_unit_quotas_state_the_per_prime_rule():
+    # (p, 2) for the primes 1 mod 3, then (q, 1) for the odd primes 2 mod 3,
+    # each in increasing order; 2 and 3 carry no quota
+    assert factor(95).unit_quotas() == [(19, 2), (5, 1)]
+    assert factor(2 * 3 * 5 * 7 * 11 * 13).unit_quotas() == [(7, 2), (13, 2), (5, 1), (11, 1)]
+    assert factor(1).unit_quotas() == [] and factor(1).extremal_length == 0
+    for n in range(1, 2000):
+        prof = factor(n)
+        quotas = prof.unit_quotas()
+        assert [p for p, q in quotas if q == 2] == [p for p, _ in prof.factors if p % 3 == 1]
+        assert [p for p, q in quotas if q == 1] == [p for p, _ in prof.factors if p % 3 == 2 and p > 2]
+        assert [q for _, q in quotas] == sorted((q for _, q in quotas), reverse=True)
+        assert prof.extremal_length == sum(dict(quotas).get(p, 0) * e for p, e in prof.factors)
+
+
 def test_factor_out_of_range():
     with pytest.raises(ValueError):
         factor(0)

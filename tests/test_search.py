@@ -3,16 +3,16 @@ replaced, against closed forms from the literature, and under budgets."""
 
 import math
 import time
+import zlib
 
 import pytest
 
 from wzs import invariants
-from wzs.extremal import canonicalize
+from wzs.extremal import canonicalize, enumerate_extremal
 from wzs.invariants import (
     Budget,
-    _explore_branch,
     _sequences_of_length,
-    _serial_branches,
+    _walk,
     davenport_search,
     lower_bound_witness,
 )
@@ -26,7 +26,7 @@ from wzs.weightsets import (
     squares,
     units_weights,
 )
-from wzs.zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
+from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 UNLIMITED = Budget(max_nodes=10**12, max_seconds=float("inf"))
 
@@ -224,13 +224,11 @@ def _classes(weights, space):
     """(longest length, canonical forms of the longest sequences) from one
     walk and read-back over space = (firsts, alphabet)."""
     firsts, alphabet = space
-    table: dict[int, int] = {}
-    results = _serial_branches(weights, alphabet, firsts, 10**12, float("inf"), table)
-    assert not any(res[4] for res in results)
-    longest = max(res[0] for res in results)
-    leaves = _sequences_of_length(weights, alphabet, firsts, table, longest)
+    walk = _walk(weights, firsts, alphabet, 10**12, float("inf"), {})
+    assert walk.exhausted_by is None and walk.finished == firsts
+    leaves = _sequences_of_length(walk, walk.longest)
     n = weights.modulus
-    return longest, {canonicalize(Sequence.make(n, t), weights).canonical.terms for t in leaves}
+    return walk.longest, {canonicalize(Sequence.make(n, t), weights).canonical.terms for t in leaves}
 
 
 @pytest.mark.parametrize("n", [63, 95, 126, 185, 589, 2945])
@@ -276,15 +274,20 @@ def test_exhausted_branch_leaves_no_partial_entry():
     n = 16
     weights = by_kind("one", n)
     firsts, alphabet = reduced_alphabet(weights)
-    kernel = _reach_step(weights, alphabet), _reach_rows(weights, alphabet)
     deadline = time.perf_counter() + 60.0
-    fresh = _explore_branch(*kernel, alphabet, {}, firsts[0], 10**9, deadline)
+
+    def walk(max_nodes, table):
+        """The first branch's walk, and its longest sequence read back."""
+        w = _walk(weights, firsts[:1], alphabet, max_nodes, deadline, table)
+        return w, None if w.exhausted_by else next(_sequences_of_length(w, w.longest))
+
+    fresh = walk(10**9, {})
     table: dict[int, int] = {}
-    cut = _explore_branch(*kernel, alphabet, table, firsts[0], 500, deadline)
-    assert cut[4] == "nodes"
-    resumed = _explore_branch(*kernel, alphabet, table, firsts[0], 10**9, deadline)
-    assert resumed[:2] == fresh[:2]
-    assert resumed[4] is None
+    cut = walk(500, table)
+    assert cut[0].exhausted_by == "nodes" and cut[0].finished == []
+    resumed = walk(10**9, table)
+    assert (resumed[0].longest, resumed[1]) == (fresh[0].longest, fresh[1])
+    assert resumed[0].exhausted_by is None
 
 
 def test_exhausted_search_returns_a_zero_sum_free_lower_bound():
@@ -293,3 +296,61 @@ def test_exhausted_search_returns_a_zero_sum_free_lower_bound():
     assert not res.conclusive and res.stats.exhausted_by == "nodes"
     assert res.lower == len(res.witness) + 1 >= 2
     assert has_weighted_zero_subseq(res.witness, weights) is None
+
+
+def search_summary(weights, cap):
+    """What a search capped at `cap` nodes reports: value, bracket, witness,
+    nodes, states and the budget that ran out; for a subgroup, also what the
+    enumeration under the same cap reports: D, completeness, the classes
+    with their orbit sizes, nodes, states and the budget that ran out."""
+    n = weights.modulus
+    res = davenport_search(n, weights, Budget(max_nodes=cap))
+    s = res.stats
+    out = [res.value, res.lower, res.upper, res.witness.terms, s.nodes, s.states, s.exhausted_by]
+    if weights.is_subgroup:
+        enum = enumerate_extremal(n, weights, Budget(max_nodes=cap))
+        s = enum.stats
+        classes = [(c.canonical.terms, c.orbit_size) for c in enum.classes]
+        out += [enum.d_value, enum.complete, classes, s.nodes, s.states, s.exhausted_by]
+    return out
+
+
+# (kind, n, custom elements, node cap): the search's nodes and the CRC-32 of
+# the repr of search_summary, pinned from the search that read a witness
+# back in every finished branch.  The caps stop the walk in its first
+# branch, after some finished branches (with the incumbent at 2945), or not
+# at all; at squares 45 and cubes 95 the stopped branch's path ties a
+# finished branch's sequence and the incumbent, which it must not replace.
+SEARCH_PINS = {
+    ("one", 40, None, 1): (1, 0xCFE5D71A),
+    ("one", 40, None, 255): (255, 0x398785F5),
+    ("one", 40, None, 256): (256, 0x0334954A),
+    ("one", 40, None, 5000): (5000, 0xC8A6995D),
+    ("custom", 300, "1,5,7", 1): (1, 0x9ABC8566),
+    ("custom", 300, "1,5,7", 255): (255, 0xCCE38B75),
+    ("custom", 300, "1,5,7", 256): (256, 0xB082AEAE),
+    ("custom", 300, "1,5,7", 5000): (5000, 0x428178CF),
+    ("cubes", 126, None, 1): (1, 0xCFE5D71A),
+    ("cubes", 126, None, 255): (255, 0x95DD0B2E),
+    ("cubes", 126, None, 256): (256, 0x6DC50956),
+    ("cubes", 126, None, 5000): (5000, 0x4A2353D4),
+    ("squares", 252, None, 1): (1, 0xCFE5D71A),
+    ("squares", 252, None, 255): (255, 0x5AB2CBB3),
+    ("squares", 252, None, 256): (256, 0x1CED8D98),
+    ("squares", 252, None, 5000): (5000, 0x9353C768),
+    ("cubes", 126, None, 50000): (50000, 0x08541496),
+    ("cubes", 126, None, 10**6): (59122, 0xBBD97B1D),
+    ("cubes", 2945, None, 2000): (2000, 0xE9C3C3C8),
+    ("cubes", 2945, None, 10**6): (2829, 0xC6853E8B),
+    ("units", 60, None, 200): (200, 0x1A699986),
+    ("units", 60, None, 10**6): (430, 0x599C3A19),
+    ("squares", 45, None, 1123): (1123, 0x9020D73E),
+    ("cubes", 95, None, 9): (9, 0x41F89399),
+}
+
+
+@pytest.mark.parametrize("kind, n, elems, cap", sorted(SEARCH_PINS, key=repr))
+def test_node_capped_searches_are_pinned(kind, n, elems, cap):
+    weights = by_kind(kind, n, [int(x) for x in elems.split(",")] if elems else None)
+    summary = search_summary(weights, cap)
+    assert (summary[4], zlib.crc32(repr(summary).encode())) == SEARCH_PINS[kind, n, elems, cap]

@@ -170,7 +170,12 @@ def test_kind_constructors_return_one_instance_per_modulus():
     assert coset_minima(cubes(95)) is coset_minima(cubes(95))
 
 
-def test_unit_group_is_sorted_units_built_once():
-    for n in (2, 19, 95, 185):
-        assert cubes(n).unit_group == tuple(sorted(units(n)))
-    assert cubes(95).unit_group is cubes(95).unit_group
+def test_coset_reps_times_weights_hit_every_unit_once():
+    # orbit_transform draws its unit scaling as u -> reps[u // |A|] * A[u % |A|]
+    # over range(|reps| * |A|); that map must be a bijection onto the units.
+    for n in (2, 19, 95, 185, 2945):
+        for ws in (cubes(n), squares(n), units_weights(n), pm_one(n), singleton_one(n)):
+            reps, elems = ws.unit_coset_reps, ws.elements
+            hits = sorted(reps[u // len(elems)] * elems[u % len(elems)] % n
+                          for u in range(len(reps) * len(elems)))
+            assert hits == sorted(units(n)), (n, ws.kind)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import zlib
 from collections import Counter
 
 import pytest
@@ -394,6 +395,26 @@ def test_extract_length_m_case_paths():
     seq = Sequence.make(95, [5, 10, 15, 20, 25, 30, 35, 3])
     cert = extract_length_m(seq, prof, 5)
     assert cert.verify(seq, ws) and len(cert.picked) == 5
+
+
+def test_extraction_certificates_are_pinned():
+    # Every hypothesis n < 1200, one-prime moduli included, with 12
+    # sequences from random.Random(n) at m = m_min and m_min + 2: the count
+    # and CRC-32 of the repr of every (n, m, terms, picked), pinned from the
+    # extraction that still had its own one-prime base case.
+    log = []
+    for n in range(2, 1200):
+        prof = factor(n)
+        if theorem_hypothesis_failure(prof):
+            continue
+        quota = [2 if p % 3 == 1 else 1 for p, _ in prof.factors]
+        rng = random.Random(n)
+        m_min = sum(q + 1 for q in quota)
+        for m in (m_min, m_min + 2):
+            for _ in range(12):
+                seq = Sequence.make(n, (rng.randrange(n) for _ in range(m + sum(quota))))
+                log.append((n, m, seq.terms, extract_length_m(seq, prof, m).picked))
+    assert (len(log), zlib.crc32(repr(log).encode())) == (7104, 0x99DBF816)
 
 
 def test_extract_length_m_hypothesis_refusals():
