@@ -388,12 +388,6 @@ def _cmd_table(args) -> int:
     return code
 
 
-def _structure_or_none(canon_seq, prof):
-    if theorem_hypothesis_failure(prof) is not None:
-        return None
-    return classify_structure(canon_seq, prof).to_dict()
-
-
 def _cmd_extremal(args) -> int:
     weights = _weights_from(args)
     budget = _budget_from(args)
@@ -426,16 +420,16 @@ def _cmd_extremal(args) -> int:
         return EXIT_OK
     t0 = time.perf_counter()
     enum = enumerate_extremal(args.n, weights, budget)
-    classes = []
-    for c in enum.classes:
-        entry = {
+    # the structure result speaks only about cube weights within the hypotheses
+    structured = weights.kind == "cubes" and theorem_hypothesis_failure(prof) is None
+    classes = [
+        {
             "canonical": list(c.canonical.terms),
             "orbit_size": c.orbit_size,
-            "structure": (
-                _structure_or_none(c.canonical, prof) if weights.kind == "cubes" else None
-            ),
+            "structure": classify_structure(c.canonical, prof).to_dict() if structured else None,
         }
-        classes.append(entry)
+        for c in enum.classes
+    ]
     out = {
         "n": args.n,
         "weights": weights.kind,
@@ -513,27 +507,6 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
     ok, ran = passes("extraction_certificates", range(25), extracted)
     checks["extraction_certificates"] = {"pass": ok, "trials": ran, "m": m}
 
-    # classify_structure refuses a class whose length is not the closed
-    # form's D - 1, so a walk that disagrees fails this check, not the run;
-    # an incomplete enumeration is undecided already, so none is classified
-    classify_ok = enum.complete and enum.d_value == d_form
-    minima_ok = True
-    for c in enum.classes:
-        if time.perf_counter() > deadline:  # what has not failed is undecided
-            cut = {"extremal_classification": classify_ok, "coprimality_minima": minima_ok}
-            undecided |= {name for name, ok in cut.items() if ok}
-            classify_ok = minima_ok = False
-            break
-        if classify_ok and reconstruct(classify_structure(c.canonical, prof)) != c.canonical:
-            classify_ok = False
-        if any(sum(1 for t in c.canonical.terms if t % p) < quota for p, quota in quotas):
-            minima_ok = False
-    checks["extremal_classification"] = {
-        "pass": classify_ok,
-        "classes": len(enum.classes),
-    }
-    checks["coprimality_minima"] = {"pass": minima_ok}
-
     def forced(_) -> bool:
         violator = coprimality_violating_sequence(prof, rng)
         return has_weighted_zero_subseq(violator, weights) is not None
@@ -573,6 +546,23 @@ def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
 
     ok, ran = passes("equivalence_invariance", range(100), invariant)
     checks["equivalence_invariance"] = {"pass": ok, "trials": ran}
+
+    # the per-class checks, one trial a class, draw nothing from the RNG.
+    # classify_structure refuses a class whose length is not the closed
+    # form's D - 1, so a walk that disagrees fails this check, not the run;
+    # an incomplete enumeration is undecided already, so none is classified
+    def classified(c) -> bool:
+        return reconstruct(classify_structure(c.canonical, prof)) == c.canonical
+
+    ok = enum.complete and enum.d_value == d_form
+    ok = ok and passes("extremal_classification", enum.classes, classified)[0]
+    checks["extremal_classification"] = {"pass": ok, "classes": len(enum.classes)}
+
+    def coprime_enough(c) -> bool:
+        return all(sum(1 for t in c.canonical.terms if t % p) >= quota for p, quota in quotas)
+
+    ok = passes("coprimality_minima", enum.classes, coprime_enough)[0]
+    checks["coprimality_minima"] = {"pass": ok}
 
     bound = prior_upper_bound(prof).d_bound
     checks["prior_bound_ceiling"] = {

@@ -9,12 +9,11 @@ is an orbit invariant, so one canonical representative per class suffices.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, factor, require_hypotheses
+from .modarith import ModulusProfile, factor, is_cube_mod_prime, require_hypotheses
 from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
 from .invariants import (
     Budget,
@@ -29,13 +28,12 @@ from .zerosum import Sequence, has_weighted_zero_subseq
 
 @dataclass(frozen=True)
 class CanonicalSequence:
-    """A sequence with its canonical orbit representative.
+    """The canonical orbit representative of a sequence, with its orbit size.
 
     orbit_size counts the distinct coset-normalized forms the unit scaling
     produces; canonical is the lexicographically least of them.
     """
 
-    base: Sequence
     orbit_size: int
     canonical: Sequence
 
@@ -98,7 +96,6 @@ def canonicalize(seq: Sequence, weights: WeightSet) -> CanonicalSequence:
         tuple(sorted(rep[c * x % n] for x in seq.terms)) for c in weights.unit_coset_reps
     }
     return CanonicalSequence(
-        base=seq,
         orbit_size=len(candidates),
         canonical=Sequence(n, min(candidates)),
     )
@@ -157,10 +154,8 @@ def construct_extremal(profile: ModulusProfile) -> Sequence:
 
 def _unit_pair_zero_sum_free(x: int, y: int, p: int) -> bool:
     """Whether units x, y mod the prime p are cube-weighted zero-sum-free:
-    a*x + b*y = 0 needs -y/x = a/b, a cube, and by Euler's criterion a unit
-    r is a cube mod p exactly when r^((p-1)/gcd(3, p-1)) = 1."""
-    r = -y * pow(x, -1, p) % p
-    return pow(r, (p - 1) // math.gcd(3, p - 1), p) != 1
+    a*x + b*y = 0 needs -y/x = a/b, a cube."""
+    return not is_cube_mod_prime(-y * pow(x, -1, p) % p, p)
 
 
 def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:

@@ -25,7 +25,14 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .errors import ContractError
-from .modarith import ModulusProfile, factor, require_hypotheses, theorem_hypothesis_failure
+from .modarith import (
+    ModulusProfile,
+    factor,
+    is_cube_mod_prime,
+    require_hypotheses,
+    theorem_hypothesis_failure,
+    unit_quota,
+)
 from .weightsets import WeightSet, cubes, reduced_alphabet
 from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
 
@@ -117,19 +124,11 @@ def prior_upper_bound(profile: ModulusProfile) -> PriorBound:
     return PriorBound(d_bound=d, e_bound=profile.n + d - 1)
 
 
-def _least_non_cube(p: int) -> int:
-    cube_set = cubes(p)
-    for x in range(2, p):
-        if x not in cube_set:
-            return x
-    raise ContractError(f"no non-cube unit mod {p}")
-
-
 def _prime_witness(p: int) -> list[int]:
     # Zero-sum-free atom for one prime: a unit pair with non-cube ratio when
-    # the cube subgroup is proper, the single unit (1) otherwise.
-    if p % 3 == 1:
-        return [1, _least_non_cube(p)]
+    # the cube subgroup is proper (p of n1), the single unit (1) otherwise.
+    if unit_quota(p) == 2:
+        return [1, next(x for x in range(2, p) if not is_cube_mod_prime(x, p))]
     return [1]
 
 
@@ -361,23 +360,15 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
     if has_weighted_zero_subseq(witness, weights) is not None:
         raise ContractError(f"search produced a witness that is not zero-sum-free: {witness}")
 
-    if walk.exhausted_by:
-        return InvariantResult(
-            n=n,
-            weights=weights.kind,
-            value=None,
-            method="search",
-            conclusive=False,
-            lower=len(best) + 1,
-            upper=prior_upper_bound(factor(n)).d_bound if cube_bounds else None,
-            witness=witness,
-            stats=stats,
-        )
+    stopped = walk.exhausted_by is not None
     return InvariantResult(
         n=n,
         weights=weights.kind,
-        value=len(best) + 1,
+        value=None if stopped else len(best) + 1,
         method="search",
+        conclusive=not stopped,
+        lower=len(best) + 1 if stopped else None,
+        upper=prior_upper_bound(factor(n)).d_bound if stopped and cube_bounds else None,
         witness=witness,
         stats=stats,
     )

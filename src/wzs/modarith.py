@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import HypothesisError
 
@@ -29,9 +29,27 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
+def unit_quota(p: int) -> int:
+    """The per-prime unit rule of the structure result, the one place the
+    primes of n are split by class mod 3: a prime p = 1 (mod 3) goes to n1
+    with quota 2, an odd p = 2 (mod 3) to n2 with quota 1, and 2 and 3 to
+    neither (quota 0).  An extremal sequence keeps at least `quota` terms
+    coprime to p, and exactly that many at some p where it decomposes."""
+    if p in (2, 3):
+        return 0
+    return 2 if p % 3 == 1 else 1
+
+
+def is_cube_mod_prime(r: int, p: int) -> bool:
+    """Whether the unit r is a cube mod the prime p, by Euler's criterion:
+    r^((p-1)/gcd(3, p-1)) = 1."""
+    return pow(r, (p - 1) // math.gcd(3, p - 1), p) == 1
+
+
 @dataclass(frozen=True)
 class ModulusProfile:
-    """A modulus with its factorization split by prime residue class mod 3.
+    """A modulus with its factorization.  The split of its primes by
+    unit_quota is derived on first read and kept: factor() shares profiles.
 
     n1 collects the prime powers p^e with p = 1 (mod 3) and n2 those with odd
     p = 2 (mod 3).  Powers of 2 and 3 land in three_part so that the
@@ -41,13 +59,37 @@ class ModulusProfile:
 
     n: int
     factors: tuple[tuple[int, int], ...]
-    n1: int
-    n2: int
-    three_part: int
-    big_omega_n1: int
-    big_omega_n2: int
-    small_omega_n1: int
-    small_omega_n2: int
+
+    def _part(self, quota: int) -> list[tuple[int, int]]:
+        return [(p, e) for p, e in self.factors if unit_quota(p) == quota]
+
+    @cached_property
+    def n1(self) -> int:
+        return math.prod(p**e for p, e in self._part(2))
+
+    @cached_property
+    def n2(self) -> int:
+        return math.prod(p**e for p, e in self._part(1))
+
+    @cached_property
+    def three_part(self) -> int:
+        return math.prod(p**e for p, e in self._part(0))
+
+    @cached_property
+    def big_omega_n1(self) -> int:
+        return sum(e for _, e in self._part(2))
+
+    @cached_property
+    def big_omega_n2(self) -> int:
+        return sum(e for _, e in self._part(1))
+
+    @cached_property
+    def small_omega_n1(self) -> int:
+        return len(self._part(2))
+
+    @cached_property
+    def small_omega_n2(self) -> int:
+        return len(self._part(1))
 
     @property
     def big_omega(self) -> int:
@@ -65,14 +107,17 @@ class ModulusProfile:
         return [p**e for p, e in self.factors]
 
     def unit_quotas(self) -> list[tuple[int, int]]:
-        """The per-prime unit rule of the structure result: (p, 2) for each
-        prime of n1, then (q, 1) for each of n2, each in increasing order.
-        An extremal sequence keeps at least `quota` terms coprime to each
-        prime, and exactly that many at some prime where it decomposes."""
-        n1 = [(p, 2) for p, _ in self.factors if p % 3 == 1]
-        return n1 + [(q, 1) for q, _ in self.factors if q % 3 == 2 and q != 2]
+        """(p, 2) for each prime of n1, then (q, 1) for each of n2, each in
+        increasing order: unit_quota's rule at the primes of n.  A fresh
+        list per call, of pairs derived once: extraction and verify's
+        violating sequences ask for them on every trial."""
+        return list(self._quotas)
 
-    @property
+    @cached_property
+    def _quotas(self) -> tuple[tuple[int, int], ...]:
+        return tuple((p, quota) for quota in (2, 1) for p, _ in self._part(quota))
+
+    @cached_property
     def extremal_length(self) -> int:
         """D - 1 = 2*Omega(n1) + Omega(n2): each quota once per multiplicity."""
         return 2 * self.big_omega_n1 + self.big_omega_n2
@@ -113,7 +158,7 @@ def require_hypotheses(profile: ModulusProfile, exact: bool = True) -> None:
 
 @lru_cache(maxsize=4096)
 def factor(n: int, bound: int = DEFAULT_BOUND) -> ModulusProfile:
-    """Factor n by trial division and split the primes by class mod 3."""
+    """Factor n by trial division."""
     if not 1 <= n <= bound:
         raise ValueError(f"modulus {n} outside supported range [1, {bound}]")
     factors: list[tuple[int, int]] = []
@@ -130,31 +175,7 @@ def factor(n: int, bound: int = DEFAULT_BOUND) -> ModulusProfile:
     if rest > 1:
         factors.append((rest, 1))
     factors.sort()
-
-    n1 = n2 = three_part = 1
-    bo1 = bo2 = so1 = so2 = 0
-    for p, e in factors:
-        if p in (2, 3):
-            three_part *= p**e
-        elif p % 3 == 1:
-            n1 *= p**e
-            bo1 += e
-            so1 += 1
-        else:
-            n2 *= p**e
-            bo2 += e
-            so2 += 1
-    return ModulusProfile(
-        n=n,
-        factors=tuple(factors),
-        n1=n1,
-        n2=n2,
-        three_part=three_part,
-        big_omega_n1=bo1,
-        big_omega_n2=bo2,
-        small_omega_n1=so1,
-        small_omega_n2=so2,
-    )
+    return ModulusProfile(n, tuple(factors))
 
 
 def units(m: int) -> set[int]:

@@ -3,8 +3,9 @@
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
 dynamic programming inner loops want fast iteration.  Derived tables (coset
-minima, orbit ids, the kernel's orbit columns and packed orbit rows) are
-built lazily, once per instance; kind constructors share one per modulus.
+minima and the k least members they record, orbit ids, the kernel's orbit
+columns and packed orbit rows) are built lazily, once per instance; kind
+constructors share one per modulus.
 """
 
 from __future__ import annotations
@@ -44,30 +45,34 @@ class WeightSet:
         }
 
     @cached_property
-    def _coset_minima(self) -> tuple[int, ...]:
+    def _cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rep, least): rep[x] is the least member of the coset A*x, and
+        least the k least members of the cosets, increasing, 0 first."""
         n = self.modulus
         if not self.is_subgroup:  # the loop below would give wrong minima
             raise ValueError(f"coset minima need a subgroup; {self.kind} mod {n} is not one")
         # The cosets A*x partition Z_n and are met in increasing order, so the
         # first unseen x is the least member of its coset.
-        rep = [0] * n
+        rep, least = [0] * n, [0]
         for x in range(1, n):
             if not rep[x]:
+                least.append(x)
                 for w in self.elements:
                     rep[w * x % n] = x
-        return tuple(rep)
+        return tuple(rep), tuple(least)
 
     @cached_property
     def orbit_id(self) -> tuple[int, ...]:
         """orbit_id[x] = index of the coset A*x, numbered by least member, so
         {0} is orbit 0; only meaningful when A is a subgroup."""
-        ids: dict[int, int] = {}
-        return tuple(ids.setdefault(r, len(ids)) for r in self._coset_minima)
+        rep, least = self._cosets
+        ids = {x: i for i, x in enumerate(least)}
+        return tuple(map(ids.__getitem__, rep))
 
     @cached_property
     def orbit_count(self) -> int:
         """The number k of orbits A*x, {0} included; A must be a subgroup."""
-        return len(set(self._coset_minima))
+        return len(self._cosets[1])
 
     @cached_property
     def uses_orbits(self) -> bool:
@@ -88,8 +93,7 @@ class WeightSet:
         """orbit_columns[q][o] = mask of the orbits met by r + y for r in
         orbit o and y in orbit q.  Since a*(r + b*y) = a*r + ab*y, this is
         the mask of r + A*y, and one y per orbit gives it, in O(n)."""
-        oid = self.orbit_id
-        least = sorted(set(self._coset_minima))
+        oid, least = self.orbit_id, self._cosets[1]
         cols = []
         for y in least:
             acc = [0] * len(least)
@@ -108,8 +112,7 @@ class WeightSet:
     def unit_coset_reps(self) -> tuple[int, ...]:
         """One unit per coset of A in the unit group (its least member);
         only meaningful when A is a subgroup."""
-        n, rep = self.modulus, self._coset_minima
-        return tuple(x for x in range(1, n) if rep[x] == x and math.gcd(x, n) == 1)
+        return tuple(x for x in self._cosets[1] if math.gcd(x, self.modulus) == 1)
 
 
 def _is_unit_subgroup(elems: frozenset[int], n: int) -> bool:
@@ -210,7 +213,7 @@ def coset_minima(a: WeightSet) -> tuple[int, ...]:
     ValueError; used for orbit-pruned search and canonical forms.  Built
     once per weight set.
     """
-    return a._coset_minima
+    return a._cosets[0]
 
 
 def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:
@@ -226,9 +229,7 @@ def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:
     """
     n = a.modulus
     if a.is_subgroup:
-        rep = coset_minima(a)
-        symbols = [x for x in range(1, n) if rep[x] == x]
-        symbols.sort(key=lambda x: (math.gcd(x, n), x))
+        symbols = sorted(a._cosets[1][1:], key=lambda x: (math.gcd(x, n), x))
         firsts = [d for d in factor(n).divisors() if d < n]
         missing = set(firsts) - set(symbols)
         if missing:

@@ -203,16 +203,14 @@ def _pick_weight(weights: WeightSet, bit, prev: int, t: int, x: int) -> tuple[in
     raise ContractError("no weight reproduces a reachable DP state")
 
 
-def _backtrack_subset(
-    seq: Sequence, weights: WeightSet, layers: list[int], target: int
-) -> Certificate:
-    # Skip a term whenever the residual target survives without it (smallest
+def _backtrack_subset(seq: Sequence, weights: WeightSet, layers: list[int]) -> Certificate:
+    # Skip a term whenever the residual sum survives without it (smallest
     # index set), then take the smallest usable weight.  Bit 0 is residue 0
     # (orbit 0 is {0}), so prev | 1 lets a residual of 0 end the subset.
     bit = _bit_index(weights)
     terms = seq.terms
     picked: list[tuple[int, int]] = []
-    t = target
+    t = 0
     j = len(terms)
     while True:
         if j > 0 and layers[j - 1] >> bit[t] & 1:
@@ -225,7 +223,7 @@ def _backtrack_subset(
         if t == 0:
             break
         j -= 1
-    cert = Certificate(picked=tuple(sorted(picked)), claimed_sum=target)
+    cert = Certificate(picked=tuple(sorted(picked)), claimed_sum=0)
     if not cert.verify(seq, weights):
         raise ContractError(f"backtracked certificate failed verification {cert}")
     return cert
@@ -237,7 +235,7 @@ def has_weighted_zero_subseq(seq: Sequence, weights: WeightSet) -> Certificate |
     layers = _subset_layers(seq, weights)
     if not layers[-1] & 1:
         return None
-    return _backtrack_subset(seq, weights, layers, 0)
+    return _backtrack_subset(seq, weights, layers)
 
 
 def is_zero_sum_free(seq: Sequence, weights: WeightSet) -> bool:

@@ -528,12 +528,15 @@ class _Clock:
 
 
 # verify's clock reads at n = 55, in the order it makes them: the deadline,
-# then one per trial of each randomized check, one per class (3 classes) and
-# one per chunk of residues (one chunk for each of the two power sets)
-READS_55 = (("deadline", 1), ("extraction_certificates", 25), ("classes", 3),
+# then one per trial of each randomized check, one per chunk of residues (one
+# chunk for each of the two power sets) and one per class (3 classes) for
+# each of the two per-class checks, which run last
+READS_55 = (("deadline", 1), ("extraction_certificates", 25),
             ("violation_forces_zero_sum", 100), ("crt_factorization", 200),
-            ("power_residue_split", 2), ("equivalence_invariance", 100))
-TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - {"classes"}
+            ("power_residue_split", 2), ("equivalence_invariance", 100),
+            ("extremal_classification", 3), ("coprimality_minima", 3))
+CLASS_CHECKS = {"extremal_classification", "coprimality_minima"}
+TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - CLASS_CHECKS
 # the randomized checks, whose payload reports the trials they ran
 COUNTED_CHECKS = TRIAL_CHECKS - {"power_residue_split"}
 
@@ -574,8 +577,6 @@ def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where)
     checks = json.loads(out)["checks"]
     failing = {name for name, c in checks.items() if not c["pass"]}
     later = {name for name, _ in READS_55[cut:]}
-    if "classes" in later:
-        later ^= {"classes", "extremal_classification", "coprimality_minima"}
     assert failing == later
     # the cut check ran none or all but its last trial, every later one none
     ran = {name: 0 if name in later else r for name, r in READS_55 if name in COUNTED_CHECKS}

@@ -215,7 +215,7 @@ def test_unit_pair_ratio_test_matches_the_dp():
 
 
 def test_extremal_reads_no_kernel_names():
-    kernel = {"_reach_step", "_reach_rows", "_least_non_cube"}
+    kernel = {"_reach_step", "_reach_rows"}
     assert not kernel & set(vars(extremal))
 
 

@@ -1,6 +1,7 @@
 """Davenport/E computation tests: search vs formula, witnesses, brackets."""
 
 import random
+import zlib
 
 import pytest
 
@@ -8,6 +9,7 @@ from e_oracle import e_direct
 from wzs.errors import HypothesisError
 from wzs.invariants import (
     Budget,
+    _witness_terms,
     davenport_formula,
     davenport_search,
     e_formula,
@@ -125,6 +127,19 @@ def assert_cube_bound_refusals(bound):
     with pytest.raises(HypothesisError) as three:
         bound(factor(9))
     assert str(three.value) == "hypothesis violated: n is coprime to 3 (n = 9)"
+
+
+def test_lower_bound_witness_terms_are_pinned():
+    # The construction at every odd n < 20000 coprime to 3: the count and
+    # CRC-32 of the repr of its sorted terms, pinned from the construction
+    # that found each non-cube by building the cube set mod p.  The DP
+    # re-check that lower_bound_witness adds is run below 2000.
+    moduli = [n for n in range(1, 20000, 2) if n % 3]
+    log = [Sequence.make(n, _witness_terms(n)).terms for n in moduli]
+    assert (len(log), zlib.crc32(repr(log).encode())) == (6667, 0x2611083E)
+    for n, terms in zip(moduli, log):
+        if n < 2000:
+            assert lower_bound_witness(factor(n)).terms == terms, n
 
 
 def test_lower_bound_witness_refusals():

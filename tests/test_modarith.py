@@ -2,10 +2,19 @@
 
 import math
 import random
+import zlib
 
 import pytest
 
-from wzs.modarith import crt_combine, factor, is_kth_power_residue, units
+from wzs.modarith import (
+    crt_combine,
+    factor,
+    is_cube_mod_prime,
+    is_kth_power_residue,
+    unit_quota,
+    units,
+)
+from wzs.weightsets import cubes
 
 
 def test_factor_95():
@@ -40,6 +49,37 @@ def test_unit_quotas_state_the_per_prime_rule():
         assert [p for p, q in quotas if q == 1] == [p for p, _ in prof.factors if p % 3 == 2 and p > 2]
         assert [q for _, q in quotas] == sorted((q for _, q in quotas), reverse=True)
         assert prof.extremal_length == sum(dict(quotas).get(p, 0) * e for p, e in prof.factors)
+
+
+def test_derived_profile_values_are_pinned():
+    # Every value a profile derives from its factorization, for 1 <= n < 5000:
+    # the count and CRC-32 of their repr, pinned from the profile that stored
+    # the split as fields filled by factor().
+    log = []
+    for n in range(1, 5000):
+        prof = factor(n)
+        log.append((n, prof.n1, prof.n2, prof.three_part, prof.big_omega_n1, prof.big_omega_n2,
+                    prof.small_omega_n1, prof.small_omega_n2, prof.unit_quotas(),
+                    prof.extremal_length, prof.divisors()))
+    assert (len(log), zlib.crc32(repr(log).encode())) == (4999, 0xBDDBF5D5)
+
+
+def test_unit_quota_is_the_split_by_class_mod_3():
+    assert [unit_quota(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)] == [0, 0, 1, 2, 1, 2, 1, 2]
+    for n in (1, 95, 2 * 3 * 5 * 7 * 11 * 13, 7**3 * 11, 2**4 * 3**2 * 5**2 * 19):
+        prof = factor(n)
+        assert prof.unit_quotas() == [(p, q) for q in (2, 1) for p, _ in prof.factors
+                                      if unit_quota(p) == q]
+        assert prof.three_part == math.prod(p**e for p, e in prof.factors if not unit_quota(p))
+
+
+def test_cube_test_mod_a_prime_is_membership_in_the_cubes():
+    # Euler's criterion against the exhaustive cube set, every unit mod every
+    # prime below 2000
+    primes = [p for p in range(2, 2000) if factor(p).factors == ((p, 1),)]
+    assert len(primes) == 303
+    for p in primes:
+        assert all(is_cube_mod_prime(r, p) == (r in cubes(p)) for r in range(1, p)), p
 
 
 def test_factor_out_of_range():

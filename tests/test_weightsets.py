@@ -32,7 +32,7 @@ def brute_coset_minima(ws):
 def test_non_subgroup_uses_no_orbits_and_builds_no_coset_table():
     ws = custom(1000, [1, 2])
     assert not ws.is_subgroup and not ws.uses_orbits
-    assert "_coset_minima" not in vars(ws)
+    assert "_cosets" not in vars(ws)
 
 
 def test_cubes_prime_2_mod_3_is_all_units():
@@ -179,3 +179,21 @@ def test_coset_reps_times_weights_hit_every_unit_once():
             hits = sorted(reps[u // len(elems)] * elems[u % len(elems)] % n
                           for u in range(len(reps) * len(elems)))
             assert hits == sorted(units(n)), (n, ws.kind)
+
+
+def test_recorded_minima_reps_and_alphabet_match_their_definitions():
+    # The coset pass's least members (0 first, increasing), the unit coset
+    # representatives and the reduced alphabet, each against its brute-force
+    # definition, for every subgroup kind at 2 <= n < 300
+    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
+    for n in range(2, 300):
+        unit_set = units(n)
+        for ws in (make(n) for make in kinds):
+            coset_min = {x: min(w * x % n for w in ws.elements) for x in range(n)}
+            least = sorted(set(coset_min.values()))
+            assert list(ws._cosets[1]) == least, (ws.kind, n)
+            assert list(ws.unit_coset_reps) == [x for x in least if x in unit_set]
+            assert ws.orbit_count == len(least)
+            firsts, symbols = reduced_alphabet(ws)
+            assert firsts == [d for d in range(1, n) if n % d == 0]
+            assert symbols == sorted(least[1:], key=lambda x: (math.gcd(x, n), x))
