@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import os
-import random
 import sys
 import time
 import zlib
@@ -20,35 +18,6 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import factor, is_kth_power_residue, require_hypotheses
-from .weightsets import by_kind
-from .zerosum import (
-    Sequence,
-    crt_zero_check,
-    extract_length_m,
-    full_zero_sum_exists,
-    has_weighted_zero_subseq,
-    is_zero_sum_free,
-)
-from .invariants import (
-    Budget,
-    davenport_formula,
-    davenport_search,
-    e_formula,
-    gao_E,
-    lower_bound_witness,
-    prior_upper_bound,
-    theorem_hypothesis_failure,
-)
-from .extremal import (
-    canonicalize,
-    classify_structure,
-    construct_extremal,
-    coprimality_violating_sequence,
-    enumerate_extremal,
-    orbit_transform,
-    reconstruct,
-)
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -189,133 +158,64 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _parse_residues(raw: str) -> list[int]:
-    raw = raw.strip()
-    if not raw:
-        return []
-    return [int(chunk) for chunk in raw.split(",")]
+def _commands():
+    """The command bodies and the math they import (`wzs.commands`), loaded
+    only when a command computes: a cache hit reads the cache file and
+    nothing more."""
+    from . import commands
+
+    return commands
 
 
-def _budget_from(args) -> Budget:
+def _budget_seconds(args) -> float:
+    """The run's budget, checked before the cache is read."""
     ms = args.budget_ms
     if ms is None:
         ms = int(os.environ.get("WZS_BUDGET_MS", "60000"))
     if ms < 0:
         raise ValueError(f"the budget must be at least 0 ms, not {ms}")
-    return Budget(max_seconds=ms / 1000.0)
+    return ms / 1000.0
 
 
-def _weights_from(args):
-    elems = _parse_residues(args.elems) if getattr(args, "elems", None) else None
-    return by_kind(args.weights, args.n, elems)
-
-
-def _require_cubes(weights) -> None:
-    """The closed forms, the construction and the structure result speak only
-    about cube weights."""
-    if weights.kind != "cubes":
-        raise HypothesisError("the weights are the cubes", f"kind = {weights.kind}")
+def _cached(command: str, params: dict, compute, decided: str) -> int:
+    """Print the cached result of `command` at `params`; on a miss print
+    compute()'s and cache it, unless its `decided` entry is False."""
+    cache = Cache()
+    hit = cache.lookup(command, params)
+    if hit is not None:
+        print(hit)
+        return EXIT_OK
+    t0 = time.perf_counter()
+    out = compute()
+    payload = json.dumps(out, sort_keys=True)
+    print(payload)
+    if not out.get(decided, True):
+        return EXIT_INCONCLUSIVE
+    cache.store(RunRecord.finished(command, params, payload, t0))
+    return EXIT_OK
 
 
 def _cmd_weights(args) -> int:
-    ws = by_kind(args.kind, args.n, _parse_residues(args.elems) if args.elems else None)
-    _emit(ws.to_dict())
+    _emit(_commands().weight_set(args))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    weights = _weights_from(args)
-    seq = Sequence.make(args.n, _parse_residues(args.seq))
-    cert = has_weighted_zero_subseq(seq, weights)
-    _emit(
-        {
-            "n": args.n,
-            "weights": weights.kind,
-            "seq": list(seq.terms),
-            "zero_sum_subseq": cert is not None,
-            "certificate": cert.to_dict() if cert is not None else None,
-        }
-    )
+    _emit(_commands().check(args))
     return EXIT_OK
 
 
 def _cmd_davenport(args) -> int:
-    weights = _weights_from(args)
-    budget = _budget_from(args)
+    seconds = _budget_seconds(args)
     params = {
         "n": args.n,
         "weights": args.weights,
         "elems": args.elems,
         "method": args.method,
     }
-    cache = Cache()
-    hit = cache.lookup("davenport", params)
-    if hit is not None:
-        print(hit)
-        return EXIT_OK
-
-    t0 = time.perf_counter()
-    out: dict = {"n": args.n, "weights": weights.kind}
-    code = EXIT_OK
-    if args.method in ("formula", "both"):
-        try:
-            _require_cubes(weights)
-            prof = factor(args.n)
-            out["formula"] = davenport_formula(prof).value
-            out["E_formula"] = e_formula(prof).value
-        except HypothesisError as exc:
-            if args.method == "formula":
-                raise
-            out["formula"] = None
-            out["E_formula"] = None
-            out["formula_refusal"] = str(exc)
-    if args.method in ("search", "both"):
-        res = davenport_search(args.n, weights, budget)
-        out["search"] = res.value
-        out["conclusive"] = res.conclusive
-        out["witness"] = list(res.witness.terms) if res.witness is not None else None
-        out["stats"] = res.stats.to_dict()
-        if not res.conclusive:
-            out["lower"] = res.lower
-            out["upper"] = res.upper
-            code = EXIT_INCONCLUSIVE
-    if args.method == "both":
-        f, s = out.get("formula"), out.get("search")
-        out["agrees"] = (f == s) if f is not None and s is not None else None
-
-    payload = json.dumps(out, sort_keys=True)
-    print(payload)
-    if code == EXIT_OK:
-        cache.store(RunRecord.finished("davenport", params, payload, t0))
-    return code
-
-
-def _table_row(n: int, kind: str, budget: Budget) -> dict:
-    prof = factor(n)
-    row: dict = {
-        "n": n,
-        "n1": prof.n1,
-        "n2": prof.n2,
-        "Omega_n1": prof.big_omega_n1,
-        "Omega_n2": prof.big_omega_n2,
-    }
-    # the closed form speaks only about cube weights, and only in hypothesis
-    if kind == "cubes" and theorem_hypothesis_failure(prof) is None:
-        row["D_formula"] = davenport_formula(prof).value
-        row["E_formula"] = e_formula(prof).value
-    else:
-        row["D_formula"] = None
-        row["E_formula"] = None
-    res = davenport_search(n, by_kind(kind, n), budget)
-    row["D_search"] = res.value
-    if row["D_formula"] is None or row["D_search"] is None:
-        row["agrees"] = None
-    else:
-        row["agrees"] = row["D_formula"] == row["D_search"]
-    row["witness"] = (
-        " ".join(str(t) for t in res.witness.terms) if res.witness is not None else ""
-    )
-    return row
+    # "conclusive" is there only when the search ran
+    return _cached("davenport", params, lambda: _commands().davenport(args, seconds),
+                   "conclusive")
 
 
 _TABLE_COLUMNS = [
@@ -332,41 +232,27 @@ _TABLE_COLUMNS = [
 ]
 
 
-def _computed_rows(moduli: list[int], kind: str, budget: Budget, jobs: int):
-    """_table_row for each modulus, in order: on `jobs` spawned workers when
-    there are jobs and rows to share, else in this process.  Rows share no
-    state, so where a row runs cannot change it."""
-    rows = (moduli, itertools.repeat(kind), itertools.repeat(budget))
-    if jobs < 2 or len(moduli) < 2:
-        yield from map(_table_row, *rows)
-        return
-    import multiprocessing  # never loaded by serial runs
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        yield from pool.map(_table_row, *rows)
-
-
 def _cmd_table(args) -> int:
     if args.start < 2 or args.end < args.start:
         raise ValueError("table needs 2 <= from <= to")
-    budget = _budget_from(args)
+    seconds = _budget_seconds(args)
     cache = Cache()
     moduli = range(args.start, args.end + 1)
     hits = {n: cache.lookup("table-row", {"n": n, "weights": args.weights}) for n in moduli}
     by_n = {n: json.loads(hit) for n, hit in hits.items() if hit is not None}
     missed = [n for n in moduli if n not in by_n]
     code = EXIT_OK
-    t0 = time.perf_counter()  # a record's duration runs from the previous row's end
-    for row in _computed_rows(missed, args.weights, budget, args.jobs):
-        by_n[row["n"]] = row
-        if row["D_search"] is None:  # inconclusive: printed, never cached
-            code = EXIT_INCONCLUSIVE
-        else:
-            params = {"n": row["n"], "weights": args.weights}
-            payload = json.dumps(row, sort_keys=True)
-            cache.store(RunRecord.finished("table-row", params, payload, t0))
-        t0 = time.perf_counter()
+    if missed:
+        t0 = time.perf_counter()  # a record's duration runs from the previous row's end
+        for row in _commands().table_rows(missed, args.weights, seconds, args.jobs):
+            by_n[row["n"]] = row
+            if row["D_search"] is None:  # inconclusive: printed, never cached
+                code = EXIT_INCONCLUSIVE
+            else:
+                params = {"n": row["n"], "weights": args.weights}
+                payload = json.dumps(row, sort_keys=True)
+                cache.store(RunRecord.finished("table-row", params, payload, t0))
+            t0 = time.perf_counter()
     rows = [by_n[n] for n in moduli]
 
     if args.format == "json":
@@ -389,197 +275,24 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    weights = _weights_from(args)
-    budget = _budget_from(args)
-    prof = factor(args.n)
+    seconds = _budget_seconds(args)
     if args.action != "enumerate":
-        _require_cubes(weights)
-
-    if args.action == "construct":
-        seq = construct_extremal(prof)
-        _emit({"n": args.n, "witness": list(seq.terms), "length": len(seq)})
+        _emit(_commands().extremal(args, seconds))
         return EXIT_OK
-
-    if args.action == "classify":
-        if args.seq is None:
-            raise ValueError("classify needs --seq")
-        seq = Sequence.make(args.n, _parse_residues(args.seq))
-        report = classify_structure(seq, prof)
-        _emit({"n": args.n, "report": report.to_dict()})
-        return EXIT_OK
-
     params = {
         "n": args.n,
         "weights": args.weights,
         "elems": args.elems,
     }
-    cache = Cache()
-    hit = cache.lookup("extremal-enumerate", params)
-    if hit is not None:
-        print(hit)
-        return EXIT_OK
-    t0 = time.perf_counter()
-    enum = enumerate_extremal(args.n, weights, budget)
-    # the structure result speaks only about cube weights within the hypotheses
-    structured = weights.kind == "cubes" and theorem_hypothesis_failure(prof) is None
-    classes = [
-        {
-            "canonical": list(c.canonical.terms),
-            "orbit_size": c.orbit_size,
-            "structure": classify_structure(c.canonical, prof).to_dict() if structured else None,
-        }
-        for c in enum.classes
-    ]
-    out = {
-        "n": args.n,
-        "weights": weights.kind,
-        "d_value": enum.d_value,
-        "count": len(classes),
-        "complete": enum.complete,
-        "classes": classes,
-    }
-    payload = json.dumps(out, sort_keys=True)
-    print(payload)
-    if not enum.complete:
-        return EXIT_INCONCLUSIVE
-    cache.store(RunRecord.finished("extremal-enumerate", params, payload, t0))
-    return EXIT_OK
-
-
-_RESIDUE_CHUNK = 4096  # residues power_residue_split checks between deadline reads
-
-
-def _run_verify(n: int, seed: int, budget: Budget) -> tuple[dict, set[str]]:
-    """The check matrix for one n, and the names of the checks the budget
-    left undecided: a walk stopped before it knew D, an incomplete
-    enumeration, or a check the deadline cut before it failed or ended."""
-    prof = factor(n)
-    require_hypotheses(prof)
-    rng = random.Random(seed)
-    weights = by_kind("cubes", n)
-    checks: dict[str, dict] = {}
-    deadline = time.perf_counter() + budget.max_seconds
-
-    d_form = davenport_formula(prof).value
-    # one walk gives D (None if the budget ran out) and the extremal classes
-    enum = enumerate_extremal(n, weights, budget)
-    undecided = set() if enum.complete else {"extremal_classification"}
-    if enum.d_value is None:
-        undecided |= {"formula_matches_search", "e_value_relation", "prior_bound_ceiling"}
-    checks["formula_matches_search"] = {
-        "pass": enum.d_value == d_form,
-        "formula": d_form,
-        "search": enum.d_value,
-    }
-    # E from the searched D by E = D + n - 1, against the closed form
-    e_form = e_formula(prof).value
-    checks["e_value_relation"] = {
-        "pass": enum.d_value is not None and gao_E(enum.d_value, n) == e_form,
-        "e_formula": e_form,
-    }
-    witness = lower_bound_witness(prof)
-    checks["lower_bound_witness_tight"] = {
-        "pass": len(witness) == d_form - 1,
-        "witness": list(witness.terms),
-    }
-
-    def passes(name: str, trials, trial) -> tuple[bool, int]:
-        """Whether trial(t) holds for every t of trials, in order, reading
-        the deadline before each, and how many trials ran, a failing one
-        included; a check the deadline cuts is undecided."""
-        for ran, t in enumerate(trials):
-            if time.perf_counter() > deadline:
-                undecided.add(name)
-                return False, ran
-            if not trial(t):
-                return False, ran + 1
-        return True, len(trials)
-
-    quotas = prof.unit_quotas()
-    m = sum(quota + 1 for _, quota in quotas)
-    length = m + prof.extremal_length
-
-    def extracted(_) -> bool:
-        seq = Sequence.make(n, (rng.randrange(n) for _ in range(length)))
-        cert = extract_length_m(seq, prof, m)
-        return len(cert.picked) == m and cert.verify(seq, weights)
-
-    ok, ran = passes("extraction_certificates", range(25), extracted)
-    checks["extraction_certificates"] = {"pass": ok, "trials": ran, "m": m}
-
-    def forced(_) -> bool:
-        violator = coprimality_violating_sequence(prof, rng)
-        return has_weighted_zero_subseq(violator, weights) is not None
-
-    ok, ran = passes("violation_forces_zero_sum", range(100), forced)
-    checks["violation_forces_zero_sum"] = {"pass": ok, "trials": ran}
-
-    # the CRT and invariance checks compare yes/no answers, so they build no
-    # certificates; every check that claims a zero-sum above verifies one
-    def factored(_) -> bool:
-        seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(7))))
-        return crt_zero_check(seq, prof) == full_zero_sum_exists(seq.terms, weights)
-
-    ok, ran = passes("crt_factorization", range(200), factored)
-    checks["crt_factorization"] = {"pass": ok, "trials": ran}
-
-    # every residue, cubes before squares, against the exhaustive pow sets;
-    # a trial is a chunk of residues, so the deadline is read once a chunk
-    powers: dict[int, set[int]] = {}
-
-    def split(chunk) -> bool:
-        k, start = chunk
-        if k not in powers:
-            powers[k] = {pow(x, k, n) for x in range(n)}
-        return all(is_kth_power_residue(a, k, n) == (a in powers[k])
-                   for a in range(start, min(start + _RESIDUE_CHUNK, n)))
-
-    chunks = [(k, start) for k in (3, 2) for start in range(0, n, _RESIDUE_CHUNK)]
-    checks["power_residue_split"] = {"pass": passes("power_residue_split", chunks, split)[0]}
-
-    def invariant(_) -> bool:
-        seq = Sequence.make(n, (rng.randrange(n) for _ in range(1 + rng.randrange(5))))
-        moved = orbit_transform(seq, weights, rng)
-        if canonicalize(seq, weights).canonical != canonicalize(moved, weights).canonical:
-            return False
-        return is_zero_sum_free(seq, weights) == is_zero_sum_free(moved, weights)
-
-    ok, ran = passes("equivalence_invariance", range(100), invariant)
-    checks["equivalence_invariance"] = {"pass": ok, "trials": ran}
-
-    # the per-class checks, one trial a class, draw nothing from the RNG.
-    # classify_structure refuses a class whose length is not the closed
-    # form's D - 1, so a walk that disagrees fails this check, not the run;
-    # an incomplete enumeration is undecided already, so none is classified
-    def classified(c) -> bool:
-        return reconstruct(classify_structure(c.canonical, prof)) == c.canonical
-
-    ok = enum.complete and enum.d_value == d_form
-    ok = ok and passes("extremal_classification", enum.classes, classified)[0]
-    checks["extremal_classification"] = {"pass": ok, "classes": len(enum.classes)}
-
-    def coprime_enough(c) -> bool:
-        return all(sum(1 for t in c.canonical.terms if t % p) >= quota for p, quota in quotas)
-
-    ok = passes("coprimality_minima", enum.classes, coprime_enough)[0]
-    checks["coprimality_minima"] = {"pass": ok}
-
-    bound = prior_upper_bound(prof).d_bound
-    checks["prior_bound_ceiling"] = {
-        "pass": enum.d_value is not None and enum.d_value <= bound,
-        "bound": bound,
-    }
-
-    return {
-        "n": n,
-        "weights": "cubes",
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks.values()),
-    }, undecided
+    return _cached("extremal-enumerate", params, lambda: _commands().extremal(args, seconds),
+                   "complete")
 
 
 def _cmd_verify(args) -> int:
-    result, undecided = _run_verify(args.n, args.rng_seed, _budget_from(args))
+    seconds = _budget_seconds(args)
+    from .verify import check_matrix
+
+    result, undecided = check_matrix(args.n, args.rng_seed, seconds)
     _emit(result)
     if result["all_pass"]:
         return EXIT_OK

@@ -9,7 +9,7 @@ import zlib
 import pytest
 
 import wzs
-from wzs import cli
+from wzs import cli, invariants, verify
 from wzs.cli import (
     EXIT_CONTRACT,
     EXIT_INCONCLUSIVE,
@@ -311,6 +311,42 @@ def test_serial_table_does_not_load_the_pool():
     assert out.split() == ["0", "False", "False"]
 
 
+# Runs the CLI on its arguments and prints [exit code, stdout, wzs modules loaded].
+_LOADED = (
+    "import contextlib, io, json, sys\n"
+    "from wzs import cli\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules if 'wzs' in m)]))\n"
+)
+
+
+def _run_loaded(*argv):
+    proc = _python(_LOADED, *argv)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--from", "5", "--to", "30", "--format", "json"),
+    ("table", "--from", "5", "--to", "30", "--format", "csv"),
+    ("davenport", "--n", "95"),
+    ("davenport", "--n", "234", "--method", "search"),
+    ("extremal", "enumerate", "--n", "55"),
+])
+def test_a_cache_hit_loads_no_math_and_prints_what_the_miss_did(isolated_cache, argv):
+    miss_code, miss, miss_loaded = _run_loaded(*argv)
+    assert isolated_cache.exists()
+    hit_code, hit, hit_loaded = _run_loaded(*argv)
+    assert miss_code == hit_code == EXIT_OK
+    assert hit == miss
+    assert hit_loaded == ["wzs", "wzs.cli", "wzs.errors"]
+    if argv[0] == "table":  # a fill never loads the enumerator
+        assert "wzs.zerosum" in miss_loaded and "wzs.extremal" not in miss_loaded
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_table_reread_from_cache_is_byte_identical(capsys, isolated_cache, fmt):
     argv = ("table", "--weights", "cubes", "--from", "5", "--to", "30", "--format", fmt)
@@ -444,8 +480,8 @@ def test_verify_payload_and_certificates_are_pinned(capsys, monkeypatch, n, seed
     for log, names in ((certs, ("extract_length_m", "has_weighted_zero_subseq")),
                        (answers, ("full_zero_sum_exists", "is_zero_sum_free"))):
         for name in names:
-            func = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, f=func, log=log: log.append(f(*a)) or log[-1])
+            func = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *a, f=func, log=log: log.append(f(*a)) or log[-1])
     code, out, _ = run(capsys, "verify", "--n", str(n), "--rng-seed", str(seed))
     payload = {"all_pass": True, "checks": checks, "n": n, "weights": "cubes"}
     assert code == EXIT_OK
@@ -470,16 +506,16 @@ def test_main_keeps_no_state_between_calls(capsys, isolated_cache):
 def test_power_residue_split_stays_exhaustive(capsys, monkeypatch):
     # every residue, for cubes and squares, against the exhaustive pow sets,
     # however the residues are chunked between deadline reads
-    split = cli.is_kth_power_residue
-    for chunk in (cli._RESIDUE_CHUNK, 10):
+    split = verify.is_kth_power_residue
+    for chunk in (verify._RESIDUE_CHUNK, 10):
         calls = []
 
         def counted(a, k, m):
             calls.append((a, k, m))
             return split(a, k, m)
 
-        monkeypatch.setattr(cli, "_RESIDUE_CHUNK", chunk)
-        monkeypatch.setattr(cli, "is_kth_power_residue", counted)
+        monkeypatch.setattr(verify, "_RESIDUE_CHUNK", chunk)
+        monkeypatch.setattr(verify, "is_kth_power_residue", counted)
         code, out, _ = run(capsys, "verify", "--n", "55")
         assert code == EXIT_OK and json.loads(out)["checks"]["power_residue_split"]["pass"]
         assert sorted(calls) == sorted((a, k, 55) for k in (2, 3) for a in range(55))
@@ -489,20 +525,20 @@ def test_verify_searches_once(capsys, monkeypatch):
     def no_second_search(*args, **kwargs):
         raise AssertionError("verify reads D from the enumeration's walk")
 
-    monkeypatch.setattr(cli, "davenport_search", no_second_search)
+    monkeypatch.setattr(invariants, "davenport_search", no_second_search)
     code, out, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_OK
     assert json.loads(out)["checks"]["formula_matches_search"]["search"] == 3
 
 
 def test_verify_walk_disagreeing_with_formula_is_a_contract_failure(capsys, monkeypatch):
-    enumerate_extremal = cli.enumerate_extremal
+    enumerate_extremal = verify.enumerate_extremal
 
     def off_by_one(*args):
         enum = enumerate_extremal(*args)
         return ExtremalClasses(enum.classes, enum.complete, enum.d_value + 1, enum.stats)
 
-    monkeypatch.setattr(cli, "enumerate_extremal", off_by_one)
+    monkeypatch.setattr(verify, "enumerate_extremal", off_by_one)
     code, out, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_CONTRACT
     checks = json.loads(out)["checks"]
@@ -516,7 +552,7 @@ def test_verify_refuses_out_of_hypothesis_n(capsys):
 
 
 class _Clock:
-    """A stand-in for cli's time module: perf_counter reads 0 for its first
+    """A stand-in for verify's time module: perf_counter reads 0 for its first
     `reads` calls, then a time far past any deadline."""
 
     def __init__(self, reads):
@@ -535,6 +571,8 @@ READS_55 = (("deadline", 1), ("extraction_certificates", 25),
             ("violation_forces_zero_sum", 100), ("crt_factorization", 200),
             ("power_residue_split", 2), ("equivalence_invariance", 100),
             ("extremal_classification", 3), ("coprimality_minima", 3))
+# the per-class checks, undecided whenever the enumeration is incomplete,
+# and the checks that run trials of their own
 CLASS_CHECKS = {"extremal_classification", "coprimality_minima"}
 TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - CLASS_CHECKS
 # the randomized checks, whose payload reports the trials they ran
@@ -551,16 +589,17 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
     checks = json.loads(out)["checks"]
     assert checks["formula_matches_search"]["search"] is None
     failing = {name for name, c in checks.items() if not c["pass"]}
-    # the walk's checks (E from the searched D among them), and every
-    # randomized check, cut at its first trial
+    # the walk's checks (E from the searched D among them), both per-class
+    # checks, which saw no classes, and every randomized check, cut at its
+    # first trial
     assert failing == {"formula_matches_search", "e_value_relation", "prior_bound_ceiling",
-                       "extremal_classification", *TRIAL_CHECKS}
+                       *CLASS_CHECKS, *TRIAL_CHECKS}
     assert trials_run(checks) == dict.fromkeys(COUNTED_CHECKS, 0)
 
 
 def test_verify_reads_the_deadline_before_every_trial(capsys, monkeypatch):
     clock = _Clock(10**6)
-    monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(verify, "time", clock)
     code, _, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_OK and clock.calls == sum(reads for _, reads in READS_55)
 
@@ -571,7 +610,7 @@ def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where)
     # the clock runs out before the first or the last trial of one check;
     # that check and every later one are undecided, the earlier ones pass
     reads = sum(r for _, r in READS_55[:cut]) + (READS_55[cut][1] - 1 if where == "last" else 0)
-    monkeypatch.setattr(cli, "time", _Clock(reads))
+    monkeypatch.setattr(verify, "time", _Clock(reads))
     code, out, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_INCONCLUSIVE
     checks = json.loads(out)["checks"]
@@ -588,13 +627,13 @@ def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where)
 
 def test_a_failing_trial_is_counted_and_ends_its_check(capsys, monkeypatch):
     calls = []
-    crt_zero_check = cli.crt_zero_check
+    crt_zero_check = verify.crt_zero_check
 
     def wrong_third(seq, prof):
         calls.append(seq)
         return crt_zero_check(seq, prof) != (len(calls) == 3)
 
-    monkeypatch.setattr(cli, "crt_zero_check", wrong_third)
+    monkeypatch.setattr(verify, "crt_zero_check", wrong_third)
     code, out, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_CONTRACT and len(calls) == 3
     full = {name: r for name, r in READS_55 if name in COUNTED_CHECKS}
@@ -605,8 +644,8 @@ def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monke
     # 32395 has over 100,000 extremal classes; a walk cut at 0.5 s leaves the
     # classification undecided, so none of the found classes is classified.
     calls = []
-    classify = cli.classify_structure
-    monkeypatch.setattr(cli, "classify_structure", lambda *a: calls.append(a) or classify(*a))
+    classify = verify.classify_structure
+    monkeypatch.setattr(verify, "classify_structure", lambda *a: calls.append(a) or classify(*a))
     code, out, _ = run(capsys, "verify", "--n", "32395", "--budget-ms", "500")
     assert code == EXIT_INCONCLUSIVE
     assert calls == []
@@ -627,6 +666,20 @@ def test_jobs_below_one_and_negative_budgets_are_usage_errors(capsys, isolated_c
     assert main(["table", "--from", "5", "--to", "7", *flags]) == EXIT_USAGE
     capsys.readouterr()
     assert not isolated_cache.exists()
+
+
+def test_usage_errors_exit_64_on_a_cache_hit(capsys, isolated_cache):
+    # argument checks run before the cache is read, so a hit cannot hide one
+    commands = (["table", "--from", "5", "--to", "9"],
+                ["davenport", "--n", "95", "--method", "search"])
+    for argv in commands:
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    stored = isolated_cache.read_text()
+    for argv in commands:
+        assert main([*argv, "--budget-ms", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert isolated_cache.read_text() == stored
 
 
 def test_negative_budget_from_the_environment_is_a_usage_error(capsys, monkeypatch):
