@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 refusal (hypothesis violation), 2 inconclusive
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ContractError, HypothesisError, TheoremViolation
@@ -34,8 +33,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One cached CLI result; serialization round-trips losslessly."""
 
     command: str
@@ -46,7 +44,7 @@ class RunRecord:
     duration: float
 
     def to_json(self) -> str:
-        body = asdict(self)
+        body = self._asdict()
         body["key"] = cache_key(self.command, self.params)
         return json.dumps(body, sort_keys=True)
 
@@ -258,6 +256,8 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         _emit(rows)
         return code
+    import csv  # here, so JSON output never loads it
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_TABLE_COLUMNS)
     for row in rows:

@@ -10,7 +10,7 @@ is an orbit invariant, so one canonical representative per class suffices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, factor, is_cube_mod_prime, require_hypotheses
@@ -26,8 +26,7 @@ from .invariants import (
 from .zerosum import Sequence, has_weighted_zero_subseq
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class CanonicalSequence(NamedTuple):
     """The canonical orbit representative of a sequence, with its orbit size.
 
     orbit_size counts the distinct coset-normalized forms the unit scaling
@@ -38,8 +37,7 @@ class CanonicalSequence:
     canonical: Sequence
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Recursive decomposition of an extremal sequence.
 
     case1 strips a prime p of n1 leaving two p-coprime terms whose mod-p image
@@ -68,8 +66,7 @@ class StructureReport:
         }
 
 
-@dataclass(frozen=True)
-class ExtremalClasses:
+class ExtremalClasses(NamedTuple):
     classes: tuple[CanonicalSequence, ...]
     complete: bool
     d_value: int | None

@@ -21,7 +21,6 @@ silent wrong answer.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .errors import ContractError
@@ -37,16 +36,14 @@ from .weightsets import WeightSet, cubes, reduced_alphabet
 from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Caps for the exhaustive searches: DP node-steps and wall time."""
 
     max_nodes: int = 10**8
     max_seconds: float = 60.0
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Work done by a search: nodes are extend steps from states not yet in
     the table, states the table entries written, and exhausted_by the budget
     that ran out ("nodes" or "seconds"), or None."""
@@ -57,11 +54,10 @@ class SearchStats:
     states: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """Value of D_A or E_A for one modulus, with provenance.
 
     Inconclusive results (budget ran out) carry value None plus the best

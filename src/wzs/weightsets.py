@@ -11,7 +11,6 @@ constructors share one per modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .modarith import factor, units
@@ -19,13 +18,26 @@ from .modarith import factor, units
 MAX_ROW_ORBITS = 128  # the walks use orbit rows up to k orbits: k*k*k bits
 
 
-@dataclass(frozen=True)
 class WeightSet:
-    modulus: int
-    elements: tuple[int, ...]
-    kind: str
-    is_subgroup: bool
-    members: frozenset[int] = field(repr=False, compare=False, default=frozenset())
+    """Equal, hashed and shown by all fields but members; immutable by convention."""
+
+    def __init__(self, modulus: int, elements: tuple[int, ...], kind: str, is_subgroup: bool,
+                 members: frozenset[int] = frozenset()) -> None:
+        self.modulus, self.elements, self.kind = modulus, elements, kind
+        self.is_subgroup, self.members = is_subgroup, members
+
+    def _key(self) -> tuple:
+        return self.modulus, self.elements, self.kind, self.is_subgroup
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("WeightSet(modulus={!r}, elements={!r}, kind={!r}, is_subgroup={!r})"
+                .format(*self._key()))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members

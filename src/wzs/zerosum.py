@@ -16,20 +16,31 @@ returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, crt_combine, factor, theorem_hypothesis_failure
 from .weightsets import MAX_ROW_ORBITS, WeightSet, cubes
 
 
-@dataclass(frozen=True)
 class Sequence:
-    """A finite multiset over Z_n, stored as a sorted tuple of residues."""
+    """A finite multiset over Z_n, stored as a sorted tuple of residues.
+    Equal, hashed and shown by (modulus, terms); immutable by convention."""
 
-    modulus: int
-    terms: tuple[int, ...]
+    __slots__ = ("modulus", "terms")
+
+    def __init__(self, modulus: int, terms: tuple[int, ...]) -> None:
+        self.modulus, self.terms = modulus, terms
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is self.__class__
+                and (self.modulus, self.terms) == (other.modulus, other.terms))
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.terms))
+
+    def __repr__(self) -> str:
+        return f"Sequence(modulus={self.modulus!r}, terms={self.terms!r})"
 
     @classmethod
     def make(cls, n: int, terms) -> Sequence:
@@ -44,8 +55,7 @@ class Sequence:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Chosen (term index, weight) pairs witnessing a weighted sum.
 
     Indices refer to the sorted term storage of the associated sequence.

@@ -311,22 +311,29 @@ def test_serial_table_does_not_load_the_pool():
     assert out.split() == ["0", "False", "False"]
 
 
-# Runs the CLI on its arguments and prints [exit code, stdout, wzs modules loaded].
+# Runs the CLI on its arguments and prints [exit code, stdout, wzs modules
+# loaded, which of csv, dataclasses and inspect are loaded].
 _LOADED = (
     "import contextlib, io, json, sys\n"
     "from wzs import cli\n"
     "out = io.StringIO()\n"
     "with contextlib.redirect_stdout(out):\n"
     "    code = cli.main(sys.argv[1:])\n"
-    "print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules if 'wzs' in m)]))\n"
+    "print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules if 'wzs' in m),\n"
+    "                  [m for m in ('csv', 'dataclasses', 'inspect') if m in sys.modules]]))\n"
 )
 
 
 def _run_loaded(*argv):
+    """[exit code, stdout, wzs modules, stdlib modules] of one CLI process.
+    No run may load dataclasses or inspect: their import and class generation
+    cost a table process about 17 ms."""
     proc = _python(_LOADED, *argv)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    return json.loads(out)
+    code, stdout, loaded, stdlib = json.loads(out)
+    assert not {"dataclasses", "inspect"} & set(stdlib), (argv, stdlib)
+    return code, stdout, loaded, stdlib
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,14 +344,24 @@ def _run_loaded(*argv):
     ("extremal", "enumerate", "--n", "55"),
 ])
 def test_a_cache_hit_loads_no_math_and_prints_what_the_miss_did(isolated_cache, argv):
-    miss_code, miss, miss_loaded = _run_loaded(*argv)
+    miss_code, miss, miss_loaded, _ = _run_loaded(*argv)
     assert isolated_cache.exists()
-    hit_code, hit, hit_loaded = _run_loaded(*argv)
+    hit_code, hit, hit_loaded, hit_stdlib = _run_loaded(*argv)
     assert miss_code == hit_code == EXIT_OK
     assert hit == miss
     assert hit_loaded == ["wzs", "wzs.cli", "wzs.errors"]
+    assert ("csv" in hit_stdlib) == ("csv" in argv)  # only a CSV table writes CSV
     if argv[0] == "table":  # a fill never loads the enumerator
         assert "wzs.zerosum" in miss_loaded and "wzs.extremal" not in miss_loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("davenport", "--n", "95", "--method", "search"),
+    ("verify", "--n", "55"),
+])
+def test_commands_that_compute_load_no_dataclasses(argv):
+    code, out, _, _ = _run_loaded(*argv)  # _run_loaded checks the modules
+    assert code == EXIT_OK and json.loads(out)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

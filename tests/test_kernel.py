@@ -1,14 +1,13 @@
 """The reachable-sum kernel against an oracle over plain Python sets, and its
 two mask forms (orbit ids, residues) against each other."""
 
-import dataclasses
 import random
 
 from wzs import zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
 from wzs.modarith import factor
-from wzs.weightsets import by_kind, cubes, custom, pm_one, singleton_one, units_weights
+from wzs.weightsets import WeightSet, by_kind, cubes, custom, pm_one, singleton_one, units_weights
 from wzs.zerosum import (
     Sequence,
     _reach_rows,
@@ -70,7 +69,8 @@ def check_against_oracle(seq, weights):
 
 def residue_twin(weights):
     """A fresh copy of a weight set whose kernel runs on residue masks."""
-    twin = dataclasses.replace(weights)
+    twin = WeightSet(weights.modulus, weights.elements, weights.kind, weights.is_subgroup,
+                     weights.members)
     vars(twin)["uses_orbits"] = False
     return twin
 
