@@ -25,6 +25,8 @@ EXIT_CONTRACT = 3
 EXIT_USAGE = 64
 
 DEFAULT_CACHE = "./.wzs-cache.jsonl"
+# the weight kinds; custom comes last, as table takes every kind but it
+_KINDS = ["cubes", "squares", "units", "pm1", "one", "custom"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +91,8 @@ class Cache:
     concurrent writers never interleave within a line.
     """
 
-    def __init__(self, path: str | None = None) -> None:
-        self.path = path or os.environ.get("WZS_CACHE", DEFAULT_CACHE)
+    def __init__(self) -> None:
+        self.path = os.environ.get("WZS_CACHE", DEFAULT_CACHE)
         self._index: dict[str, str] | None = None
 
     def _load(self) -> dict[str, str]:
@@ -323,16 +325,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wzs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_weights_flags(p, default_kind="cubes"):
-        p.add_argument("--weights", default=default_kind,
-                       choices=["cubes", "squares", "units", "pm1", "one", "custom"])
+    def add_weights_flags(p):
+        p.add_argument("--weights", default="cubes", choices=_KINDS)
         p.add_argument("--elems", default=None,
                        help="comma-separated residues for --weights custom")
 
     p = sub.add_parser("weights", help="print a weight set as JSON")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["cubes", "squares", "units", "pm1", "one", "custom"])
+    p.add_argument("--kind", dest="weights", required=True, choices=_KINDS)
     p.add_argument("--elems", default=None)
     p.set_defaults(func=_cmd_weights)
 
@@ -350,8 +350,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_davenport)
 
     p = sub.add_parser("table", help="sweep a range of moduli into CSV/JSON rows")
-    p.add_argument("--weights", default="cubes",
-                   choices=["cubes", "squares", "units", "pm1", "one"])
+    p.add_argument("--weights", default="cubes", choices=_KINDS[:-1])
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
     p.add_argument("--format", "--out", dest="format", default="csv",

@@ -10,6 +10,7 @@ the enumerator.
 from __future__ import annotations
 
 import itertools
+import time
 
 from .errors import HypothesisError
 from .invariants import Budget, davenport_formula, davenport_search, e_formula
@@ -38,8 +39,7 @@ def _require_cubes(weights) -> None:
 
 
 def weight_set(args) -> dict:
-    elems = _parse_residues(args.elems) if args.elems else None
-    return by_kind(args.kind, args.n, elems).to_dict()
+    return _weights_from(args).to_dict()
 
 
 def check(args) -> dict:
@@ -132,7 +132,8 @@ def table_rows(moduli: list[int], kind: str, seconds: float, jobs: int):
 
 def extremal(args, seconds: float) -> dict:
     """The construction, a classification, or the enumerated classes;
-    "complete" is False when the enumeration ran out of budget."""
+    "complete" is False when the enumeration or the structure pass (which
+    reads the deadline before each class) ran out of budget."""
     from .extremal import classify_structure, construct_extremal, enumerate_extremal
 
     weights = _weights_from(args)
@@ -150,22 +151,24 @@ def extremal(args, seconds: float) -> dict:
         seq = Sequence.make(args.n, _parse_residues(args.seq))
         return {"n": args.n, "report": classify_structure(seq, prof).to_dict()}
 
+    deadline = time.perf_counter() + seconds
     enum = enumerate_extremal(args.n, weights, Budget(max_seconds=seconds))
     # the structure result speaks only about cube weights within the hypotheses
     structured = weights.kind == "cubes" and theorem_hypothesis_failure(prof) is None
-    classes = [
-        {
+    classes = []
+    for c in enum.classes:
+        if structured and time.perf_counter() > deadline:
+            break
+        classes.append({
             "canonical": list(c.canonical.terms),
             "orbit_size": c.orbit_size,
             "structure": classify_structure(c.canonical, prof).to_dict() if structured else None,
-        }
-        for c in enum.classes
-    ]
+        })
     return {
         "n": args.n,
         "weights": weights.kind,
         "d_value": enum.d_value,
         "count": len(classes),
-        "complete": enum.complete,
+        "complete": enum.complete and len(classes) == len(enum.classes),
         "classes": classes,
     }

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, factor, is_cube_mod_prime, require_hypotheses
-from .weightsets import WeightSet, coset_minima, cubes, reduced_alphabet
+from .weightsets import WeightSet, cubes, reduced_alphabet
 from .invariants import (
     Budget,
     SearchStats,
@@ -83,18 +83,19 @@ def _require_subgroup(weights: WeightSet) -> None:
 
 def canonicalize(seq: Sequence, weights: WeightSet) -> CanonicalSequence:
     """Least orbit element: coset-normalize each term, minimize over scalings
-    (one unit per coset of A suffices, since rep[c*a*x] = rep[c*x])."""
+    (one unit per coset of A suffices, since orbit_id[c*a*x] = orbit_id[c*x];
+    ids rise with least members, so the least id tuple gives the least form)."""
     if weights.modulus != seq.modulus:
         raise ValueError("weight set modulus does not match sequence")
     _require_subgroup(weights)
     n = seq.modulus
-    rep = coset_minima(weights)
+    oid, least = weights._cosets
     candidates = {
-        tuple(sorted(rep[c * x % n] for x in seq.terms)) for c in weights.unit_coset_reps
+        tuple(sorted(oid[c * x % n] for x in seq.terms)) for c in weights.unit_coset_reps
     }
     return CanonicalSequence(
         orbit_size=len(candidates),
-        canonical=Sequence(n, min(candidates)),
+        canonical=Sequence(n, tuple(map(least.__getitem__, min(candidates)))),
     )
 
 
@@ -262,23 +263,20 @@ def orbit_transform(seq: Sequence, weights: WeightSet, rng) -> Sequence:
     return Sequence.make(n, terms)
 
 
-def coprimality_violating_sequence(
-    profile: ModulusProfile, rng, prime: int | None = None
-) -> Sequence:
+def coprimality_violating_sequence(profile: ModulusProfile, rng) -> Sequence:
     """A length-(D-1) sequence violating the coprimality minima on purpose.
 
-    For a chosen prime, fewer terms than its unit quota are left coprime:
-    at most one for a prime of n1, none for a prime of n2.  Such sequences
-    must always contain a weighted zero-sum subsequence.
+    For a prime of n drawn at random, fewer terms than its unit quota are
+    left coprime: at most one for a prime of n1, none for a prime of n2.
+    Such sequences must always contain a weighted zero-sum subsequence.
     """
     require_hypotheses(profile)
     n = profile.n
     quotas = dict(profile.unit_quotas())
-    if prime is None:
-        if not quotas:
-            raise HypothesisError("n has an odd prime divisor", f"n = {n}")
-        pool = list(quotas)
-        prime = pool[rng.randrange(len(pool))]
+    if not quotas:
+        raise HypothesisError("n has an odd prime divisor", f"n = {n}")
+    pool = list(quotas)
+    prime = pool[rng.randrange(len(pool))]
     # not randrange(quota): randrange(1) draws bits and would shift the stream
     coprime_quota = rng.randrange(2) if quotas.get(prime) == 2 else 0
     terms = []

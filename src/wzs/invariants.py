@@ -76,11 +76,6 @@ class InvariantResult(NamedTuple):
     stats: SearchStats | None = None
 
 
-class PriorBound(NamedTuple):
-    d_bound: int
-    e_bound: int
-
-
 def davenport_formula(profile: ModulusProfile) -> InvariantResult:
     """Closed form 2*Omega(n1) + Omega(n2) + 1 for cube weights.
 
@@ -106,18 +101,15 @@ def gao_E(d_value: int, n: int) -> int:
     return d_value + n - 1
 
 
-def prior_upper_bound(profile: ModulusProfile) -> PriorBound:
-    """Previously known ceilings 3*Omega(n1) + Omega(n2) + 5l + 1 (and the E
-    analogue), where 7^l is split off and excluded from n1.
+def prior_upper_bound(profile: ModulusProfile) -> int:
+    """The previously known ceiling on D, 3*Omega(n1) + Omega(n2) + 5l + 1,
+    where 7^l is split off and excluded from n1.
 
     Valid for odd n coprime to 3; serves as a sanity ceiling for searches.
     """
     require_hypotheses(profile, exact=False)
     l = next((e for p, e in profile.factors if p == 7), 0)
-    bo1 = profile.big_omega_n1 - l
-    bo2 = profile.big_omega_n2
-    d = 3 * bo1 + bo2 + 5 * l + 1
-    return PriorBound(d_bound=d, e_bound=profile.n + d - 1)
+    return 3 * (profile.big_omega_n1 - l) + profile.big_omega_n2 + 5 * l + 1
 
 
 def _prime_witness(p: int) -> list[int]:
@@ -364,7 +356,7 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
         method="search",
         conclusive=not stopped,
         lower=len(best) + 1 if stopped else None,
-        upper=prior_upper_bound(factor(n)).d_bound if stopped and cube_bounds else None,
+        upper=prior_upper_bound(factor(n)) if stopped and cube_bounds else None,
         witness=witness,
         stats=stats,
     )

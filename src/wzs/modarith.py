@@ -1,8 +1,8 @@
 """Residue arithmetic groundwork: factorization, CRT, units, power residues.
 
-Everything is exact integer arithmetic.  Moduli are capped by a configurable
-trial-division bound (default 10**6); nothing here needs probabilistic
-primality or big-number factoring.
+Everything is exact integer arithmetic.  Moduli are capped at DEFAULT_BOUND
+for trial division; nothing here needs probabilistic primality or big-number
+factoring.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ class ModulusProfile:
     Equal, hashed and shown by (n, factors); immutable by convention.
 
     n1 collects the prime powers p^e with p = 1 (mod 3) and n2 those with odd
-    p = 2 (mod 3).  Powers of 2 and 3 land in three_part so that the
-    closed-form evaluators can refuse them explicitly instead of silently
-    misclassifying.
+    p = 2 (mod 3); powers of 2 and 3 land in neither, and the closed forms
+    refuse them explicitly (theorem_hypothesis_failure).
     """
 
     def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
@@ -81,10 +80,6 @@ class ModulusProfile:
         return math.prod(p**e for p, e in self._part(1))
 
     @cached_property
-    def three_part(self) -> int:
-        return math.prod(p**e for p, e in self._part(0))
-
-    @cached_property
     def big_omega_n1(self) -> int:
         return sum(e for _, e in self._part(2))
 
@@ -99,14 +94,6 @@ class ModulusProfile:
     @cached_property
     def small_omega_n2(self) -> int:
         return len(self._part(1))
-
-    @property
-    def big_omega(self) -> int:
-        return sum(e for _, e in self.factors)
-
-    @property
-    def small_omega(self) -> int:
-        return len(self.factors)
 
     @property
     def is_squarefree(self) -> bool:
@@ -166,10 +153,10 @@ def require_hypotheses(profile: ModulusProfile, exact: bool = True) -> None:
 
 
 @lru_cache(maxsize=4096)
-def factor(n: int, bound: int = DEFAULT_BOUND) -> ModulusProfile:
-    """Factor n by trial division."""
-    if not 1 <= n <= bound:
-        raise ValueError(f"modulus {n} outside supported range [1, {bound}]")
+def factor(n: int) -> ModulusProfile:
+    """Factor n by trial division, for 1 <= n <= DEFAULT_BOUND."""
+    if not 1 <= n <= DEFAULT_BOUND:
+        raise ValueError(f"modulus {n} outside supported range [1, {DEFAULT_BOUND}]")
     factors: list[tuple[int, int]] = []
     rest = n
     for p in _sieve_primes(math.isqrt(n) + 1):

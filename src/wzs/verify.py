@@ -156,7 +156,7 @@ def check_matrix(n: int, seed: int, seconds: float) -> tuple[dict, set[str]]:
     ok = enum.complete and passes("coprimality_minima", enum.classes, coprime_enough)[0]
     checks["coprimality_minima"] = {"pass": ok}
 
-    bound = prior_upper_bound(prof).d_bound
+    bound = prior_upper_bound(prof)
     checks["prior_bound_ceiling"] = {
         "pass": enum.d_value is not None and enum.d_value <= bound,
         "bound": bound,

@@ -2,10 +2,10 @@
 
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
-dynamic programming inner loops want fast iteration.  Derived tables (coset
-minima and the k least members they record, orbit ids, the kernel's orbit
-columns and packed orbit rows) are built lazily, once per instance; kind
-constructors share one per modulus.
+dynamic programming inner loops want fast iteration.  Derived tables (orbit
+ids and the k least members of the orbits, from one coset pass; the
+kernel's orbit columns and packed orbit rows) are built lazily, once per
+instance; kind constructors share one per modulus.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class WeightSet:
     """Equal, hashed and shown by all fields but members; immutable by convention."""
 
     def __init__(self, modulus: int, elements: tuple[int, ...], kind: str, is_subgroup: bool,
-                 members: frozenset[int] = frozenset()) -> None:
+                 members: frozenset[int]) -> None:
         self.modulus, self.elements, self.kind = modulus, elements, kind
         self.is_subgroup, self.members = is_subgroup, members
 
@@ -39,12 +39,6 @@ class WeightSet:
         return ("WeightSet(modulus={!r}, elements={!r}, kind={!r}, is_subgroup={!r})"
                 .format(*self._key()))
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -58,28 +52,28 @@ class WeightSet:
 
     @cached_property
     def _cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(rep, least): rep[x] is the least member of the coset A*x, and
-        least the k least members of the cosets, increasing, 0 first."""
+        """(orbit_id, least): orbit_id[x] is the index of the coset A*x, and
+        least[i] the least member of coset i; least is increasing, 0 first."""
         n = self.modulus
         if not self.is_subgroup:  # the loop below would give wrong minima
             raise ValueError(f"coset minima need a subgroup; {self.kind} mod {n} is not one")
         # The cosets A*x partition Z_n and are met in increasing order, so the
-        # first unseen x is the least member of its coset.
-        rep, least = [0] * n, [0]
+        # first unseen x (id 0, which only {0} keeps) is the least member of
+        # its coset, and ids given as cosets are met rise with least members.
+        oid, least = [0] * n, [0]
         for x in range(1, n):
-            if not rep[x]:
+            if not oid[x]:
+                i = len(least)
                 least.append(x)
                 for w in self.elements:
-                    rep[w * x % n] = x
-        return tuple(rep), tuple(least)
+                    oid[w * x % n] = i
+        return tuple(oid), tuple(least)
 
     @cached_property
     def orbit_id(self) -> tuple[int, ...]:
         """orbit_id[x] = index of the coset A*x, numbered by least member, so
         {0} is orbit 0; only meaningful when A is a subgroup."""
-        rep, least = self._cosets
-        ids = {x: i for i, x in enumerate(least)}
-        return tuple(map(ids.__getitem__, rep))
+        return self._cosets[0]
 
     @cached_property
     def orbit_count(self) -> int:
@@ -105,7 +99,7 @@ class WeightSet:
         """orbit_columns[q][o] = mask of the orbits met by r + y for r in
         orbit o and y in orbit q.  Since a*(r + b*y) = a*r + ab*y, this is
         the mask of r + A*y, and one y per orbit gives it, in O(n)."""
-        oid, least = self.orbit_id, self._cosets[1]
+        oid, least = self._cosets
         cols = []
         for y in least:
             acc = [0] * len(least)
@@ -219,13 +213,11 @@ def by_kind(kind: str, n: int, elems: list[int] | None = None) -> WeightSet:
 
 
 def coset_minima(a: WeightSet) -> tuple[int, ...]:
-    """rep[x] = min of the multiplicative coset A*x mod n, with rep[0] = 0.
-
-    Defined only when A is a subgroup (the cosets partition Z_n), else a
-    ValueError; used for orbit-pruned search and canonical forms.  Built
-    once per weight set.
-    """
-    return a._cosets[0]
+    """rep[x] = min of the multiplicative coset A*x mod n, with rep[0] = 0: a
+    view of the orbit table, derived on each call.  Defined only when A is a
+    subgroup (the cosets partition Z_n), else a ValueError."""
+    oid, least = a._cosets
+    return tuple(map(least.__getitem__, oid))
 
 
 def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:

@@ -180,14 +180,6 @@ def _check_moduli(seq: Sequence, weights: WeightSet) -> None:
         )
 
 
-def reachable_sums(seq: Sequence, weights: WeightSet) -> set[int]:
-    """All residues of the form sum(a_i * x_i) over nonempty subsequences."""
-    _check_moduli(seq, weights)
-    r = _subset_layers(seq, weights)[-1]
-    bit = _bit_index(weights)
-    return {t for t in range(seq.modulus) if r >> bit[t] & 1}
-
-
 def _pick_weight(weights: WeightSet, bit, prev: int, t: int, x: int) -> tuple[int, int]:
     """The first weight a whose residual s = t - a*x lies in the mask prev,
     as (a, s): one backtracking step of every certificate.
@@ -256,20 +248,15 @@ def is_zero_sum_free(seq: Sequence, weights: WeightSet) -> bool:
     return not _subset_layers(seq, weights)[-1] & 1
 
 
-def has_fixed_length_zero_subseq(
-    seq: Sequence, weights: WeightSet, length: int, allow_empty: bool = False
-) -> Certificate | None:
+def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
+                                 length: int) -> Certificate | None:
     """Certificate for a weighted zero-sum subsequence of exactly `length` terms.
 
-    length above the sequence length yields None by contract.  length = 0 is
-    None under the nonempty convention unless allow_empty opts in to the empty
-    certificate.
+    A length outside [1, len(seq)] yields None: subsequences are nonempty.
     """
     _check_moduli(seq, weights)
-    if length < 0 or length > len(seq):
+    if not 1 <= length <= len(seq):
         return None
-    if length == 0:
-        return Certificate(picked=(), claimed_sum=0) if allow_empty else None
     # layers[j][c] holds the sums of c weighted picks among the first j
     # terms.  A cell with c < length - (len(seq) - j) cannot grow to `length`
     # picks, and backtracking starts from the first row where `length` picks
@@ -352,12 +339,10 @@ def crt_zero_check(seq: Sequence, profile: ModulusProfile) -> bool:
     """Whether the whole sequence is a cube-weighted zero-sum, componentwise.
 
     Checks each maximal prime-power projection for a full-selection weighted
-    zero-sum; the conjunction equals the direct whole-sequence check over Z_n.
+    zero-sum; the conjunction (empty at n = 1) equals the check over Z_n.
     """
     if profile.n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
-    if profile.n == 1:
-        return True
     for q in profile.prime_powers():
         proj = [t % q for t in seq.terms]
         if not full_zero_sum_exists(proj, cubes(q)):

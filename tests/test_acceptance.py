@@ -178,7 +178,7 @@ def test_criterion_9_prior_bound_consistency():
     t0 = time.perf_counter()
     ok = True
     for n in VERIFICATION_LIST:
-        bound = prior_upper_bound(factor(n)).d_bound
+        bound = prior_upper_bound(factor(n))
         search = davenport_search(n, cubes(n))
         if not search.conclusive or search.value > bound:
             ok = False

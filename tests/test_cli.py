@@ -9,7 +9,7 @@ import zlib
 import pytest
 
 import wzs
-from wzs import cli, invariants, verify
+from wzs import cli, commands, invariants, verify
 from wzs.cli import (
     EXIT_CONTRACT,
     EXIT_INCONCLUSIVE,
@@ -200,16 +200,17 @@ def _python(code: str, *args: str) -> subprocess.Popen:
 
 
 def test_concurrent_large_appends_stay_whole_lines(isolated_cache):
+    # each writer's Cache() opens isolated_cache, through WZS_CACHE
     writer = (
         "import sys\n"
         "from wzs.cli import Cache, RunRecord\n"
-        "cache = Cache(sys.argv[1])\n"
+        "cache = Cache()\n"
         "for i in range(40):\n"
-        "    payload = sys.argv[2] * (70_000 + i)\n"
-        "    cache.store(RunRecord('extremal-enumerate', {'i': i, 'by': sys.argv[2]},\n"
+        "    payload = sys.argv[1] * (70_000 + i)\n"
+        "    cache.store(RunRecord('extremal-enumerate', {'i': i, 'by': sys.argv[1]},\n"
         "                          payload, 0.0, '0.1.0', 0.0))\n"
     )
-    procs = [_python(writer, str(isolated_cache), tag) for tag in "ab"]
+    procs = [_python(writer, tag) for tag in "ab"]
     for proc in procs:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
@@ -414,6 +415,26 @@ def test_extremal_enumerate_zero_budget_is_inconclusive(capsys, isolated_cache):
         payload = json.loads(out)
         assert payload["complete"] is False and payload["d_value"] is None
         assert not isolated_cache.exists()
+
+
+def test_extremal_enumerate_reads_the_deadline_before_every_class(capsys, isolated_cache,
+                                                                 monkeypatch):
+    # The command reads its clock once for the deadline, then before
+    # classifying each of the 7 classes at 95.  A deadline that passes before
+    # the fourth class prints the three classified ones, exits 2 and caches
+    # nothing; with a read to spare for every class, the run is whole.
+    monkeypatch.setattr(commands, "time", _Clock(4))
+    code, out, _ = run(capsys, "extremal", "enumerate", "--n", "95")
+    assert code == EXIT_INCONCLUSIVE and not isolated_cache.exists()
+    cut = json.loads(out)
+    assert (cut["count"], cut["complete"], cut["d_value"]) == (3, False, 4)
+    clock = _Clock(8)
+    monkeypatch.setattr(commands, "time", clock)
+    code, out, _ = run(capsys, "extremal", "enumerate", "--n", "95")
+    whole = json.loads(out)
+    assert code == EXIT_OK and clock.calls == 8
+    assert (whole["count"], whole["complete"], whole["d_value"]) == (7, True, 4)
+    assert cut["classes"] == whole["classes"][:3]
 
 
 def test_extremal_construct_and_classify(capsys):

@@ -1,6 +1,7 @@
 """Canonical forms, orbit enumeration, construction and classification."""
 
 import random
+import zlib
 
 import pytest
 
@@ -321,12 +322,18 @@ def test_coprimality_violations_force_zero_sums():
 
 
 def test_violating_sequence_shape():
+    # every draw leaves fewer terms coprime to some prime than its quota: at
+    # most one for 19 (of n1), none for 5 (of n2); each prime gets drawn
     rng = random.Random(47)
     prof = factor(95)
-    for prime, max_coprime in ((19, 1), (5, 0)):
-        seq = coprimality_violating_sequence(prof, rng, prime=prime)
-        coprime = sum(1 for t in seq.terms if t % prime != 0)
-        assert coprime <= max_coprime
+    short_at = set()
+    for _ in range(40):
+        seq = coprimality_violating_sequence(prof, rng)
+        short = {p for p, quota in prof.unit_quotas()
+                 if sum(1 for t in seq.terms if t % p != 0) < quota}
+        assert short, seq.terms
+        short_at |= short
+    assert short_at == {19, 5}
 
 
 def test_canonicalize_coset_scalings_match_all_units():
@@ -342,3 +349,22 @@ def test_canonicalize_coset_scalings_match_all_units():
                 got = canonicalize(seq, ws)
                 assert got.canonical.terms == min(forms), (n, seq)
                 assert got.orbit_size == len(forms), (n, seq)
+
+
+def test_canonical_forms_are_pinned():
+    # (orbit_size, canonical terms) of every class enumerate_extremal lists at
+    # 589 and 2945, and of canonicalize over 2000 random sequences mod 95 and
+    # 185: the count and CRC-32 of their repr, pinned from the canonical form
+    # that read the n-sized coset-minima table.
+    for n, count, crc in ((589, 31, 0xA5D262AB), (2945, 1249, 0x00C3527B)):
+        enum = enumerate_extremal(n, cubes(n))
+        forms = [(c.orbit_size, c.canonical.terms) for c in enum.classes]
+        assert (len(forms), zlib.crc32(repr(forms).encode())) == (count, crc), n
+    for n, crc in ((95, 0xBD4231EC), (185, 0x0726882B)):
+        rng = random.Random(n)
+        forms = []
+        for _ in range(2000):
+            seq = Sequence.make(n, [rng.randrange(n) for _ in range(rng.randrange(8))])
+            c = canonicalize(seq, cubes(n))
+            forms.append((c.orbit_size, c.canonical.terms))
+        assert zlib.crc32(repr(forms).encode()) == crc, n

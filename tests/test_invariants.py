@@ -159,10 +159,10 @@ def test_witness_zero_sum_freeness_is_scaling_invariant():
 
 
 def test_prior_upper_bound_values():
-    assert prior_upper_bound(factor(19)).d_bound == 4
-    assert prior_upper_bound(factor(7)).d_bound == 6
-    assert prior_upper_bound(factor(5)).d_bound == 2
-    assert prior_upper_bound(factor(95)) == (5, 99)
+    assert prior_upper_bound(factor(19)) == 4
+    assert prior_upper_bound(factor(7)) == 6
+    assert prior_upper_bound(factor(5)) == 2
+    assert prior_upper_bound(factor(95)) == 5
 
 
 def test_prior_upper_bound_refusals():
@@ -171,7 +171,7 @@ def test_prior_upper_bound_refusals():
 
 def test_search_respects_prior_ceiling():
     for n in FORMULA_CASES:
-        bound = prior_upper_bound(factor(n)).d_bound
+        bound = prior_upper_bound(factor(n))
         assert davenport_search(n, cubes(n)).value <= bound
 
 

@@ -3,6 +3,7 @@ two mask forms (orbit ids, residues) against each other."""
 
 import random
 
+from sums_oracle import reachable_sums
 from wzs import zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
@@ -15,7 +16,6 @@ from wzs.zerosum import (
     full_zero_sum_weights,
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
-    reachable_sums,
 )
 
 KINDS = ("one", "pm1", "units", "squares", "cubes")

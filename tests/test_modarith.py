@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from wzs import modarith
 from wzs.modarith import (
     crt_combine,
     factor,
@@ -15,6 +16,16 @@ from wzs.modarith import (
     units,
 )
 from wzs.weightsets import cubes
+
+
+def three_part(prof):
+    """The powers of 2 and 3 in n, which neither n1 nor n2 takes."""
+    return math.prod(p**e for p, e in prof.factors if not unit_quota(p))
+
+
+def big_omega(prof):
+    """Omega(n), the prime factors of n counted with multiplicity."""
+    return sum(e for _, e in prof.factors)
 
 
 def test_factor_95():
@@ -27,7 +38,7 @@ def test_factor_95():
 def test_factor_one():
     prof = factor(1)
     assert prof.factors == ()
-    assert prof.n1 == prof.n2 == prof.three_part == 1
+    assert prof.n1 == prof.n2 == three_part(prof) == 1
 
 
 def test_factor_prime_power_split():
@@ -58,7 +69,7 @@ def test_derived_profile_values_are_pinned():
     log = []
     for n in range(1, 5000):
         prof = factor(n)
-        log.append((n, prof.n1, prof.n2, prof.three_part, prof.big_omega_n1, prof.big_omega_n2,
+        log.append((n, prof.n1, prof.n2, three_part(prof), prof.big_omega_n1, prof.big_omega_n2,
                     prof.small_omega_n1, prof.small_omega_n2, prof.unit_quotas(),
                     prof.extremal_length, prof.divisors()))
     assert (len(log), zlib.crc32(repr(log).encode())) == (4999, 0xBDDBF5D5)
@@ -70,7 +81,7 @@ def test_unit_quota_is_the_split_by_class_mod_3():
         prof = factor(n)
         assert prof.unit_quotas() == [(p, q) for q in (2, 1) for p, _ in prof.factors
                                       if unit_quota(p) == q]
-        assert prof.three_part == math.prod(p**e for p, e in prof.factors if not unit_quota(p))
+        assert prof.n1 * prof.n2 * three_part(prof) == n
 
 
 def test_cube_test_mod_a_prime_is_membership_in_the_cubes():
@@ -79,7 +90,7 @@ def test_cube_test_mod_a_prime_is_membership_in_the_cubes():
     primes = [p for p in range(2, 2000) if factor(p).factors == ((p, 1),)]
     assert len(primes) == 303
     for p in primes:
-        assert all(is_cube_mod_prime(r, p) == (r in cubes(p)) for r in range(1, p)), p
+        assert all(is_cube_mod_prime(r, p) == (r in cubes(p).members) for r in range(1, p)), p
 
 
 def test_factor_out_of_range():
@@ -89,18 +100,21 @@ def test_factor_out_of_range():
         factor(10**6 + 1)
 
 
-def test_factor_bound_configurable():
-    prof = factor(10**6 + 1, bound=2 * 10**6)
+def test_factor_bound_configurable(monkeypatch):
+    # the cap is DEFAULT_BOUND, read on each call; the unwrapped function
+    # keeps a profile past the usual cap out of factor's cache
+    monkeypatch.setattr(modarith, "DEFAULT_BOUND", 2 * 10**6)
+    prof = factor.__wrapped__(10**6 + 1)
     assert prof.factors == ((101, 1), (9901, 1))
 
 
 def test_factorization_identities():
     for n in range(1, 400):
         prof = factor(n)
-        assert prof.big_omega >= prof.small_omega
-        assert prof.n1 * prof.n2 * prof.three_part == n
-        assert prof.big_omega == (
-            prof.big_omega_n1 + prof.big_omega_n2 + factor(prof.three_part).big_omega
+        assert big_omega(prof) >= len(prof.factors)
+        assert prof.n1 * prof.n2 * three_part(prof) == n
+        assert big_omega(prof) == (
+            prof.big_omega_n1 + prof.big_omega_n2 + big_omega(factor(three_part(prof)))
         )
         assert all(p % 3 == 1 for p, _ in factor(prof.n1).factors)
         assert all(p % 3 == 2 and p != 2 for p, _ in factor(prof.n2).factors)

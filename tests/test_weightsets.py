@@ -1,6 +1,7 @@
 """Weight set construction, reduction mod divisors, and subgroup detection."""
 
 import math
+import zlib
 
 import pytest
 
@@ -167,7 +168,7 @@ def test_kind_constructors_return_one_instance_per_modulus():
         assert make(95) is make(95)
     assert cubes(95) is by_kind("cubes", 95)
     assert by_kind("pm1", 95) is pm_one(95)
-    assert coset_minima(cubes(95)) is coset_minima(cubes(95))
+    assert cubes(95)._cosets is cubes(95)._cosets
 
 
 def test_coset_reps_times_weights_hit_every_unit_once():
@@ -197,3 +198,15 @@ def test_recorded_minima_reps_and_alphabet_match_their_definitions():
             firsts, symbols = reduced_alphabet(ws)
             assert firsts == [d for d in range(1, n) if n % d == 0]
             assert symbols == sorted(least[1:], key=lambda x: (math.gcd(x, n), x))
+
+
+def test_orbit_tables_are_pinned():
+    # orbit_id and coset_minima of every subgroup kind at 2 <= n < 400: the
+    # count and CRC-32 of their repr, pinned from the coset pass that stored
+    # the n-sized minima table and remapped it to orbit ids.
+    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
+    sets = [make(n) for n in range(2, 400) for make in kinds]
+    ids = [ws.orbit_id for ws in sets]
+    minima = [tuple(coset_minima(ws)) for ws in sets]
+    assert (len(ids), zlib.crc32(repr(ids).encode())) == (1990, 0x95DD6D26)
+    assert zlib.crc32(repr(minima).encode()) == 0x20D959F8

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from sums_oracle import reachable_sums
 from wzs import zerosum
 from wzs.errors import ContractError, HypothesisError
 from wzs.modarith import factor, theorem_hypothesis_failure, units
@@ -23,7 +24,6 @@ from wzs.zerosum import (
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
     is_zero_sum_free,
-    reachable_sums,
 )
 
 
@@ -172,7 +172,7 @@ def reference_verify(cert, seq, weights):
     idxs = [i for i, _ in cert.picked]
     if len(set(idxs)) != len(idxs) or any(not 0 <= i < len(seq) for i in idxs):
         return False
-    if any(a not in weights for _, a in cert.picked):
+    if any(a not in weights.members for _, a in cert.picked):
         return False
     total = sum(a * seq.terms[i] for i, a in cert.picked) % seq.modulus
     return total == cert.claimed_sum % seq.modulus
@@ -198,10 +198,9 @@ def test_certificate_verify_matches_the_reference_on_random_certificates():
 def test_fixed_length_conventions():
     ws = cubes(5)
     seq = Sequence.make(5, [1, 2])
-    assert has_fixed_length_zero_subseq(seq, ws, 0) is None
-    empty = has_fixed_length_zero_subseq(seq, ws, 0, allow_empty=True)
-    assert empty == Certificate(picked=(), claimed_sum=0)
-    assert has_fixed_length_zero_subseq(seq, ws, 3) is None
+    # subsequences are nonempty: a length outside [1, len(seq)] has none
+    for length in (-1, 0, 3):
+        assert has_fixed_length_zero_subseq(seq, ws, length) is None
 
 
 def test_fixed_length_all_zeros():
@@ -246,7 +245,7 @@ def test_full_zero_sum_weights_oracle():
                 assert not oracle_full_zero(terms, ws)
             else:
                 assert sum(a * x for a, x in zip(got, terms)) % q == 0
-                assert all(a in ws for a in got)
+                assert all(a in ws.members for a in got)
 
 
 def test_full_zero_sum_weights_rejects_values_out_of_range():
@@ -281,6 +280,8 @@ def test_crt_zero_check_trivial():
     prof = factor(95)
     assert crt_zero_check(Sequence.make(95, [0, 0, 0]), prof)
     assert crt_zero_check(Sequence.make(95, []), prof)
+    # Z_1 has no prime power to project to: every sequence is a zero-sum
+    assert crt_zero_check(Sequence.make(1, [0, 0]), factor(1))
 
 
 def test_crt_zero_check_blocked_component():
