@@ -211,6 +211,7 @@ def test_budget_bounds_the_residue_kernel_set_up():
         (273, 6, 5427, 826, (1, 2, 9, 21, 42)),
         (294, 7, 17210, 2971, (1, 5, 11, 14, 28, 126)),
         (351, 7, 7008, 1047, (1, 2, 4, 9, 18, 117)),
+        (252, 8, 822242, 87342, (1, 5, 9, 11, 27, 45, 126)),
     ],
 )
 def test_cube_search_pins(n, value, nodes, states, witness):
@@ -249,17 +250,20 @@ def test_search_node_count_falls_with_the_table():
     assert res.stats.exhausted_by is None
 
 
+@pytest.mark.parametrize("passing", [3, 4, 5])
 @pytest.mark.parametrize("n, weights", [(126, by_kind("cubes", 126)), (2000, custom(2000, [1, 2]))])
-def test_deadline_is_read_every_256_nodes(monkeypatch, n, weights):
-    # A clock that passes every deadline from its third reading on: the
-    # search reads it for its start and once on entering the first branch,
-    # then must stop within 256 nodes.  At about 0.1 ms a node on residue
-    # masks at n >= 20000, a 4096-node interval overshot by about 0.4 s.
-    readings = iter([0.0, 0.0])
+def test_deadline_is_read_every_256_nodes(monkeypatch, n, weights, passing):
+    # A clock that passes every deadline from its `passing`-th reading on:
+    # the search reads it for its start and once on entering the first
+    # branch, then every 256 nodes, so it stops at exactly 256, 512 or 768
+    # nodes, rows at 126 and steps at 2000.  At about 0.1 ms a node on
+    # residue masks at n >= 20000, a 4096-node interval overshot by about
+    # 0.4 s.
+    readings = iter([0.0] * (passing - 1))
     monkeypatch.setattr(invariants.time, "perf_counter", lambda: next(readings, 1e9))
     res = davenport_search(n, weights, Budget(max_seconds=1.0))
     assert not res.conclusive and res.stats.exhausted_by == "seconds"
-    assert res.stats.nodes == 256
+    assert res.stats.nodes == 256 * (passing - 2)
 
 
 def test_seconds_exhaustion_is_named():
@@ -354,3 +358,59 @@ def test_node_capped_searches_are_pinned(kind, n, elems, cap):
     weights = by_kind(kind, n, [int(x) for x in elems.split(",")] if elems else None)
     summary = search_summary(weights, cap)
     assert (summary[4], zlib.crc32(repr(summary).encode())) == SEARCH_PINS[kind, n, elems, cap]
+
+
+# (kind, n, custom elements, node cap): what _walk itself leaves, with no
+# deadline: nodes, the budget that ran out, the CRC-32 of the repr of
+# (finished, longest, partial) and that of the sorted table items, depths
+# included, since a later walk reads them from a stopped walk's table.
+# Cubes at 126 and 2945 and squares at 252 walk on rows; {1} at 150 (150
+# orbits) and {1, 5, 7} on steps; {1} at 40 on rows with 40 orbits.
+WALK_PINS = {
+    ("cubes", 126, None, 1): (1, "nodes", 0xCBA39767, 0x0D4CBB29),
+    ("cubes", 126, None, 255): (255, "nodes", 0x71B267AA, 0xA0069B87),
+    ("cubes", 126, None, 256): (256, "nodes", 0x71B267AA, 0x7CC83A3A),
+    ("cubes", 126, None, 257): (257, "nodes", 0x71B267AA, 0x7CC83A3A),
+    ("cubes", 126, None, 5000): (5000, "nodes", 0x71B267AA, 0xB6EBD54E),
+    ("cubes", 126, None, 10**12): (59122, None, 0x9BA07019, 0x09DE7966),
+    ("cubes", 2945, None, 1): (1, "nodes", 0xCBA39767, 0x0D4CBB29),
+    ("cubes", 2945, None, 255): (255, "nodes", 0xD9ADA1C6, 0xD65D7631),
+    ("cubes", 2945, None, 256): (256, "nodes", 0xD9ADA1C6, 0xD65D7631),
+    ("cubes", 2945, None, 257): (257, "nodes", 0xD9ADA1C6, 0xD65D7631),
+    ("cubes", 2945, None, 5000): (2829, None, 0x69E93623, 0x3E416AB2),
+    ("cubes", 2945, None, 10**12): (2829, None, 0x69E93623, 0x3E416AB2),
+    ("squares", 252, None, 1): (1, "nodes", 0xCBA39767, 0x0D4CBB29),
+    ("squares", 252, None, 255): (255, "nodes", 0xF49E776C, 0xEC781A3A),
+    ("squares", 252, None, 256): (256, "nodes", 0xF49E776C, 0xEC781A3A),
+    ("squares", 252, None, 257): (257, "nodes", 0xF49E776C, 0xEC781A3A),
+    ("squares", 252, None, 5000): (5000, "nodes", 0x63DDD51F, 0xBB73D246),
+    ("one", 40, None, 1): (1, "nodes", 0xCBA39767, 0x0D4CBB29),
+    ("one", 40, None, 255): (255, "nodes", 0x8A624FF9, 0x43049DFD),
+    ("one", 40, None, 256): (256, "nodes", 0x8A624FF9, 0x43049DFD),
+    ("one", 40, None, 257): (257, "nodes", 0x8A624FF9, 0x43049DFD),
+    ("one", 40, None, 5000): (5000, "nodes", 0x8A624FF9, 0x0727CAE0),
+    ("one", 40, None, 10**12): (1734735, None, 0xA4B236B9, 0xD65F7E27),
+    ("one", 150, None, 1): (1, "nodes", 0xCBA39767, 0x0D4CBB29),
+    ("one", 150, None, 255): (255, "nodes", 0x11758B12, 0x0D4CBB29),
+    ("one", 150, None, 256): (256, "nodes", 0x11758B12, 0x0D4CBB29),
+    ("one", 150, None, 257): (257, "nodes", 0x11758B12, 0x0D4CBB29),
+    ("one", 150, None, 5000): (5000, "nodes", 0x11758B12, 0x832ABED8),
+    ("custom", 300, "1,5,7", 1): (1, "nodes", 0xCBA39767, 0x0D4CBB29),
+    ("custom", 300, "1,5,7", 255): (255, "nodes", 0x9E1F0A76, 0x0D4CBB29),
+    ("custom", 300, "1,5,7", 256): (256, "nodes", 0x9E1F0A76, 0x0D4CBB29),
+    ("custom", 300, "1,5,7", 257): (257, "nodes", 0x9E1F0A76, 0x0D4CBB29),
+    ("custom", 300, "1,5,7", 5000): (5000, "nodes", 0x9E1F0A76, 0x848746DA),
+}
+
+
+@pytest.mark.parametrize("kind, n, elems, cap", sorted(WALK_PINS, key=repr))
+def test_walk_tables_are_pinned(kind, n, elems, cap):
+    weights = by_kind(kind, n, [int(x) for x in elems.split(",")] if elems else None)
+    firsts, alphabet = reduced_alphabet(weights)
+    walk = _walk(weights, firsts, alphabet, cap, float("inf"), {})
+    assert (
+        walk.nodes,
+        walk.exhausted_by,
+        zlib.crc32(repr((walk.finished, walk.longest, walk.partial)).encode()),
+        zlib.crc32(repr(sorted(walk.table.items())).encode()),
+    ) == WALK_PINS[kind, n, elems, cap]
