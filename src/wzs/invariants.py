@@ -175,21 +175,23 @@ def _walk(
     kernel and one node budget, until a budget runs out.
 
     The kernel is that of _reach_rows over the alphabet, or failing that of
-    _reach_step.  A child that would make 0 reachable (bit neg[i] of the
-    mask) is skipped unbuilt, but counts as a node, as does each first
-    term.  `table` maps a state key mask << bits | lo to depth(mask, lo),
-    and an entry is written only once its state is fully explored, so a
-    table left by a stopped walk serves a later one.  The walk keeps its own
-    stack, so only the budget bounds how deep it goes.  `deadline` is a
-    perf_counter() reading, read on entering each branch and every 256
-    nodes.
+    _reach_step.  A child that would make 0 reachable (one that meets bit
+    dead[i] of the mask on rows, or whose step sets bit 0) is skipped, but
+    counts as a node, as does each first term.  `table` maps a state key
+    mask << bits | lo to depth(mask, lo), and an entry is written only once
+    its state is fully explored, so a table left by a stopped walk serves a
+    later one.  The state being explored lives in locals; the walk keeps
+    its suspended ancestors on its own stack, so only the budget bounds how
+    deep it goes.  `deadline` is a perf_counter() reading, read on entering
+    each branch and every 256 nodes.
     """
     rows = _reach_rows(weights, alphabet)
     step = None if rows else _reach_step(weights, alphabet)
     size = len(alphabet)
-    # without rows, neg = 0 never skips: bit 0 of a zero-sum-free mask is clear
-    expand, fields, full, neg = rows or (None, None, 0, [0] * size)
+    # without rows, dead = 0 never skips: the step's zero test does
+    expand, fields, full, dead, chunks = rows or (None, None, 0, [0] * size, None)
     bits = size.bit_length()
+    get = table.get
     finished: list[int] = []
     longest = nodes = 0
     exhausted_by = None
@@ -203,54 +205,66 @@ def _walk(
             best = ()
             break
         nodes += 1
-        start = alphabet.index(first)
-        first_mask = expand(1) >> fields[start] & full if rows else step(0, start, 1)
-        root = first_mask << bits | start
-        # A frame: a state (mask, lo), the next symbol index to try, the longest
-        # extension found so far and the state's row; alphabet[lo] is its term.
-        row, best = expand(first_mask | 1) if rows else 0, (first,)
-        live = not first_mask & 1 and root not in table
-        frames = [[first_mask, start, start, 0, row]] if live else []
-        while frames:
-            frame = frames[-1]
-            mask, lo, i, d, row = frame
-            while i < size:
-                if nodes >= max_nodes:
-                    exhausted_by = "nodes"
-                    break
-                nodes += 1
-                # at about 0.1 ms a node on large residue masks, 256 nodes
-                # overshoot the deadline by at most about 25 ms
-                if nodes % 256 == 0 and time.perf_counter() > deadline:
-                    exhausted_by = "seconds"
-                    break
-                if mask >> neg[i] & 1:
-                    i += 1
-                    continue
-                new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
-                i += 1
-                if not new & 1:
-                    known = table.get(new << bits | i - 1)
+        # The explored state (mask, lo), the next symbol index i to try, the
+        # longest extension d found so far and the state's row; alphabet[lo]
+        # is its term.  An ancestor waits on the stack as the same five,
+        # with i past the child it descended to.
+        lo = i = alphabet.index(first)
+        mask = first_mask = step(0, lo, 1) if step else expand(1) >> fields[lo] & full
+        root, best = mask << bits | lo, (first,)
+        if not mask & 1 and root not in table:
+            row, d, stack = 0 if step else expand(mask | 1), 0, []
+            while True:
+                while i < size:
+                    if nodes >= max_nodes:
+                        exhausted_by = "nodes"
+                        break
+                    nodes += 1
+                    # at about 0.1 ms a node on large residue masks, 256 nodes
+                    # overshoot the deadline by at most about 25 ms
+                    if not nodes & 255 and time.perf_counter() > deadline:
+                        exhausted_by = "seconds"
+                        break
+                    if mask & dead[i]:
+                        i += 1
+                        continue
+                    if step:
+                        new = step(mask, i, mask | 1)
+                        if new & 1:
+                            i += 1
+                            continue
+                    else:
+                        new = mask | row >> fields[i] & full
+                    known = get(new << bits | i)
                     if known is None:
                         break
+                    i += 1
                     if known >= d:
                         d = known + 1
-            else:
-                table[mask << bits | lo] = d
-                frames.pop()
-                if frames and d >= frames[-1][3]:
-                    frames[-1][3] = d + 1
-                continue
+                else:
+                    table[mask << bits | lo] = d
+                    if not stack:
+                        break
+                    mask, lo, i, parent, row = stack.pop()
+                    d = d + 1 if d >= parent else parent
+                    continue
+                if exhausted_by:
+                    break
+                stack.append((mask, lo, i + 1, d, row))
+                if chunks:  # row |= expand(new ^ mask), inline
+                    added = new ^ mask
+                    for chunk in chunks:
+                        row |= chunk[added & 255]
+                        added >>= 8
+                        if not added:
+                            break
+                mask, lo, d = new, i, 0
+                if len(stack) >= len(best):
+                    # A list, not a generator expression: with one, repeated searches
+                    # held memory until a full collection ran (+0.5 MB of peak RSS).
+                    best = tuple([alphabet[f[1]] for f in stack] + [alphabet[i]])
             if exhausted_by:
                 break
-            frame[2], frame[3] = i, d
-            frames.append([new, i - 1, i - 1, 0, row | expand(new ^ mask) if rows else 0])
-            if len(frames) > len(best):
-                # A list, not a generator expression: with one, repeated searches
-                # held memory until a full collection ran (+0.5 MB of peak RSS).
-                best = tuple([alphabet[f[1]] for f in frames])
-        if exhausted_by:
-            break
         finished.append(first)
         if not first_mask & 1:
             longest = max(longest, table[root] + 1)
@@ -268,7 +282,7 @@ def _sequences_of_length(walk: Walk, length: int):
         return
     (step, rows), alphabet, table = walk.kernel, walk.alphabet, walk.table
     size = len(alphabet)
-    expand, fields, full, neg = rows or (None, None, 0, [0] * size)
+    expand, fields, full, dead, _ = rows or (None, None, 0, [0] * size, None)
     bits = size.bit_length()
     for lo in map(alphabet.index, walk.finished):
         mask = expand(1) >> fields[lo] & full if rows else step(0, lo, 1)
@@ -285,7 +299,7 @@ def _sequences_of_length(walk: Walk, length: int):
             mask, i, row = frame
             left = length - 1 - len(frames)  # depth the next child must have
             while i < size:
-                if mask >> neg[i] & 1:
+                if mask & dead[i]:
                     i += 1
                     continue
                 new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
@@ -323,11 +337,11 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
         raise ValueError("search needs n >= 2")
     budget = budget or Budget()
 
+    # the budget covers the witness, whose DP check builds the cube tables
+    t0 = time.perf_counter()
     # the witness seeds the incumbent, the prior bound caps an inconclusive answer
     cube_bounds = weights.kind == "cubes" and not theorem_hypothesis_failure(factor(n), exact=False)
     incumbent = lower_bound_witness(factor(n)).terms if cube_bounds else ()
-
-    t0 = time.perf_counter()
     firsts, alphabet = reduced_alphabet(weights)
     walk = _walk(weights, firsts, alphabet, budget.max_nodes, t0 + budget.max_seconds, {})
     # the first longest sequence: the incumbent, a finished branch's, or the

@@ -127,14 +127,14 @@ def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
 
 
 def _reach_rows(weights: WeightSet, symbols):
-    """(expand, fields, full, neg), the walks' kernel on orbit masks for
-    every subgroup up to MAX_ROW_ORBITS orbits, whatever uses_orbits picks
-    for the DP; None past that and for non-subgroups: there, call
-    _reach_step.  The step from src by symbols[i] is expand(src) >>
-    fields[i] & full, where expand ORs the rows of src's orbits a byte at a
-    time from per-walk tables, chunk[c][v] = OR of orbit_rows[8c + b] over
-    the set bits b of v.  A zero-sum-free mask holding bit neg[i], the orbit
-    of -symbols[i], reaches 0 on adding symbols[i]."""
+    """(expand, fields, full, dead, chunks), the walks' kernel on orbit
+    masks for every subgroup up to MAX_ROW_ORBITS orbits, whatever
+    uses_orbits picks for the DP; None past that and for non-subgroups:
+    there, call _reach_step.  The step from src by symbols[i] is expand(src)
+    >> fields[i] & full, where expand ORs the rows of src's orbits a byte at
+    a time from per-walk tables, chunks[c][v] = OR of orbit_rows[8c + b]
+    over the set bits b of v.  A zero-sum-free mask meeting dead[i], the bit
+    of the orbit of -symbols[i], reaches 0 on adding symbols[i]."""
     if not weights.is_subgroup or weights.orbit_count > MAX_ROW_ORBITS:
         return None
     rows, oid, n = weights.orbit_rows, weights.orbit_id, weights.modulus
@@ -155,7 +155,8 @@ def _reach_rows(weights: WeightSet, symbols):
         return acc
 
     k = len(rows)
-    return expand, [k * oid[x] for x in symbols], (1 << k) - 1, [oid[-x % n] for x in symbols]
+    dead = [1 << oid[-x % n] for x in symbols]
+    return expand, [k * oid[x] for x in symbols], (1 << k) - 1, dead, chunks
 
 
 def _bit_index(weights: WeightSet):

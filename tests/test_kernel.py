@@ -264,7 +264,7 @@ def test_orbit_rows_pack_the_columns():
         rng = random.Random(k)
         symbols = rng.sample(range(weights.modulus), 6)
         step = _reach_step(weights, symbols)
-        expand, fields, full, _ = _reach_rows(weights, symbols)
+        expand, fields, full = _reach_rows(weights, symbols)[:3]
         for _ in range(20):
             src = rng.getrandbits(k) | 1
             for i in range(len(symbols)):

@@ -266,6 +266,24 @@ def test_deadline_is_read_every_256_nodes(monkeypatch, n, weights, passing):
     assert res.stats.nodes == 256 * (passing - 2)
 
 
+def test_seconds_budget_covers_the_witness(monkeypatch):
+    # The witness's DP check builds the cube tables, most of a search's
+    # set-up at large n: a witness that moves the clock past the budget
+    # must stop the search, and count in its wall time.
+    clock = [0.0]
+    monkeypatch.setattr(invariants.time, "perf_counter", lambda: clock[0])
+    witness = invariants.lower_bound_witness
+
+    def slow_witness(profile):
+        clock[0] += 2.0
+        return witness(profile)
+
+    monkeypatch.setattr(invariants, "lower_bound_witness", slow_witness)
+    res = davenport_search(95, by_kind("cubes", 95), Budget(max_seconds=1.0))
+    assert not res.conclusive and res.stats.exhausted_by == "seconds"
+    assert res.stats.wall_time == 2.0
+
+
 def test_seconds_exhaustion_is_named():
     res = davenport_search(19, by_kind("one", 19), Budget(max_seconds=0))
     assert not res.conclusive
