@@ -762,3 +762,11 @@ def test_run_record_round_trips():
     body = json.loads(rec.to_json())
     assert body.pop("key") == cache_key("davenport", {"n": 95, "weights": "cubes"})
     assert RunRecord(**body) == rec
+
+
+@pytest.mark.parametrize("n, crc", [(55, 0xC29D39A5), (95, 0x65F5B36D), (185, 0x09102598), (2945, 0x9F768779)])
+def test_check_matrix_is_pinned(n, crc):
+    # verify's matrix at seed 3, in process, as CRC-32 of its sorted JSON
+    payload, undecided = verify.check_matrix(n, 3, 600)
+    assert not undecided and payload["all_pass"]
+    assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc

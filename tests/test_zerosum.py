@@ -520,3 +520,38 @@ def test_certificates_match_the_scan_reference(monkeypatch):
     monkeypatch.setattr(zerosum, "_pick_weight", scan_pick)
     for (weights, terms), got in zip(cases, solved):
         assert got == certificates(weights, terms), (weights.modulus, weights.kind, terms)
+
+
+# The count of sequences with a weighted zero-sum and the CRC-32 of the repr
+# of every DP answer on 200 sequences from random.Random(n), 0 to 8 terms
+# each: the certificates of has_weighted_zero_subseq,
+# has_fixed_length_zero_subseq (length 0 included) and full_zero_sum_weights
+# (on the terms as drawn), and the yes/no answers; crt_zero_check for the
+# cubes.  Orbit masks (cubes 95 and 5423), residue masks (cubes 126) and a
+# set that is not a subgroup ({1, 7, 11} mod 60).
+DP_PINS = {
+    ("cubes", 95, None): (143, 0xCF764992),
+    ("cubes", 126, None): (96, 0x8027F5D1),
+    ("cubes", 5423, None): (146, 0x2B59E676),
+    ("custom", 60, (1, 7, 11)): (115, 0x9609E3D2),
+}
+
+
+@pytest.mark.parametrize("kind, n, elems", sorted(DP_PINS, key=repr))
+def test_dp_answers_are_pinned(kind, n, elems):
+    weights = by_kind(kind, n, elems and list(elems))
+    prof = factor(n)
+    rng = random.Random(n)
+    log = []
+    for _ in range(200):
+        values = [rng.randrange(n) for _ in range(rng.randrange(9))]
+        seq = Sequence.make(n, values)
+        sub = has_weighted_zero_subseq(seq, weights)
+        full = full_zero_sum_weights(values, weights)
+        assert is_zero_sum_free(seq, weights) == (sub is None)
+        assert full_zero_sum_exists(values, weights) == (full is not None)
+        log.append((seq.terms, sub, full,
+                    has_fixed_length_zero_subseq(seq, weights, rng.randrange(len(seq) + 1)),
+                    kind == "cubes" and crt_zero_check(seq, prof)))
+    found = sum(entry[1] is not None for entry in log)
+    assert (found, zlib.crc32(repr(log).encode())) == DP_PINS[kind, n, elems]
