@@ -210,7 +210,7 @@ def _walk(
         # is its term.  An ancestor waits on the stack as the same five,
         # with i past the child it descended to.
         lo = i = alphabet.index(first)
-        mask = first_mask = step(0, lo, 1) if step else expand(1) >> fields[lo] & full
+        mask = first_mask = step(0, first, 1) if step else expand(1) >> fields[lo] & full
         root, best = mask << bits | lo, (first,)
         if not mask & 1 and root not in table:
             row, d, stack = 0 if step else expand(mask | 1), 0, []
@@ -229,7 +229,7 @@ def _walk(
                         i += 1
                         continue
                     if step:
-                        new = step(mask, i, mask | 1)
+                        new = step(mask, alphabet[i], mask | 1)
                         if new & 1:
                             i += 1
                             continue
@@ -285,7 +285,7 @@ def _sequences_of_length(walk: Walk, length: int):
     expand, fields, full, dead, _ = rows or (None, None, 0, [0] * size, None)
     bits = size.bit_length()
     for lo in map(alphabet.index, walk.finished):
-        mask = expand(1) >> fields[lo] & full if rows else step(0, lo, 1)
+        mask = expand(1) >> fields[lo] & full if rows else step(0, alphabet[lo], 1)
         if mask & 1 or table[mask << bits | lo] < length - 1:
             continue
         if length == 1:
@@ -302,7 +302,7 @@ def _sequences_of_length(walk: Walk, length: int):
                 if mask & dead[i]:
                     i += 1
                     continue
-                new = mask | row >> fields[i] & full if rows else step(mask, i, mask | 1)
+                new = mask | row >> fields[i] & full if rows else step(mask, alphabet[i], mask | 1)
                 i += 1
                 if not new & 1 and table[new << bits | i - 1] >= left:
                     break

@@ -4,8 +4,8 @@ A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
 dynamic programming inner loops want fast iteration.  Derived tables (orbit
 ids and the k least members of the orbits, from one coset pass; the
-kernel's orbit columns and packed orbit rows) are built lazily, once per
-instance; kind constructors share one per modulus.
+kernel's orbit columns, packed orbit rows and the DP's orbit step) are built
+lazily, once per instance; kind constructors share one per modulus.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ class WeightSet:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def __reduce__(self):  # a copy rebuilds its tables, and its step, on use
+        return WeightSet, (*self._key(), self.members)
 
     def to_dict(self) -> dict:
         return {
@@ -82,13 +85,13 @@ class WeightSet:
 
     @cached_property
     def uses_orbits(self) -> bool:
-        """Whether the DP's kernel (_reach_step) carries masks over orbit ids
-        rather than n-bit residue masks: for a subgroup with k orbits, when
-        k*k < n or k <= min(MAX_ROW_ORBITS, 4*|A|).  The residue step does
-        about n/k rotate-ORs per term where the orbit step does at most k ORs;
-        past 4*|A| orbits the DP measured slower on orbit masks.  The walks
-        take orbit rows up to MAX_ROW_ORBITS orbits whatever this says.  A
-        set that is not a subgroup never builds the O(n*|A|) coset table."""
+        """Whether the DP's kernel (_reach_step) carries masks over orbit ids,
+        stepped by orbit_step, rather than n-bit residue masks: for a subgroup
+        with k orbits, when k*k < n or k <= min(MAX_ROW_ORBITS, 4*|A|).  The
+        residue step does about n/k rotate-ORs per term where the orbit step
+        does at most k ORs; past 4*|A| orbits the DP measured slower on orbit
+        masks.  The walks take orbit rows up to MAX_ROW_ORBITS orbits whatever
+        this says.  A set that is not a subgroup never builds the coset table."""
         if not self.is_subgroup:
             return False
         k = self.orbit_count
@@ -107,6 +110,24 @@ class WeightSet:
                 acc[o] |= 1 << p
             cols.append(tuple(acc))
         return tuple(cols)
+
+    @cached_property
+    def orbit_step(self):
+        """The DP's step on orbit masks, built once: step(acc, x, src) ORs
+        into acc column orbit_id[x] of each orbit in src (r + A*x's orbits)."""
+        cols, oid = self.orbit_columns, self.orbit_id
+
+        def step(acc: int, x: int, src: int) -> int:
+            col = cols[oid[x]]
+            o = 0
+            while src:
+                if src & 1:
+                    acc |= col[o]
+                src >>= 1
+                o += 1
+            return acc
+
+        return step
 
     @cached_property
     def orbit_rows(self) -> tuple[int, ...]:

@@ -1,16 +1,16 @@
 """Weighted zero-sum decision core.
 
 Reachable weighted sums are tracked as bitmasks with a snapshot kept per
-term, so existence checks and certificate backtracking share one dynamic
-programming pass; the yes/no functions (is_zero_sum_free,
-full_zero_sum_exists) read only its last mask.  One kernel, _reach_step,
-extends a mask by a term for the DP.  A mask has one bit per orbit A*x when
-the weight set is a subgroup with few orbits (every reachable set is then a
-union of orbits), else one bit per residue; the weight set owns the tables
-and picks the form.  The search and the enumeration walk on _reach_rows,
-which expands a state by every symbol at once.  Certificates name term
-indices and weights and are always re-verified arithmetically before being
-returned.
+term for certificate backtracking; the yes/no functions (is_zero_sum_free,
+full_zero_sum_exists) fold the same steps to the last mask.  One kernel,
+_reach_step, extends a mask by a term for the DP.  A mask has one bit per
+orbit A*x when the weight set is a subgroup with few orbits (every reachable
+set is then a union of orbits), and the step is the set's own orbit_step,
+built once per set; else one bit per residue, by a step built per call.  The
+weight set owns the tables.  The search and the enumeration walk on
+_reach_rows, which expands a state by every symbol at once.  Certificates
+name term indices and weights and are always re-verified arithmetically
+before being returned.
 """
 
 from __future__ import annotations
@@ -88,37 +88,25 @@ class Certificate(NamedTuple):
 
 
 def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
-    """The reachable-sum kernel: step(acc, i, src) is acc together with every
-    r + a*symbols[i] for r in src and a in A.
+    """The reachable-sum kernel: step(acc, x, src) is acc together with every
+    r + a*x for r in src and a in A, for x among symbols.
 
     Masks are over orbit ids when weights.uses_orbits (every reachable set of
-    a subgroup is a union of orbits, and the columns give the orbits met by
-    an orbit plus A*x), else over residues, one rotate-OR per distinct a*x.
-    _bit_index maps a residue to its bit either way."""
+    a subgroup is a union of orbits), stepped by the set's own orbit_step;
+    else over residues, one rotate-OR per distinct a*x, by a step built per
+    call.  _bit_index maps a residue to its bit either way."""
     if weights.uses_orbits:
-        cols = [weights.orbit_columns[weights.orbit_id[x]] for x in symbols]
-
-        def step(acc: int, i: int, src: int) -> int:
-            col = cols[i]
-            o = 0
-            while src:
-                if src & 1:
-                    acc |= col[o]
-                src >>= 1
-                o += 1
-            return acc
-
-        return step
+        return weights.orbit_step
 
     # images are sorted on a symbol's first step: no O(n*|A|) set-up
     n = weights.modulus
     full = (1 << n) - 1
-    shifts: list[list[int] | None] = [None] * len(symbols)
+    shifts: dict[int, list[int] | None] = dict.fromkeys(symbols)
 
-    def step(acc: int, i: int, src: int) -> int:
-        images = shifts[i]
+    def step(acc: int, x: int, src: int) -> int:
+        images = shifts[x]
         if images is None:
-            images = shifts[i] = sorted({a * symbols[i] % n for a in weights.elements})
+            images = shifts[x] = sorted({a * x % n for a in weights.elements})
         for s in images:
             acc |= ((src << s) | (src >> (n - s))) & full if s else src
         return acc
@@ -168,9 +156,9 @@ def _subset_layers(seq: Sequence, weights: WeightSet) -> list[int]:
     """Mask per prefix of the sums of nonempty weighted subsequences."""
     step = _reach_step(weights, seq.terms)
     layers = [0]
-    for i in range(len(seq)):
+    for x in seq.terms:
         mask = layers[-1]
-        layers.append(step(mask, i, mask | 1))
+        layers.append(step(mask, x, mask | 1))
     return layers
 
 
@@ -243,10 +231,14 @@ def has_weighted_zero_subseq(seq: Sequence, weights: WeightSet) -> Certificate |
 
 def is_zero_sum_free(seq: Sequence, weights: WeightSet) -> bool:
     """Whether no nonempty subsequence has a weighted sum 0: the answer of
-    has_weighted_zero_subseq(seq, weights) is None, read off the same layer
-    pass without backtracking a certificate."""
+    has_weighted_zero_subseq(seq, weights) is None, from the same steps,
+    folded to the last mask."""
     _check_moduli(seq, weights)
-    return not _subset_layers(seq, weights)[-1] & 1
+    step = _reach_step(weights, seq.terms)
+    mask = 0
+    for x in seq.terms:
+        mask = step(mask, x, mask | 1)
+    return not mask & 1
 
 
 def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
@@ -266,11 +258,11 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     spare = len(seq) - length
     layers: list[list[int]] = [[1] + [0] * length]
     prev = layers[0]
-    for j in range(len(seq)):
+    for j, x in enumerate(seq.terms):
         cur = prev[:]
         for c in range(max(1, j + 1 - spare), min(j + 1, length) + 1):
             if prev[c - 1]:
-                cur[c] = step(cur[c], j, prev[c - 1])
+                cur[c] = step(cur[c], x, prev[c - 1])
         layers.append(cur)
         prev = cur
         if cur[length] & 1:
@@ -295,25 +287,23 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     return cert
 
 
-def _full_layers(values, weights: WeightSet) -> tuple[list[int], list[int]]:
-    """(vals, layers): layers[j] masks the sums of the first j values, each
-    taken with one weight of A."""
-    n = weights.modulus
+def _full_values(values, weights: WeightSet) -> list[int]:
     vals = list(values)
-    if vals and not (0 <= min(vals) and max(vals) < n):
+    if vals and not (0 <= min(vals) and max(vals) < weights.modulus):
         raise ValueError("values outside residue range")
-    step = _reach_step(weights, vals)
-    layers = [1]
-    for j in range(len(vals)):
-        layers.append(step(0, j, layers[-1]))
-    return vals, layers
+    return vals
 
 
 def full_zero_sum_exists(values, weights: WeightSet) -> bool:
     """Whether some weights make the WHOLE value list sum to zero: the answer
-    of full_zero_sum_weights(values, weights) is not None, read off the same
-    layer pass without backtracking the weights."""
-    return bool(_full_layers(values, weights)[1][-1] & 1)
+    of full_zero_sum_weights(values, weights) is not None, from the same
+    steps, folded to the last mask."""
+    vals = _full_values(values, weights)
+    step = _reach_step(weights, vals)
+    mask = 1
+    for x in vals:
+        mask = step(0, x, mask)
+    return bool(mask & 1)
 
 
 def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
@@ -322,7 +312,11 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     The values are taken in the order given (one weight per entry); this is
     the exhaustive stand-in for the unit-count existence guarantees.
     """
-    vals, layers = _full_layers(values, weights)
+    vals = _full_values(values, weights)
+    step = _reach_step(weights, vals)
+    layers = [1]  # layers[j]: the sums of the first j values, one weight each
+    for x in vals:
+        layers.append(step(0, x, layers[-1]))
     if not layers[-1] & 1:
         return None
     bit = _bit_index(weights)

@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from wzs import extremal
-from wzs.errors import HypothesisError
+from wzs.errors import HypothesisError, TheoremViolation
 from wzs.extremal import (
     canonicalize,
     classify_structure,
@@ -368,3 +368,17 @@ def test_canonical_forms_are_pinned():
             c = canonicalize(seq, cubes(n))
             forms.append((c.orbit_size, c.canonical.terms))
         assert zlib.crc32(repr(forms).encode()) == crc, n
+
+
+def test_structure_fails_with_seven_and_holds_at_thirteen_and_squares():
+    # Observed, not proved, with the hypothesis check bypassed: at 35 the
+    # class (1, 2, 5) has two terms coprime to 5 and three coprime to 7, so
+    # no prime qualifies; at 845 = 5*13^2 and 1235 = 5*13*19 every class
+    # decomposes and is rebuilt.
+    with pytest.raises(TheoremViolation, match="no prime divisor qualifies"):
+        extremal._classify(Sequence.make(35, (1, 2, 5)), factor(35))
+    for n, count in ((845, 93), (1235, 1249)):
+        enum, prof = enumerate_extremal(n, cubes(n)), factor(n)
+        assert enum.complete and len(enum.classes) == count
+        for c in enum.classes:
+            assert reconstruct(extremal._classify(c.canonical, prof)) == c.canonical, (n, c)

@@ -2,9 +2,11 @@
 two mask forms (orbit ids, residues) against each other."""
 
 import random
+from collections import Counter
+from functools import cached_property
 
 from sums_oracle import reachable_sums
-from wzs import zerosum
+from wzs import verify, zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
 from wzs.modarith import factor
@@ -13,9 +15,12 @@ from wzs.zerosum import (
     Sequence,
     _reach_rows,
     _reach_step,
+    crt_zero_check,
+    full_zero_sum_exists,
     full_zero_sum_weights,
     has_fixed_length_zero_subseq,
     has_weighted_zero_subseq,
+    is_zero_sum_free,
 )
 
 KINDS = ("one", "pm1", "units", "squares", "cubes")
@@ -268,4 +273,65 @@ def test_orbit_rows_pack_the_columns():
         for _ in range(20):
             src = rng.getrandbits(k) | 1
             for i in range(len(symbols)):
-                assert expand(src) >> fields[i] & full == step(0, i, src)
+                assert expand(src) >> fields[i] & full == step(0, symbols[i], src)
+
+
+def test_dp_builds_the_orbit_step_once(monkeypatch):
+    # Each DP call built its own orbit step before.  The step is now the
+    # weight set's: 1000 mixed DP calls on one set build it once, and a
+    # verify run builds it at most once for each set it steps on.
+    builds = []
+    build = WeightSet.orbit_step.func
+
+    def counted(weights):
+        builds.append(weights.modulus)
+        return build(weights)
+
+    prop = cached_property(counted)
+    prop.__set_name__(WeightSet, "orbit_step")
+    monkeypatch.setattr(WeightSet, "orbit_step", prop)
+    weights = cubes.__wrapped__(95)  # not the shared set, which may hold its step
+    prof, rng = factor(95), random.Random(95)
+    calls = [
+        lambda seq: has_weighted_zero_subseq(seq, weights),
+        lambda seq: is_zero_sum_free(seq, weights),
+        lambda seq: has_fixed_length_zero_subseq(seq, weights, 2),
+        lambda seq: full_zero_sum_weights(seq.terms, weights),
+        lambda seq: full_zero_sum_exists(seq.terms, weights),
+    ]
+    for k in range(1000):
+        seq = Sequence.make(95, [rng.randrange(95) for _ in range(1 + rng.randrange(8))])
+        calls[k % len(calls)](seq)
+    assert builds == [95]
+    builds.clear()
+    payload, _ = verify.check_matrix(95, 3, 600)
+    assert payload["all_pass"] and max(Counter(builds).values(), default=1) == 1
+    # crt_zero_check steps on the cubes mod 5 and mod 19, each set's own step
+    builds.clear()
+    monkeypatch.setattr(zerosum, "cubes", {q: cubes.__wrapped__(q) for q in (5, 19)}.__getitem__)
+    for _ in range(200):
+        crt_zero_check(Sequence.make(95, [rng.randrange(95) for _ in range(4)]), prof)
+    assert sorted(builds) == [5, 19]
+
+
+def test_residue_step_sorts_images_on_first_use():
+    # Residue masks keep no step on the set: each _reach_step call builds
+    # one, and it sorts a symbol's images on that symbol's first step.
+    iterations = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            iterations.append(1)
+            return super().__iter__()
+
+    base = cubes(126)
+    twin = WeightSet(126, Counted(base.elements), "cubes", True, base.members)
+    assert not twin.uses_orbits
+    iterations.clear()
+    step = _reach_step(twin, [5, 7, 5])
+    assert not iterations
+    assert step(0, 5, 1) == step(0, 5, 1) == sum(1 << t for t in images(5, base))
+    assert len(iterations) == 1
+    step(0, 7, 3)
+    assert len(iterations) == 2
+    assert "orbit_step" not in vars(twin)

@@ -11,7 +11,7 @@ from wzs.cli import RunRecord
 from wzs.invariants import Budget, SearchStats
 from wzs.modarith import ModulusProfile, factor
 from wzs.weightsets import WeightSet, cubes, custom
-from wzs.zerosum import Sequence
+from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 
 def test_run_record_json_is_the_cache_line_format(monkeypatch):
@@ -85,3 +85,15 @@ def test_pickled_values_keep_members_and_derived_fields():
     assert (profile.n1, profile.n2) == (19, 5)  # derived and kept before the copy
     copy = pickle.loads(pickle.dumps(profile))
     assert (copy.n1, copy.n2, copy.extremal_length) == (19, 5, 3)
+
+
+def test_a_weight_set_pickles_without_its_tables_or_step():
+    # the orbit step is a closure the set keeps: a copy rebuilds its tables
+    # and its step on use, with the same answers
+    weights = cubes(95)
+    seq = Sequence.make(95, (1, 2, 19))
+    answer = has_weighted_zero_subseq(seq, weights)
+    copy = pickle.loads(pickle.dumps(weights))
+    assert copy == weights and copy.members == weights.members
+    assert "orbit_step" in vars(weights) and "orbit_step" not in vars(copy)
+    assert has_weighted_zero_subseq(seq, copy) == answer

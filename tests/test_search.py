@@ -432,3 +432,15 @@ def test_walk_tables_are_pinned(kind, n, elems, cap):
         zlib.crc32(repr((walk.finished, walk.longest, walk.partial)).encode()),
         zlib.crc32(repr(sorted(walk.table.items())).encode()),
     ) == WALK_PINS[kind, n, elems, cap]
+
+
+def test_cube_search_meets_the_closed_form_off_the_hypotheses():
+    # Observed, not proved: the paper's D = 2*Omega(n1) + Omega(n2) + 1
+    # also holds at every odd n < 2000 coprime to 3 that the paper leaves
+    # out, those with 7 | n, 13 | n or a square factor (7 and 13 go to n1).
+    moduli = [n for n in range(5, 2000, 2)
+              if n % 3 and (n % 7 == 0 or n % 13 == 0 or any(e > 1 for _, e in factor(n).factors))]
+    assert len(moduli) == 173
+    for n in moduli:
+        res = davenport_search(n, by_kind("cubes", n))
+        assert res.conclusive and res.value == factor(n).extremal_length + 1, n
