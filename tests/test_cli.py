@@ -252,6 +252,14 @@ def test_table_csv_shape(capsys):
     assert rows["6"][6] != ""
 
 
+def test_table_json_to_150_is_pinned(capsys):
+    # every row's factorization, closed forms, search answer and witness,
+    # computed from an empty cache
+    code, out, _ = run(capsys, "table", "--from", "5", "--to", "150", "--format", "json")
+    assert code == EXIT_OK
+    assert zlib.crc32(out.encode()) == 0x9A4895EE
+
+
 def test_table_reruns_identically(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WZS_CACHE", str(tmp_path / "a.jsonl"))
     _, out1, _ = run(capsys, "table", "--weights", "cubes", "--from", "5", "--to", "9")

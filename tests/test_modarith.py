@@ -124,6 +124,35 @@ def test_factorization_identities():
         assert product == n
 
 
+def _factor_by_every_divisor(n):
+    """(p, e) pairs of n by trial division by every integer d >= 2."""
+    out, d = [], 2
+    while n > 1:
+        if d * d > n:
+            out.append((n, 1))
+            break
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out)
+
+
+# 997^2, 3^6 * 37^2, 2 * 499979, the largest prime below 10^6, 757 * 1321
+# and the cap itself, beyond the exhaustive range
+_FACTOR_EXTRAS = (1, 961, 994009, 998001, 999958, 999983, 999997, 999999, 10**6)
+
+
+def test_factor_matches_trial_division_by_every_integer():
+    for n in (*range(1, 20001), *_FACTOR_EXTRAS):
+        assert factor(n).factors == _factor_by_every_divisor(n), n
+    assert factor(998001).factors == ((3, 6), (37, 2))
+    assert factor(999997).factors == ((757, 1), (1321, 1))
+
+
 def test_crt_round_trip():
     rng = random.Random(0)
     for n in (30, 95, 360, 385):
