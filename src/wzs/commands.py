@@ -64,8 +64,8 @@ def davenport(args, seconds: float) -> dict:
         try:
             _require_cubes(weights)
             prof = factor(args.n)
-            out["formula"] = davenport_formula(prof).value
-            out["E_formula"] = e_formula(prof).value
+            out["formula"] = davenport_formula(prof)
+            out["E_formula"] = e_formula(prof)
         except HypothesisError as exc:
             if args.method == "formula":
                 raise
@@ -76,8 +76,8 @@ def davenport(args, seconds: float) -> dict:
         res = davenport_search(args.n, weights, Budget(max_seconds=seconds))
         out["search"] = res.value
         out["conclusive"] = res.conclusive
-        out["witness"] = list(res.witness.terms) if res.witness is not None else None
-        out["stats"] = res.stats.to_dict()
+        out["witness"] = list(res.witness.terms)
+        out["stats"] = res.stats._asdict()
         if not res.conclusive:
             out["lower"] = res.lower
             out["upper"] = res.upper
@@ -98,8 +98,8 @@ def _table_row(n: int, kind: str, budget: Budget) -> dict:
     }
     # the closed form speaks only about cube weights, and only in hypothesis
     if kind == "cubes" and theorem_hypothesis_failure(prof) is None:
-        row["D_formula"] = davenport_formula(prof).value
-        row["E_formula"] = e_formula(prof).value
+        row["D_formula"] = davenport_formula(prof)
+        row["E_formula"] = e_formula(prof)
     else:
         row["D_formula"] = None
         row["E_formula"] = None
@@ -109,9 +109,7 @@ def _table_row(n: int, kind: str, budget: Budget) -> dict:
         row["agrees"] = None
     else:
         row["agrees"] = row["D_formula"] == row["D_search"]
-    row["witness"] = (
-        " ".join(str(t) for t in res.witness.terms) if res.witness is not None else ""
-    )
+    row["witness"] = " ".join(str(t) for t in res.witness.terms)
     return row
 
 

@@ -144,7 +144,7 @@ def construct_extremal(profile: ModulusProfile) -> Sequence:
     construction has already checked zero-sum-free."""
     require_hypotheses(profile)
     seq = lower_bound_witness(profile)
-    expected = davenport_formula(profile).value - 1
+    expected = davenport_formula(profile) - 1
     if len(seq) != expected:
         raise ContractError(f"construction length {len(seq)} != {expected} for n={profile.n}")
     return seq
@@ -228,7 +228,7 @@ def classify_structure(seq: Sequence, profile: ModulusProfile) -> StructureRepor
     require_hypotheses(profile)
     if profile.n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
-    d = davenport_formula(profile).value
+    d = davenport_formula(profile)
     if len(seq) != d - 1:
         raise HypothesisError(
             "sequence is extremal", f"length {len(seq)} != D - 1 = {d - 1}"

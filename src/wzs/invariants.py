@@ -53,52 +53,37 @@ class SearchStats(NamedTuple):
     exhausted_by: str | None = None
     states: int = 0
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class InvariantResult(NamedTuple):
-    """Value of D_A or E_A for one modulus, with provenance.
+    """What davenport_search reports for D_A at one modulus.
 
-    Inconclusive results (budget ran out) carry value None plus the best
-    bracket found; a witness, when present, is a verified zero-sum-free
-    sequence one shorter than the (claimed) value.
+    An inconclusive result (budget ran out) carries value None plus the best
+    bracket found; the witness is a verified zero-sum-free sequence one
+    shorter than the (claimed) value.
     """
 
-    n: int
-    weights: str
     value: int | None
-    method: str
-    conclusive: bool = True
-    lower: int | None = None
-    upper: int | None = None
-    witness: Sequence | None = None
-    stats: SearchStats | None = None
+    conclusive: bool
+    lower: int | None
+    upper: int | None
+    witness: Sequence
+    stats: SearchStats
 
 
-def davenport_formula(profile: ModulusProfile) -> InvariantResult:
+def davenport_formula(profile: ModulusProfile) -> int:
     """Closed form 2*Omega(n1) + Omega(n2) + 1 for cube weights.
 
     Only valid for odd square-free n coprime to 3, 7 and 13; anything else is
     refused with the failed hypothesis named.
     """
     require_hypotheses(profile)
-    value = profile.extremal_length + 1
-    return InvariantResult(n=profile.n, weights="cubes", value=value, method="formula")
+    return profile.extremal_length + 1
 
 
-def e_formula(profile: ModulusProfile) -> InvariantResult:
-    """Closed form n + 2*Omega(n1) + Omega(n2) for cube weights."""
+def e_formula(profile: ModulusProfile) -> int:
+    """Closed form n + 2*Omega(n1) + Omega(n2) for cube weights: D + n - 1."""
     require_hypotheses(profile)
-    value = profile.n + profile.extremal_length
-    return InvariantResult(n=profile.n, weights="cubes", value=value, method="formula")
-
-
-def gao_E(d_value: int, n: int) -> int:
-    """E from D via the general relation E_A = D_A + n - 1."""
-    if d_value < 1 or n < 1:
-        raise ValueError("need d_value >= 1 and n >= 1")
-    return d_value + n - 1
+    return profile.n + profile.extremal_length
 
 
 def prior_upper_bound(profile: ModulusProfile) -> int:
@@ -364,10 +349,7 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
 
     stopped = walk.exhausted_by is not None
     return InvariantResult(
-        n=n,
-        weights=weights.kind,
         value=None if stopped else len(best) + 1,
-        method="search",
         conclusive=not stopped,
         lower=len(best) + 1 if stopped else None,
         upper=prior_upper_bound(factor(n)) if stopped and cube_bounds else None,

@@ -15,19 +15,6 @@ from .errors import HypothesisError
 DEFAULT_BOUND = 10**6
 
 
-@lru_cache(maxsize=8)
-def _sieve_primes(limit: int) -> tuple[int, ...]:
-    """Primes up to `limit` by sieve of Eratosthenes."""
-    if limit < 2:
-        return ()
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
-
-
 def unit_quota(p: int) -> int:
     """The per-prime unit rule of the structure result, the one place the
     primes of n are split by class mod 3: a prime p = 1 (mod 3) goes to n1
@@ -154,23 +141,21 @@ def require_hypotheses(profile: ModulusProfile, exact: bool = True) -> None:
 
 @lru_cache(maxsize=4096)
 def factor(n: int) -> ModulusProfile:
-    """Factor n by trial division, for 1 <= n <= DEFAULT_BOUND."""
+    """Factor n by trial division by 2 and the odd numbers, for 1 <= n <= DEFAULT_BOUND."""
     if not 1 <= n <= DEFAULT_BOUND:
         raise ValueError(f"modulus {n} outside supported range [1, {DEFAULT_BOUND}]")
     factors: list[tuple[int, int]] = []
-    rest = n
-    for p in _sieve_primes(math.isqrt(n) + 1):
-        if p * p > rest:
-            break
+    rest, p = n, 2
+    while p * p <= rest:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             factors.append((p, e))
+        p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    factors.sort()
     return ModulusProfile(n, tuple(factors))
 
 
@@ -183,17 +168,12 @@ def units(m: int) -> set[int]:
     return {x for x in range(1, m) if math.gcd(x, m) == 1}
 
 
-@lru_cache(maxsize=None)
-def _power_values(k: int, q: int) -> frozenset[int]:
-    # Exhaustive k-th powers mod q, including non-units.
-    return frozenset(pow(x, k, q) for x in range(q))
-
-
 @lru_cache(maxsize=64)
 def _power_parts(k: int, m: int) -> tuple[tuple[int, frozenset[int]], ...]:
-    # (q, k-th powers mod q) for each maximal prime power q of m, decided
-    # once per (k, m) rather than on each of a check's m calls
-    return tuple((q, _power_values(k, q)) for q in factor(m).prime_powers())
+    # (q, every k-th power mod q, non-units included) per maximal prime power
+    # q of m, decided once per (k, m) rather than on each of a check's m calls
+    return tuple((q, frozenset(pow(x, k, q) for x in range(q)))
+                 for q in factor(m).prime_powers())
 
 
 def is_kth_power_residue(a: int, k: int, m: int) -> bool:

@@ -294,16 +294,20 @@ def _full_values(values, weights: WeightSet) -> list[int]:
     return vals
 
 
-def full_zero_sum_exists(values, weights: WeightSet) -> bool:
-    """Whether some weights make the WHOLE value list sum to zero: the answer
-    of full_zero_sum_weights(values, weights) is not None, from the same
-    steps, folded to the last mask."""
-    vals = _full_values(values, weights)
+def _full_mask(vals: list[int], weights: WeightSet) -> int:
+    # the whole list's sums, one weight per value, as the last mask; no range check
     step = _reach_step(weights, vals)
     mask = 1
     for x in vals:
         mask = step(0, x, mask)
-    return bool(mask & 1)
+    return mask
+
+
+def full_zero_sum_exists(values, weights: WeightSet) -> bool:
+    """Whether some weights make the WHOLE value list sum to zero: the answer
+    of full_zero_sum_weights(values, weights) is not None, from the same
+    steps, folded to the last mask."""
+    return bool(_full_mask(_full_values(values, weights), weights) & 1)
 
 
 def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
@@ -339,8 +343,7 @@ def crt_zero_check(seq: Sequence, profile: ModulusProfile) -> bool:
     if profile.n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
     for q in profile.prime_powers():
-        proj = [t % q for t in seq.terms]
-        if not full_zero_sum_exists(proj, cubes(q)):
+        if not _full_mask([t % q for t in seq.terms], cubes(q)) & 1:
             return False
     return True
 
@@ -378,34 +381,24 @@ def _drop_and_recurse(pairs, n: int, m: int, p: int) -> list[tuple[int, int]]:
 
 
 def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]]:
-    # Every prime sees enough units: pick a unit-rich core, pad to m terms,
-    # solve per prime with full-selection DP, then glue the weights by CRT.
-    # A CRT of cubes mod each prime is a cube mod the square-free n, as
-    # extract_length_m's final check confirms.
+    # Every prime sees enough units: pick a unit-rich core (each prime tops it
+    # up to quota + 1 units with its first unused ones), pad it with the first
+    # unused positions to m terms, solve per prime with full-selection DP,
+    # then glue the weights by CRT.  A CRT of cubes mod each prime is a cube
+    # mod the square-free n, as extract_length_m's final check confirms.
     selected: list[int] = []
-    taken: set[int] = set()
-
-    def ensure(q: int, quota: int) -> None:
-        have = sum(1 for pos in selected if pairs[pos][1] % q != 0)
-        for pos in range(len(pairs)):
-            if have >= quota:
-                return
-            if pos not in taken and pairs[pos][1] % q != 0:
-                selected.append(pos)
-                taken.add(pos)
-                have += 1
-        if have < quota:
-            raise ContractError(f"could not gather {quota} units for prime {q}")
-
     quotas = prof.unit_quotas()
     for p, quota in quotas:
-        ensure(p, quota + 1)
-    for pos in range(len(pairs)):
-        if len(selected) == m:
-            break
-        if pos not in taken:
-            selected.append(pos)
-            taken.add(pos)
+        short = quota + 1 - sum(1 for pos in selected if pairs[pos][1] % p)
+        for pos, (_, v) in enumerate(pairs):
+            if short <= 0:
+                break
+            if v % p and pos not in selected:
+                selected.append(pos)
+                short -= 1
+        if short > 0:
+            raise ContractError(f"could not gather {quota + 1} units for prime {p}")
+    selected += [pos for pos in range(len(pairs)) if pos not in selected][:m - len(selected)]
     chosen = sorted(selected)
 
     per_prime = []

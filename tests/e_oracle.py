@@ -3,13 +3,12 @@ zero-sum subsequence of exactly n terms.
 
 It scans every multiset (up to the scaling action) at each length from n
 upward, one fixed-length DP per multiset, so it is a test oracle for small
-n only: the tests compare it with E = D + n - 1 (`gao_E`).
+n only: the tests compare it with E = D + n - 1.
 """
 
 from itertools import combinations_with_replacement
 
 from wzs.errors import ContractError
-from wzs.invariants import InvariantResult
 from wzs.weightsets import WeightSet, reduced_alphabet
 from wzs.zerosum import Sequence, has_fixed_length_zero_subseq
 
@@ -35,7 +34,7 @@ def scaling_reduced_multisets(n: int, weights: WeightSet, length: int):
         yield from combinations_with_replacement(range(n), length)
 
 
-def e_direct(n: int, weights: WeightSet) -> InvariantResult:
+def e_direct(n: int, weights: WeightSet) -> int:
     """E_A(Z_n) by exhaustive multiset enumeration."""
     if weights.modulus != n:
         raise ValueError("weight set modulus does not match n")
@@ -44,5 +43,5 @@ def e_direct(n: int, weights: WeightSet) -> InvariantResult:
             has_fixed_length_zero_subseq(Sequence.make(n, ms), weights, n) is not None
             for ms in scaling_reduced_multisets(n, weights, length)
         ):
-            return InvariantResult(n=n, weights=weights.kind, value=length, method="direct_E")
+            return length
     raise ContractError(f"exhaustive E scan for n={n} exceeded 2n; enumerator broken")

@@ -224,7 +224,7 @@ def test_construct_then_classify_roundtrip():
     for n in (5, 19, 55, 95, 209, 1045):
         prof = factor(n)
         seq = construct_extremal(prof)
-        assert len(seq) == davenport_formula(prof).value - 1
+        assert len(seq) == davenport_formula(prof) - 1
         report = classify_structure(seq, prof)
         assert reconstruct(report) == seq
 
@@ -242,7 +242,7 @@ def test_every_divided_remainder_is_extremal(n):
         while report.child is not None:
             sub_n, remainder = report.child.modulus, report.remainder
             assert remainder.modulus == sub_n == report.modulus // report.p
-            assert len(remainder) == davenport_formula(factor(sub_n)).value - 1, (n, c)
+            assert len(remainder) == davenport_formula(factor(sub_n)) - 1, (n, c)
             assert has_weighted_zero_subseq(remainder, cubes(sub_n)) is None, (n, c)
             report = report.child
 

@@ -13,7 +13,6 @@ from wzs.invariants import (
     davenport_formula,
     davenport_search,
     e_formula,
-    gao_E,
     lower_bound_witness,
     prior_upper_bound,
     theorem_hypothesis_failure,
@@ -41,8 +40,8 @@ def test_search_witness_validates():
 
 
 def test_formula_examples():
-    assert davenport_formula(factor(95)).value == 4
-    assert davenport_formula(factor(55)).value == 3
+    assert davenport_formula(factor(95)) == 4
+    assert davenport_formula(factor(55)) == 3
     with pytest.raises(HypothesisError, match="7"):
         davenport_formula(factor(91))
 
@@ -50,7 +49,7 @@ def test_formula_examples():
 def test_formula_matches_search_on_verification_list():
     for n, expected in FORMULA_CASES.items():
         prof = factor(n)
-        assert davenport_formula(prof).value == expected
+        assert davenport_formula(prof) == expected
         res = davenport_search(n, cubes(n))
         assert res.conclusive and res.value == expected, n
 
@@ -66,23 +65,21 @@ def test_formula_guard_refuses_everything_out_of_scope():
 
 
 def test_e_formula_and_gao():
-    assert e_formula(factor(95)).value == 98
-    assert gao_E(3, 19) == 21
-    assert gao_E(1, 1) == 1
+    assert e_formula(factor(95)) == 98
     for n in FORMULA_CASES:
         prof = factor(n)
-        assert e_formula(prof).value == gao_E(davenport_formula(prof).value, n)
+        assert e_formula(prof) == davenport_formula(prof) + n - 1
 
 
 def test_e_direct_small_values():
-    assert e_direct(5, units_weights(5)).value == 6
-    assert e_direct(2, singleton_one(2)).value == 3
-    assert e_direct(5, cubes(5)).value == e_direct(5, units_weights(5)).value
+    assert e_direct(5, units_weights(5)) == 6
+    assert e_direct(2, singleton_one(2)) == 3
+    assert e_direct(5, cubes(5)) == e_direct(5, units_weights(5))
 
 
 def test_e_direct_reproduces_gao_relation_at_5():
     search = davenport_search(5, units_weights(5))
-    assert e_direct(5, units_weights(5)).value == gao_E(search.value, 5)
+    assert e_direct(5, units_weights(5)) == search.value + 5 - 1
 
 
 @pytest.mark.parametrize("kind, top", [("one", 7), ("pm1", 8), ("units", 8), ("squares", 7), ("cubes", 8)])
@@ -94,14 +91,14 @@ def test_e_direct_matches_gao_relation(kind, top):
     for n in range(2, top + 1):
         weights = by_kind(kind, n)
         d = davenport_search(n, weights).value
-        assert e_direct(n, weights).value == gao_E(d, n), (kind, n)
+        assert e_direct(n, weights) == d + n - 1, (kind, n)
 
 
 def test_lower_bound_witness_tight_on_verification_list():
     for n in FORMULA_CASES:
         prof = factor(n)
         w = lower_bound_witness(prof)
-        assert len(w) == davenport_formula(prof).value - 1
+        assert len(w) == davenport_formula(prof) - 1
         assert has_weighted_zero_subseq(w, cubes(n)) is None
 
 
