@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -155,6 +156,24 @@ def test_corrupt_line_is_warned_about_once_per_process(capsys, isolated_cache):
 
 def _record(payload: str, params=None) -> RunRecord:
     return RunRecord("davenport", params or {"n": 95}, payload, 0.0, "0.1.0", 0.0)
+
+
+def test_cache_line_bytes_are_pinned(isolated_cache, monkeypatch):
+    # one run's cache line, end to end: seven keys, sort_keys, the duration
+    # from the first perf_counter() reading to the store
+    monkeypatch.setattr(cli, "_code_identity", lambda: "0123abcd")
+    readings = iter([100.0])
+    monkeypatch.setattr(time, "perf_counter", lambda: next(readings, 100.375))
+    monkeypatch.setattr(time, "time", lambda: 1700000000.5)
+    assert main(["davenport", "--n", "95", "--method", "formula"]) == EXIT_OK
+    assert isolated_cache.read_bytes() == (
+        rb'{"command": "davenport", "duration": 0.375, "key": "{\"code\": \"0123abcd\", '
+        rb'\"command\": \"davenport\", \"params\": {\"elems\": null, \"method\": '
+        rb'\"formula\", \"n\": 95, \"weights\": \"cubes\"}}", "params": {"elems": null, '
+        rb'"method": "formula", "n": 95, "weights": "cubes"}, "payload": "{\"E_formula\": 98, '
+        rb'\"formula\": 4, \"n\": 95, \"weights\": \"cubes\"}", '
+        rb'"timestamp": 1700000000.5, "version": "0.1.0"}' b"\n"
+    )
 
 
 def test_cache_opens_its_file_once(isolated_cache, monkeypatch):

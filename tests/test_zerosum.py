@@ -527,17 +527,24 @@ def test_certificates_match_the_scan_reference(monkeypatch):
 # each: the certificates of has_weighted_zero_subseq,
 # has_fixed_length_zero_subseq (length 0 included) and full_zero_sum_weights
 # (on the terms as drawn), and the yes/no answers; crt_zero_check for the
-# cubes.  Orbit masks (cubes 95 and 5423), residue masks (cubes 126) and a
-# set that is not a subgroup ({1, 7, 11} mod 60).
+# cubes.  Orbit masks (cubes 95 and 5423), residue masks (cubes 18, 63 and
+# 126, {1} mod 100, {+-1} mod 200, squares mod 120) and a set that is not a
+# subgroup ({1, 7, 11} mod 60).  New sets go last: the id of the custom set
+# holds its index.
 DP_PINS = {
-    ("cubes", 95, None): (143, 0xCF764992),
     ("cubes", 126, None): (96, 0x8027F5D1),
     ("cubes", 5423, None): (146, 0x2B59E676),
+    ("cubes", 95, None): (143, 0xCF764992),
     ("custom", 60, (1, 7, 11)): (115, 0x9609E3D2),
+    ("cubes", 18, None): (130, 0x0CEC78C2),
+    ("cubes", 63, None): (115, 0x64409A5C),
+    ("one", 100, None): (72, 0xEF57AC52),
+    ("pm1", 200, None): (79, 0x71203BC5),
+    ("squares", 120, None): (86, 0x47017896),
 }
 
 
-@pytest.mark.parametrize("kind, n, elems", sorted(DP_PINS, key=repr))
+@pytest.mark.parametrize("kind, n, elems", list(DP_PINS))
 def test_dp_answers_are_pinned(kind, n, elems):
     weights = by_kind(kind, n, elems and list(elems))
     prof = factor(n)
