@@ -13,7 +13,6 @@ import os
 import sys
 import time
 import zlib
-from typing import NamedTuple
 
 from . import __version__
 from .errors import ContractError, HypothesisError, TheoremViolation
@@ -33,28 +32,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class RunRecord(NamedTuple):
-    """One cached CLI result; serialization round-trips losslessly."""
-
-    command: str
-    params: dict
-    payload: str
-    timestamp: float
-    version: str
-    duration: float
-
-    def to_json(self) -> str:
-        body = self._asdict()
-        body["key"] = cache_key(self.command, self.params)
-        return json.dumps(body, sort_keys=True)
-
-    @classmethod
-    def finished(cls, command: str, params: dict, payload: str, started: float) -> RunRecord:
-        """The record of a run that began at perf_counter() time `started`."""
-        return cls(command, params, payload, time.time(), __version__,
-                   time.perf_counter() - started)
 
 
 @functools.cache
@@ -125,9 +102,15 @@ class Cache:
     def lookup(self, command: str, params: dict) -> str | None:
         return self._load().get(cache_key(command, params))
 
-    def store(self, record: RunRecord) -> None:
+    def store(self, command: str, params: dict, payload: str, started: float) -> None:
+        """Append the record of a run that began at perf_counter() time
+        `started`: its command, params, payload, timestamp, version,
+        duration and key, as one JSON line with sorted keys."""
         index = self._load()
-        data = (record.to_json() + "\n").encode("utf-8")
+        record = {"command": command, "params": params, "payload": payload,
+                  "timestamp": time.time(), "version": __version__,
+                  "duration": time.perf_counter() - started, "key": cache_key(command, params)}
+        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             written = os.write(fd, data)
@@ -135,7 +118,7 @@ class Cache:
             os.close(fd)
         if written != len(data):
             raise OSError(f"short write to {self.path}: {written} of {len(data)} bytes")
-        index.setdefault(cache_key(record.command, record.params), record.payload)
+        index.setdefault(record["key"], payload)
 
     def entries(self) -> int:
         try:
@@ -191,7 +174,7 @@ def _cached(command: str, params: dict, compute, decided: str) -> int:
     print(payload)
     if not out.get(decided, True):
         return EXIT_INCONCLUSIVE
-    cache.store(RunRecord.finished(command, params, payload, t0))
+    cache.store(command, params, payload, t0)
     return EXIT_OK
 
 
@@ -251,7 +234,7 @@ def _cmd_table(args) -> int:
             else:
                 params = {"n": row["n"], "weights": args.weights}
                 payload = json.dumps(row, sort_keys=True)
-                cache.store(RunRecord.finished("table-row", params, payload, t0))
+                cache.store("table-row", params, payload, t0)
             t0 = time.perf_counter()
     rows = [by_n[n] for n in moduli]
 

@@ -173,7 +173,7 @@ def _classify(seq: Sequence, profile: ModulusProfile) -> StructureReport:
         return tuple(t for t in seq.terms if t % q != 0)
 
     qualifying: list[tuple[str, int]] = []
-    for p, quota in profile.unit_quotas():
+    for p, quota in profile.unit_quotas:
         cnt = len(coprime_terms(p))
         if cnt < quota:
             raise TheoremViolation(
@@ -272,7 +272,7 @@ def coprimality_violating_sequence(profile: ModulusProfile, rng) -> Sequence:
     """
     require_hypotheses(profile)
     n = profile.n
-    quotas = dict(profile.unit_quotas())
+    quotas = dict(profile.unit_quotas)
     if not quotas:
         raise HypothesisError("n has an odd prime divisor", f"n = {n}")
     pool = list(quotas)

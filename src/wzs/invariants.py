@@ -33,7 +33,7 @@ from .modarith import (
     unit_quota,
 )
 from .weightsets import WeightSet, cubes, reduced_alphabet
-from .zerosum import Sequence, _reach_rows, _reach_step, has_weighted_zero_subseq
+from .zerosum import Sequence, _walk_kernel, has_weighted_zero_subseq
 
 
 class Budget(NamedTuple):
@@ -133,7 +133,7 @@ def lower_bound_witness(profile: ModulusProfile) -> Sequence:
 
 
 class Walk(NamedTuple):
-    """What _walk leaves: its kernel (step, rows) over the alphabet, its
+    """What _walk leaves: its kernel over the alphabet (_walk_kernel's), its
     table, the first terms whose branches finished, the longest sequence
     those branches hold, the longest path of the branch a budget stopped
     (empty when none did), the nodes used and the budget that ran out."""
@@ -159,22 +159,20 @@ def _walk(
     """Walk the branch of each first term in turn, over one table, one
     kernel and one node budget, until a budget runs out.
 
-    The kernel is that of _reach_rows over the alphabet, or failing that of
-    _reach_step.  A child that would make 0 reachable (one that meets bit
-    dead[i] of the mask on rows, or whose step sets bit 0) is skipped, but
-    counts as a node, as does each first term.  `table` maps a state key
-    mask << bits | lo to depth(mask, lo), and an entry is written only once
-    its state is fully explored, so a table left by a stopped walk serves a
-    later one.  The state being explored lives in locals; the walk keeps
-    its suspended ancestors on its own stack, so only the budget bounds how
-    deep it goes.  `deadline` is a perf_counter() reading, read on entering
-    each branch and every 256 nodes.
+    The kernel is _walk_kernel's over the alphabet.  A child that would make
+    0 reachable (one that meets bit dead[i] of the mask on rows, or whose
+    step sets bit 0) is skipped, but counts as a node, as does each first
+    term.  `table` maps a state key mask << bits | lo to depth(mask, lo), and
+    an entry is written only once its state is fully explored, so a table
+    left by a stopped walk serves a later one.  The state being explored
+    lives in locals; the walk keeps its suspended ancestors on its own
+    stack, so only the budget bounds how deep it goes.  `deadline` is a
+    perf_counter() reading, read on entering each branch and every 256
+    nodes.
     """
-    rows = _reach_rows(weights, alphabet)
-    step = None if rows else _reach_step(weights, alphabet)
+    kernel = _walk_kernel(weights, alphabet)
+    step, expand, fields, full, dead, chunks = kernel
     size = len(alphabet)
-    # without rows, dead = 0 never skips: the step's zero test does
-    expand, fields, full, dead, chunks = rows or (None, None, 0, [0] * size, None)
     bits = size.bit_length()
     get = table.get
     finished: list[int] = []
@@ -254,30 +252,27 @@ def _walk(
         if not first_mask & 1:
             longest = max(longest, table[root] + 1)
     partial = best if exhausted_by else ()
-    return Walk((step, rows), alphabet, table, finished, longest, partial, nodes, exhausted_by)
+    return Walk(kernel, alphabet, table, finished, longest, partial, nodes, exhausted_by)
 
 
 def _sequences_of_length(walk: Walk, length: int):
     """Every zero-sum-free sequence of `length` terms from a first term whose
     branch the walk finished, in alphabet order, read lazily from its table
     on its kernel: a child state is entered only when its tabled depth
-    leaves room for the terms still needed."""
-    if length == 0:
-        yield ()
-        return
-    (step, rows), alphabet, table = walk.kernel, walk.alphabet, walk.table
+    leaves room for the terms still needed; length is at least 1."""
+    alphabet, table = walk.alphabet, walk.table
+    step, expand, fields, full, dead, _ = walk.kernel
     size = len(alphabet)
-    expand, fields, full, dead, _ = rows or (None, None, 0, [0] * size, None)
     bits = size.bit_length()
     for lo in map(alphabet.index, walk.finished):
-        mask = expand(1) >> fields[lo] & full if rows else step(0, alphabet[lo], 1)
+        mask = step(0, alphabet[lo], 1) if step else expand(1) >> fields[lo] & full
         if mask & 1 or table[mask << bits | lo] < length - 1:
             continue
         if length == 1:
             yield (alphabet[lo],)
             continue
         path = [alphabet[lo]]
-        frames = [[mask, lo, expand(mask | 1) if rows else 0]]  # mask, next symbol, row
+        frames = [[mask, lo, 0 if step else expand(mask | 1)]]  # mask, next symbol, row
         found = False
         while frames:
             frame = frames[-1]
@@ -287,7 +282,7 @@ def _sequences_of_length(walk: Walk, length: int):
                 if mask & dead[i]:
                     i += 1
                     continue
-                new = mask | row >> fields[i] & full if rows else step(mask, alphabet[i], mask | 1)
+                new = step(mask, alphabet[i], mask | 1) if step else mask | row >> fields[i] & full
                 i += 1
                 if not new & 1 and table[new << bits | i - 1] >= left:
                     break
@@ -298,7 +293,7 @@ def _sequences_of_length(walk: Walk, length: int):
             frame[1] = i
             if left:
                 path.append(alphabet[i - 1])
-                frames.append([new, i - 1, row | expand(new ^ mask) if rows else 0])
+                frames.append([new, i - 1, 0 if step else row | expand(new ^ mask)])
             else:
                 found = True
                 yield (*path, alphabet[i - 1])

@@ -89,15 +89,11 @@ class ModulusProfile:
     def prime_powers(self) -> list[int]:
         return [p**e for p, e in self.factors]
 
-    def unit_quotas(self) -> list[tuple[int, int]]:
-        """(p, 2) for each prime of n1, then (q, 1) for each of n2, each in
-        increasing order: unit_quota's rule at the primes of n.  A fresh
-        list per call, of pairs derived once: extraction and verify's
-        violating sequences ask for them on every trial."""
-        return list(self._quotas)
-
     @cached_property
-    def _quotas(self) -> tuple[tuple[int, int], ...]:
+    def unit_quotas(self) -> tuple[tuple[int, int], ...]:
+        """(p, 2) for each prime of n1, then (q, 1) for each of n2, each in
+        increasing order: unit_quota's rule at the primes of n, derived once
+        (extraction and verify's violating sequences read them every trial)."""
         return tuple((p, quota) for quota in (2, 1) for p, _ in self._part(quota))
 
     @cached_property

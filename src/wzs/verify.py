@@ -86,7 +86,7 @@ def check_matrix(n: int, seed: int, seconds: float) -> tuple[dict, set[str]]:
                 return False, ran + 1
         return True, len(trials)
 
-    quotas = prof.unit_quotas()
+    quotas = prof.unit_quotas
     m = sum(quota + 1 for _, quota in quotas)
     length = m + prof.extremal_length
 

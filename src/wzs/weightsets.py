@@ -19,12 +19,12 @@ MAX_ROW_ORBITS = 128  # the walks use orbit rows up to k orbits: k*k*k bits
 
 
 class WeightSet:
-    """Equal, hashed and shown by all fields but members; immutable by convention."""
+    """Equal, hashed and shown by its fields, not the derived members; immutable by convention."""
 
-    def __init__(self, modulus: int, elements: tuple[int, ...], kind: str, is_subgroup: bool,
-                 members: frozenset[int]) -> None:
+    def __init__(self, modulus: int, elements: tuple[int, ...], kind: str,
+                 is_subgroup: bool) -> None:
         self.modulus, self.elements, self.kind = modulus, elements, kind
-        self.is_subgroup, self.members = is_subgroup, members
+        self.is_subgroup, self.members = is_subgroup, frozenset(elements)
 
     def _key(self) -> tuple:
         return self.modulus, self.elements, self.kind, self.is_subgroup
@@ -43,7 +43,7 @@ class WeightSet:
         return len(self.elements)
 
     def __reduce__(self):  # a copy rebuilds its tables, and its step, on use
-        return WeightSet, (*self._key(), self.members)
+        return WeightSet, self._key()
 
     def to_dict(self) -> dict:
         return {
@@ -85,17 +85,18 @@ class WeightSet:
 
     @cached_property
     def uses_orbits(self) -> bool:
-        """Whether the DP's kernel (_reach_step) carries masks over orbit ids,
-        stepped by orbit_step, rather than n-bit residue masks: for a subgroup
-        with k orbits, when k*k < n or k <= min(MAX_ROW_ORBITS, 4*|A|).  The
-        residue step does about n/k rotate-ORs per term where the orbit step
-        does at most k ORs; past 4*|A| orbits the DP measured slower on orbit
-        masks.  The walks take orbit rows up to MAX_ROW_ORBITS orbits whatever
-        this says.  A set that is not a subgroup never builds the coset table."""
+        """Whether the kernels carry masks over orbit ids rather than n-bit
+        residue masks: for a subgroup with k orbits, when k*k < n or k <=
+        MAX_ROW_ORBITS, so the DP reads the keys of the walks' rows.  Per
+        has_weighted_zero_subseq call (1 to 8 terms, warm), orbit masks took
+        7.9 against 11.9 us on the cubes mod 63 and 11.5 against 11.3 mod
+        126; residue masks win only for |A| <= 2 (6.7 against 18.8 us on {1}
+        mod 100), which reach the DP once per search and in `check`.  A set
+        that is not a subgroup never builds the coset table."""
         if not self.is_subgroup:
             return False
         k = self.orbit_count
-        return k * k < self.modulus or k <= min(MAX_ROW_ORBITS, 4 * len(self))
+        return k * k < self.modulus or k <= MAX_ROW_ORBITS
 
     @cached_property
     def orbit_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -142,7 +143,7 @@ class WeightSet:
         return tuple(x for x in self._cosets[1] if math.gcd(x, self.modulus) == 1)
 
 
-def _is_unit_subgroup(elems: frozenset[int], n: int) -> bool:
+def _is_unit_subgroup(elems: set[int], n: int) -> bool:
     # A finite set of units containing 1 and closed under multiplication is a
     # group; a closed set with a non-unit (such as {1, 3} mod 6) is not.
     return (
@@ -160,14 +161,11 @@ def _make(n: int, elems: set[int], kind: str, subgroup: bool = False) -> WeightS
     bad = [x for x in elems if not 1 <= x <= n - 1]
     if bad:
         raise ValueError(f"weights {sorted(bad)} outside [1, {n - 1}]")
-    members = frozenset(elems)
-    is_subgroup = subgroup or _is_unit_subgroup(members, n)
     return WeightSet(
         modulus=n,
         elements=tuple(sorted(elems)),
         kind=kind,
-        is_subgroup=is_subgroup,
-        members=members,
+        is_subgroup=subgroup or _is_unit_subgroup(elems, n),
     )
 
 

@@ -7,10 +7,11 @@ _reach_step, extends a mask by a term for the DP.  A mask has one bit per
 orbit A*x when the weight set is a subgroup with few orbits (every reachable
 set is then a union of orbits), and the step is the set's own orbit_step,
 built once per set; else one bit per residue, by a step built per call.  The
-weight set owns the tables.  The search and the enumeration walk on
-_reach_rows, which expands a state by every symbol at once.  Certificates
-name term indices and weights and are always re-verified arithmetically
-before being returned.
+weight set owns the tables and picks the mask form (uses_orbits).  The
+search and the enumeration walk on _walk_kernel, which expands a state by
+every symbol at once on orbit rows, or steps it per child past them.
+Certificates name term indices and weights and are always re-verified
+arithmetically before being returned.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ class Certificate(NamedTuple):
         }
 
 
-def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
+def _reach_step(weights: WeightSet) -> Callable[[int, int, int], int]:
     """The reachable-sum kernel: step(acc, x, src) is acc together with every
-    r + a*x for r in src and a in A, for x among symbols.
+    r + a*x for r in src and a in A.
 
     Masks are over orbit ids when weights.uses_orbits (every reachable set of
     a subgroup is a union of orbits), stepped by the set's own orbit_step;
@@ -101,10 +102,10 @@ def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
     # images are sorted on a symbol's first step: no O(n*|A|) set-up
     n = weights.modulus
     full = (1 << n) - 1
-    shifts: dict[int, list[int] | None] = dict.fromkeys(symbols)
+    shifts: dict[int, list[int]] = {}
 
     def step(acc: int, x: int, src: int) -> int:
-        images = shifts[x]
+        images = shifts.get(x)
         if images is None:
             images = shifts[x] = sorted({a * x % n for a in weights.elements})
         for s in images:
@@ -114,17 +115,18 @@ def _reach_step(weights: WeightSet, symbols) -> Callable[[int, int, int], int]:
     return step
 
 
-def _reach_rows(weights: WeightSet, symbols):
-    """(expand, fields, full, dead, chunks), the walks' kernel on orbit
-    masks for every subgroup up to MAX_ROW_ORBITS orbits, whatever
-    uses_orbits picks for the DP; None past that and for non-subgroups:
-    there, call _reach_step.  The step from src by symbols[i] is expand(src)
-    >> fields[i] & full, where expand ORs the rows of src's orbits a byte at
-    a time from per-walk tables, chunks[c][v] = OR of orbit_rows[8c + b]
-    over the set bits b of v.  A zero-sum-free mask meeting dead[i], the bit
-    of the orbit of -symbols[i], reaches 0 on adding symbols[i]."""
-    if not weights.is_subgroup or weights.orbit_count > MAX_ROW_ORBITS:
-        return None
+def _walk_kernel(weights: WeightSet, symbols):
+    """(step, expand, fields, full, dead, chunks), the walks' kernel over
+    symbols.  On orbit rows, where uses_orbits holds with at most
+    MAX_ROW_ORBITS orbits, step is None and the step from src by symbols[i]
+    is expand(src) >> fields[i] & full, where expand ORs the rows of src's
+    orbits a byte at a time from per-walk tables, chunks[c][v] = OR of
+    orbit_rows[8c + b] over the set bits b of v; a zero-sum-free mask
+    meeting dead[i], the bit of the orbit of -symbols[i], reaches 0 on adding
+    symbols[i].  Elsewhere step is _reach_step's and the dead bits are 0:
+    the step's zero test skips those children."""
+    if not weights.uses_orbits or weights.orbit_count > MAX_ROW_ORBITS:
+        return _reach_step(weights), None, None, 0, [0] * len(symbols), None
     rows, oid, n = weights.orbit_rows, weights.orbit_id, weights.modulus
     chunks = []
     for c in range(0, len(rows), 8):
@@ -144,7 +146,7 @@ def _reach_rows(weights: WeightSet, symbols):
 
     k = len(rows)
     dead = [1 << oid[-x % n] for x in symbols]
-    return expand, [k * oid[x] for x in symbols], (1 << k) - 1, dead, chunks
+    return None, expand, [k * oid[x] for x in symbols], (1 << k) - 1, dead, chunks
 
 
 def _bit_index(weights: WeightSet):
@@ -154,7 +156,7 @@ def _bit_index(weights: WeightSet):
 
 def _subset_layers(seq: Sequence, weights: WeightSet) -> list[int]:
     """Mask per prefix of the sums of nonempty weighted subsequences."""
-    step = _reach_step(weights, seq.terms)
+    step = _reach_step(weights)
     layers = [0]
     for x in seq.terms:
         mask = layers[-1]
@@ -234,7 +236,7 @@ def is_zero_sum_free(seq: Sequence, weights: WeightSet) -> bool:
     has_weighted_zero_subseq(seq, weights) is None, from the same steps,
     folded to the last mask."""
     _check_moduli(seq, weights)
-    step = _reach_step(weights, seq.terms)
+    step = _reach_step(weights)
     mask = 0
     for x in seq.terms:
         mask = step(mask, x, mask | 1)
@@ -254,7 +256,7 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     # terms.  A cell with c < length - (len(seq) - j) cannot grow to `length`
     # picks, and backtracking starts from the first row where `length` picks
     # reach 0, so neither those cells nor later rows are computed.
-    step = _reach_step(weights, seq.terms)
+    step = _reach_step(weights)
     spare = len(seq) - length
     layers: list[list[int]] = [[1] + [0] * length]
     prev = layers[0]
@@ -296,7 +298,7 @@ def _full_values(values, weights: WeightSet) -> list[int]:
 
 def _full_mask(vals: list[int], weights: WeightSet) -> int:
     # the whole list's sums, one weight per value, as the last mask; no range check
-    step = _reach_step(weights, vals)
+    step = _reach_step(weights)
     mask = 1
     for x in vals:
         mask = step(0, x, mask)
@@ -317,7 +319,7 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     the exhaustive stand-in for the unit-count existence guarantees.
     """
     vals = _full_values(values, weights)
-    step = _reach_step(weights, vals)
+    step = _reach_step(weights)
     layers = [1]  # layers[j]: the sums of the first j values, one weight each
     for x in vals:
         layers.append(step(0, x, layers[-1]))
@@ -363,7 +365,7 @@ def _extract(pairs: list[tuple[int, int]], n: int, m: int) -> list[tuple[int, in
     past that, every prime sees quota + 1 units and the picks combine by CRT.
     Z_1 takes any m terms, each with weight 0 mod 1."""
     prof = factor(n)
-    for p, quota in prof.unit_quotas():
+    for p, quota in prof.unit_quotas:
         if sum(1 for _, v in pairs if v % p != 0) <= quota:
             return _drop_and_recurse(pairs, n, m, p)
     return _combine_by_crt(pairs, prof, m)
@@ -387,7 +389,7 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
     # then glue the weights by CRT.  A CRT of cubes mod each prime is a cube
     # mod the square-free n, as extract_length_m's final check confirms.
     selected: list[int] = []
-    quotas = prof.unit_quotas()
+    quotas = prof.unit_quotas
     for p, quota in quotas:
         short = quota + 1 - sum(1 for pos in selected if pairs[pos][1] % p)
         for pos, (_, v) in enumerate(pairs):
@@ -427,7 +429,7 @@ def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certific
     failure = "n >= 2" if n < 2 else theorem_hypothesis_failure(profile)
     if failure:
         raise HypothesisError(failure)
-    m_min = sum(quota + 1 for _, quota in profile.unit_quotas())
+    m_min = sum(quota + 1 for _, quota in profile.unit_quotas)
     if m < m_min:
         raise HypothesisError(f"m >= 3*omega(n1) + 2*omega(n2) = {m_min}", f"got m = {m}")
     expected_len = m + profile.extremal_length

@@ -18,8 +18,6 @@ from wzs.cli import (
     EXIT_REFUSED,
     EXIT_USAGE,
     Cache,
-    RunRecord,
-    cache_key,
     main,
 )
 from wzs.extremal import ExtremalClasses
@@ -154,8 +152,8 @@ def test_corrupt_line_is_warned_about_once_per_process(capsys, isolated_cache):
     assert err.count("corrupt cache line 2") == 1
 
 
-def _record(payload: str, params=None) -> RunRecord:
-    return RunRecord("davenport", params or {"n": 95}, payload, 0.0, "0.1.0", 0.0)
+def _store(cache: Cache, payload: str, params=None) -> None:
+    cache.store("davenport", params or {"n": 95}, payload, time.perf_counter())
 
 
 def test_cache_line_bytes_are_pinned(isolated_cache, monkeypatch):
@@ -177,7 +175,7 @@ def test_cache_line_bytes_are_pinned(isolated_cache, monkeypatch):
 
 
 def test_cache_opens_its_file_once(isolated_cache, monkeypatch):
-    Cache().store(_record("stored"))
+    _store(Cache(), "stored")
     opened = []
 
     def counting_open(*args, **kwargs):
@@ -188,23 +186,24 @@ def test_cache_opens_its_file_once(isolated_cache, monkeypatch):
     cache = Cache()
     for n in range(50):
         assert cache.lookup("davenport", {"n": n}) is None
-    cache.store(_record("later", {"n": 7}))
+    _store(cache, "later", {"n": 7})
     assert cache.lookup("davenport", {"n": 7}) == "later"
     assert cache.lookup("davenport", {"n": 95}) == "stored"
     assert opened == [str(isolated_cache)]
 
 
 def test_first_record_for_a_key_wins(isolated_cache):
-    isolated_cache.write_text(_record("first").to_json() + "\n"
-                              + _record("second").to_json() + "\n")
+    _store(Cache(), "first")
+    _store(Cache(), "second")
+    assert len(isolated_cache.read_text().splitlines()) == 2
     assert Cache().lookup("davenport", {"n": 95}) == "first"
     cache = Cache()
-    cache.store(_record("third"))
+    _store(cache, "third")
     assert cache.lookup("davenport", {"n": 95}) == "first"
 
 
 def test_cache_misses_once_the_code_identity_changes(isolated_cache, monkeypatch):
-    Cache().store(_record("old code"))
+    _store(Cache(), "old code")
     assert Cache().lookup("davenport", {"n": 95}) == "old code"
     key = json.loads(cli.cache_key("davenport", {"n": 95}))
     assert key["code"] == cli._code_identity() and "version" not in key
@@ -222,12 +221,11 @@ def test_concurrent_large_appends_stay_whole_lines(isolated_cache):
     # each writer's Cache() opens isolated_cache, through WZS_CACHE
     writer = (
         "import sys\n"
-        "from wzs.cli import Cache, RunRecord\n"
+        "from wzs.cli import Cache\n"
         "cache = Cache()\n"
         "for i in range(40):\n"
         "    payload = sys.argv[1] * (70_000 + i)\n"
-        "    cache.store(RunRecord('extremal-enumerate', {'i': i, 'by': sys.argv[1]},\n"
-        "                          payload, 0.0, '0.1.0', 0.0))\n"
+        "    cache.store('extremal-enumerate', {'i': i, 'by': sys.argv[1]}, payload, 0.0)\n"
     )
     procs = [_python(writer, tag) for tag in "ab"]
     for proc in procs:
@@ -775,20 +773,6 @@ def test_unknown_flag_exits_64(capsys):
 def test_unknown_command_exits_64(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
-
-
-def test_run_record_round_trips():
-    rec = RunRecord(
-        command="davenport",
-        params={"n": 95, "weights": "cubes"},
-        payload="{}",
-        timestamp=123.5,
-        version="0.1.0",
-        duration=0.25,
-    )
-    body = json.loads(rec.to_json())
-    assert body.pop("key") == cache_key("davenport", {"n": 95, "weights": "cubes"})
-    assert RunRecord(**body) == rec
 
 
 @pytest.mark.parametrize("n, crc", [(55, 0xC29D39A5), (95, 0x65F5B36D), (185, 0x09102598), (2945, 0x9F768779)])

@@ -216,7 +216,7 @@ def test_unit_pair_ratio_test_matches_the_dp():
 
 
 def test_extremal_reads_no_kernel_names():
-    kernel = {"_reach_step", "_reach_rows"}
+    kernel = {"_reach_step", "_walk_kernel"}
     assert not kernel & set(vars(extremal))
 
 
@@ -329,7 +329,7 @@ def test_violating_sequence_shape():
     short_at = set()
     for _ in range(40):
         seq = coprimality_violating_sequence(prof, rng)
-        short = {p for p, quota in prof.unit_quotas()
+        short = {p for p, quota in prof.unit_quotas
                  if sum(1 for t in seq.terms if t % p != 0) < quota}
         assert short, seq.terms
         short_at |= short

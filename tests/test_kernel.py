@@ -5,16 +5,25 @@ import random
 from collections import Counter
 from functools import cached_property
 
-from sums_oracle import reachable_sums
+from sums_oracle import reachable_sums, residue_twin
 from wzs import verify, zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
 from wzs.modarith import factor
-from wzs.weightsets import WeightSet, by_kind, cubes, custom, pm_one, singleton_one, units_weights
+from wzs.weightsets import (
+    MAX_ROW_ORBITS,
+    WeightSet,
+    by_kind,
+    cubes,
+    custom,
+    pm_one,
+    singleton_one,
+    units_weights,
+)
 from wzs.zerosum import (
     Sequence,
-    _reach_rows,
     _reach_step,
+    _walk_kernel,
     crt_zero_check,
     full_zero_sum_exists,
     full_zero_sum_weights,
@@ -70,14 +79,6 @@ def check_against_oracle(seq, weights):
         fixed = has_fixed_length_zero_subseq(seq, weights, length)
         assert (fixed is not None) == (length in zero_lengths), (n, weights.kind, seq.terms, length)
         assert fixed is None or (len(fixed.picked) == length and fixed.verify(seq, weights))
-
-
-def residue_twin(weights):
-    """A fresh copy of a weight set whose kernel runs on residue masks."""
-    twin = WeightSet(weights.modulus, weights.elements, weights.kind, weights.is_subgroup,
-                     weights.members)
-    vars(twin)["uses_orbits"] = False
-    return twin
 
 
 def test_kernel_matches_set_oracle_for_every_kind_to_150():
@@ -142,11 +143,10 @@ def test_orbit_and_residue_masks_give_identical_answers():
             assert full_zero_sum_weights(seq.terms, weights) == full_zero_sum_weights(seq.terms, twin)
 
 
-def test_search_and_enumeration_agree_across_mask_forms(monkeypatch):
+def test_search_and_enumeration_agree_across_mask_forms():
     # The walks on chunked orbit rows, with dead children skipped, against
     # the per-child step on residue masks: the same D, witness, nodes and
-    # states, and the same classes.  126 and {1}, {+-1} past 16 take residue
-    # masks in the DP but rows in the walks.
+    # states, and the same classes.
     sets = [cubes(63), cubes(126), cubes(234), singleton_one(24), pm_one(64), by_kind("squares", 100)]
     enum_sets = [cubes(95), cubes(185)]
 
@@ -158,13 +158,11 @@ def test_search_and_enumeration_agree_across_mask_forms(monkeypatch):
             [(e.classes, e.d_value, e.stats.nodes, e.stats.states) for e in enums],
         )
 
-    assert not cubes(126).uses_orbits and not singleton_one(24).uses_orbits
-    assert all(_reach_rows(w, [1]) is not None for w in sets + enum_sets)
+    assert all(_walk_kernel(w, [1])[0] is None for w in sets + enum_sets)
     on_rows = walks(sets, enum_sets)
-    monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
     twins = [residue_twin(w) for w in sets]
     enum_twins = [residue_twin(w) for w in enum_sets]
-    assert all(_reach_rows(w, [1]) is None for w in twins + enum_twins)
+    assert all(_walk_kernel(w, [1])[0] is not None for w in twins + enum_twins)
     assert walks(twins, enum_twins) == on_rows
 
 
@@ -176,7 +174,7 @@ def test_chunked_expand_ors_the_rows_of_the_set_bits():
     for weights, k in zip(sets, (3, 8, 24, 40, 128)):
         rows = weights.orbit_rows
         assert len(rows) == k
-        expand = _reach_rows(weights, [1])[0]
+        expand = _walk_kernel(weights, [1])[1]
         masks = [0, 1, (1 << k) - 1, 1 << k - 1] + [rng.getrandbits(k) for _ in range(200)]
         masks += [1 << rng.randrange(k) | 1 << rng.randrange(k) for _ in range(100)]
         for mask in masks:
@@ -207,7 +205,8 @@ def test_node_cap_stays_exact_on_skipped_children(monkeypatch):
 
 
 def test_walks_step_per_child_past_the_row_limit(monkeypatch):
-    # Above MAX_ROW_ORBITS orbits the walks keep orbit masks but no rows.
+    # Above MAX_ROW_ORBITS orbits the walks keep orbit masks but no rows:
+    # they step by the set's orbit step.
     def walks():
         res = davenport_search(180, cubes(180), UNLIMITED)
         ext = enumerate_extremal(95, cubes(95), UNLIMITED)
@@ -215,7 +214,7 @@ def test_walks_step_per_child_past_the_row_limit(monkeypatch):
 
     with_rows = walks()
     monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
-    assert cubes(180).uses_orbits and _reach_rows(cubes(180), [1]) is None
+    assert cubes(180).uses_orbits and _walk_kernel(cubes(180), [1])[0] is cubes(180).orbit_step
     without_rows = walks()
     assert without_rows[:5] == with_rows[:5]
     assert without_rows[5].nodes == with_rows[5].nodes
@@ -223,20 +222,30 @@ def test_walks_step_per_child_past_the_row_limit(monkeypatch):
 
 def test_representation_rule():
     # A subgroup with k orbits on Z_n takes orbit masks when k * k < n, or
-    # when k <= min(128, 4 * |A|).
-    for n, orbits in ((5423, 8), (2945, 32), (95, 8), (108, 24), (180, 30), (182, 32),
-                      (224, 24), (351, 32)):
+    # when k <= 128; a set that is not a subgroup never does.
+    for n, orbits in ((5423, 8), (2945, 32), (95, 8), (108, 24), (126, 40), (180, 30),
+                      (182, 32), (224, 24), (351, 32)):
         weights = cubes(n)
         assert max(weights.orbit_id) + 1 == orbits
         assert weights.uses_orbits, n
-    # 40 orbits of 4 cubes mod 126: past 4 * |A|
-    assert max(cubes(126).orbit_id) + 1 == 40 and not cubes(126).uses_orbits
-    assert singleton_one(4).uses_orbits and pm_one(15).uses_orbits
-    for n in (5, 17, 95, 5423):
-        assert not singleton_one(n).uses_orbits
-    assert max(pm_one(16).orbit_id) + 1 == 9
-    assert not pm_one(16).uses_orbits and not pm_one(64).uses_orbits
+    assert singleton_one(128).uses_orbits and not singleton_one(129).uses_orbits
+    assert pm_one(255).orbit_count == 128 and pm_one(255).uses_orbits
+    assert pm_one(256).orbit_count == 129 and not pm_one(256).uses_orbits
     assert not custom(30, [1, 2, 3]).uses_orbits
+
+
+def test_walks_have_rows_exactly_where_the_dp_takes_orbit_masks():
+    # One rule for both: for every subgroup kind at n < 400, the walks get
+    # orbit rows (no step) exactly when the DP runs on orbit masks and k <=
+    # MAX_ROW_ORBITS, so every key of a walk's table is a mask the DP reads.
+    # Fresh copies, so the shared sets keep no rows.
+    for kind in KINDS:
+        for n in range(2, 400):
+            shared = by_kind(kind, n)
+            weights = WeightSet(n, shared.elements, shared.kind, shared.is_subgroup)
+            on_rows = _walk_kernel(weights, [])[0] is None
+            want = weights.uses_orbits and weights.orbit_count <= MAX_ROW_ORBITS
+            assert on_rows == want, (kind, n)
 
 
 def test_orbit_tables_match_their_definitions():
@@ -268,8 +277,8 @@ def test_orbit_rows_pack_the_columns():
         # the step by any symbol is one field of the expanded source
         rng = random.Random(k)
         symbols = rng.sample(range(weights.modulus), 6)
-        step = _reach_step(weights, symbols)
-        expand, fields, full = _reach_rows(weights, symbols)[:3]
+        step = _reach_step(weights)
+        expand, fields, full = _walk_kernel(weights, symbols)[1:4]
         for _ in range(20):
             src = rng.getrandbits(k) | 1
             for i in range(len(symbols)):
@@ -324,11 +333,11 @@ def test_residue_step_sorts_images_on_first_use():
             iterations.append(1)
             return super().__iter__()
 
-    base = cubes(126)
-    twin = WeightSet(126, Counted(base.elements), "cubes", True, base.members)
+    base = pm_one(300)  # 151 orbits: past MAX_ROW_ORBITS and sqrt(300)
+    twin = WeightSet(300, Counted(base.elements), "pm_one", True)
     assert not twin.uses_orbits
     iterations.clear()
-    step = _reach_step(twin, [5, 7, 5])
+    step = _reach_step(twin)
     assert not iterations
     assert step(0, 5, 1) == step(0, 5, 1) == sum(1 << t for t in images(5, base))
     assert len(iterations) == 1

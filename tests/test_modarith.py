@@ -50,12 +50,12 @@ def test_factor_prime_power_split():
 def test_unit_quotas_state_the_per_prime_rule():
     # (p, 2) for the primes 1 mod 3, then (q, 1) for the odd primes 2 mod 3,
     # each in increasing order; 2 and 3 carry no quota
-    assert factor(95).unit_quotas() == [(19, 2), (5, 1)]
-    assert factor(2 * 3 * 5 * 7 * 11 * 13).unit_quotas() == [(7, 2), (13, 2), (5, 1), (11, 1)]
-    assert factor(1).unit_quotas() == [] and factor(1).extremal_length == 0
+    assert factor(95).unit_quotas == ((19, 2), (5, 1))
+    assert factor(2 * 3 * 5 * 7 * 11 * 13).unit_quotas == ((7, 2), (13, 2), (5, 1), (11, 1))
+    assert factor(1).unit_quotas == () and factor(1).extremal_length == 0
     for n in range(1, 2000):
         prof = factor(n)
-        quotas = prof.unit_quotas()
+        quotas = prof.unit_quotas
         assert [p for p, q in quotas if q == 2] == [p for p, _ in prof.factors if p % 3 == 1]
         assert [p for p, q in quotas if q == 1] == [p for p, _ in prof.factors if p % 3 == 2 and p > 2]
         assert [q for _, q in quotas] == sorted((q for _, q in quotas), reverse=True)
@@ -65,12 +65,13 @@ def test_unit_quotas_state_the_per_prime_rule():
 def test_derived_profile_values_are_pinned():
     # Every value a profile derives from its factorization, for 1 <= n < 5000:
     # the count and CRC-32 of their repr, pinned from the profile that stored
-    # the split as fields filled by factor().
+    # the split as fields filled by factor(), with the quotas listed as they
+    # were then.
     log = []
     for n in range(1, 5000):
         prof = factor(n)
         log.append((n, prof.n1, prof.n2, three_part(prof), prof.big_omega_n1, prof.big_omega_n2,
-                    prof.small_omega_n1, prof.small_omega_n2, prof.unit_quotas(),
+                    prof.small_omega_n1, prof.small_omega_n2, list(prof.unit_quotas),
                     prof.extremal_length, prof.divisors()))
     assert (len(log), zlib.crc32(repr(log).encode())) == (4999, 0xBDDBF5D5)
 
@@ -79,8 +80,8 @@ def test_unit_quota_is_the_split_by_class_mod_3():
     assert [unit_quota(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)] == [0, 0, 1, 2, 1, 2, 1, 2]
     for n in (1, 95, 2 * 3 * 5 * 7 * 11 * 13, 7**3 * 11, 2**4 * 3**2 * 5**2 * 19):
         prof = factor(n)
-        assert prof.unit_quotas() == [(p, q) for q in (2, 1) for p, _ in prof.factors
-                                      if unit_quota(p) == q]
+        assert prof.unit_quotas == tuple((p, q) for q in (2, 1) for p, _ in prof.factors
+                                         if unit_quota(p) == q)
         assert prof.n1 * prof.n2 * three_part(prof) == n
 
 

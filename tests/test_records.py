@@ -1,29 +1,16 @@
-"""The package's records and value classes: the cache line a RunRecord
-writes, the reprs that ContractError messages quote, equality and hashing by
-value, and pickling (a Budget crosses to the `table --jobs` workers)."""
+"""The package's records and value classes: the reprs that ContractError
+messages quote, equality and hashing by value, and pickling (a Budget
+crosses to the `table --jobs` workers).  The cache line's bytes are pinned
+in test_cli."""
 
 import pickle
 
 import pytest
 
-from wzs import cli
-from wzs.cli import RunRecord
 from wzs.invariants import Budget, SearchStats
 from wzs.modarith import ModulusProfile, factor
 from wzs.weightsets import WeightSet, cubes, custom
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
-
-
-def test_run_record_json_is_the_cache_line_format(monkeypatch):
-    monkeypatch.setattr(cli, "_code_identity", lambda: "0123abcd")
-    record = RunRecord("table-row", {"n": 95, "weights": "cubes"}, '{"n": 95}',
-                       1700000000.5, "0.1.0", 0.25)
-    assert record.to_json() == (
-        r'{"command": "table-row", "duration": 0.25, "key": "{\"code\": \"0123abcd\", '
-        r'\"command\": \"table-row\", \"params\": {\"n\": 95, \"weights\": \"cubes\"}}", '
-        r'"params": {"n": 95, "weights": "cubes"}, "payload": "{\"n\": 95}", '
-        r'"timestamp": 1700000000.5, "version": "0.1.0"}'
-    )
 
 
 def test_search_stats_dict_keeps_its_keys_in_order():
@@ -54,18 +41,14 @@ def test_values_compare_and_hash_by_their_fields():
     assert custom(95, [1, 2]) == custom(95, [2, 1])
     assert hash(custom(95, [1, 2])) == hash(custom(95, [2, 1]))
     assert custom(95, [1, 2]) != custom(95, [1, 3])
+    a = cubes(95)
+    assert WeightSet(95, a.elements, "cubes", True) == a
+    assert hash(WeightSet(95, a.elements, "cubes", True)) == hash(a)
+    assert WeightSet(95, a.elements, "squares", True) != a
+    assert WeightSet(95, (2, 1), "custom", False).members == {1, 2}  # derived
     assert factor(95) == ModulusProfile(95, ((5, 1), (19, 1)))
     assert hash(factor(95)) == hash(ModulusProfile(95, ((5, 1), (19, 1))))
     assert factor(95) != ModulusProfile(95, ((5, 1),))
-
-
-def test_weight_set_equality_ignores_members():
-    bare = WeightSet(95, (1, 2), "custom", False, frozenset())
-    assert not bare.members
-    assert bare == custom(95, [1, 2]) and hash(bare) == hash(custom(95, [1, 2]))
-    a = cubes(95)
-    assert WeightSet(95, a.elements, "cubes", True, frozenset()) == a
-    assert WeightSet(95, a.elements, "squares", True, a.members) != a
 
 
 @pytest.mark.parametrize("value", [

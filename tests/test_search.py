@@ -164,24 +164,24 @@ def test_parallel_search_keeps_one_deadline():
 
 def test_search_builds_its_kernel_once(monkeypatch):
     # 180 has 17 first-term branches; each built its own kernel before.  A
-    # walk on orbit rows builds no per-child step; one past the row limit
-    # ({1} mod 160, 160 orbits) builds the step once.
-    calls = []
-    for name in ("_reach_step", "_reach_rows"):
-        build = getattr(invariants, name)
+    # search builds one kernel: on orbit rows, with no per-child step, or
+    # past the row limit ({1} mod 160, 160 orbits) with one step.
+    built = []
+    build = invariants._walk_kernel
 
-        def counted(weights, symbols, name=name, build=build):
-            calls.append(name)
-            return build(weights, symbols)
+    def counted(weights, symbols):
+        kernel = build(weights, symbols)
+        built.append(kernel[0] is None)
+        return kernel
 
-        monkeypatch.setattr(invariants, name, counted)
+    monkeypatch.setattr(invariants, "_walk_kernel", counted)
     res = davenport_search(180, by_kind("cubes", 180))
     assert res.conclusive and res.value == 7
-    assert calls == ["_reach_rows"]
-    calls.clear()
+    assert built == [True]
+    built.clear()
     res = davenport_search(160, singleton_one(160), Budget(max_nodes=20_000))
     assert res.stats.exhausted_by == "nodes"
-    assert calls == ["_reach_rows", "_reach_step"]
+    assert built == [False]
 
 
 def test_budget_bounds_the_residue_kernel_set_up():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from sums_oracle import reachable_sums
+from sums_oracle import reachable_sums, residue_twin
 from wzs import zerosum
 from wzs.errors import ContractError, HypothesisError
 from wzs.modarith import factor, theorem_hypothesis_failure, units
@@ -321,8 +321,10 @@ def check_yes_no(terms, weights):
 
 
 def yes_no_weight_sets(n):
-    """Every subgroup kind at n, and the non-subgroup {1, 2} from n = 4 on."""
+    """Every subgroup kind at n and its residue twin (at n <= 128 every
+    subgroup takes orbit masks), and the non-subgroup {1, 2} from n = 4 on."""
     sets = [by_kind(kind, n) for kind in ("cubes", "squares", "units", "pm1", "one")]
+    sets += [residue_twin(w) for w in sets]
     return sets + [custom(n, [1, 2])] if n >= 4 else sets
 
 
@@ -344,13 +346,13 @@ def test_yes_no_answers_match_the_certificates_and_brute_force():
 
 
 def test_yes_no_answers_on_a_residue_mask_subgroup():
-    # pm1 at 37 has 19 orbits, past both orbit-mask rules, so its DP runs on
-    # residue masks; the zero-sum-free and full answers still match
+    # pm1 at 300 has 151 orbits, past both k * k < n and MAX_ROW_ORBITS, so
+    # its DP runs on residue masks; the zero-sum-free and full answers still match
     rng = random.Random(67)
-    weights = by_kind("pm1", 37)
+    weights = by_kind("pm1", 300)
     assert weights.is_subgroup and not weights.uses_orbits
     for _ in range(300):
-        check_yes_no([rng.randrange(37) for _ in range(rng.randrange(9))], weights)
+        check_yes_no([rng.randrange(300) for _ in range(rng.randrange(9))], weights)
 
 
 def test_crt_zero_check_agrees_with_the_direct_yes_no_answer():
