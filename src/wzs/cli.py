@@ -277,12 +277,12 @@ def _cmd_verify(args) -> int:
     seconds = _budget_seconds(args)
     from .verify import check_matrix
 
-    result, undecided = check_matrix(args.n, args.rng_seed, seconds)
+    result = check_matrix(args.n, args.rng_seed, seconds)
     _emit(result)
     if result["all_pass"]:
         return EXIT_OK
-    failing = {name for name, c in result["checks"].items() if not c["pass"]}
-    return EXIT_INCONCLUSIVE if failing <= undecided else EXIT_CONTRACT
+    only_undecided = all(c["pass"] or c.get("undecided") for c in result["checks"].values())
+    return EXIT_INCONCLUSIVE if only_undecided else EXIT_CONTRACT
 
 
 def _cmd_cache(args) -> int:

@@ -1,7 +1,7 @@
 """The `verify` command's check matrix for one modulus.
 
 `wzs.cli` imports this module only when `verify` runs; it prints the
-matrix and picks the exit code from the checks the budget left undecided.
+matrix and picks the exit code from the checks marked undecided.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from .zerosum import (
 _RESIDUE_CHUNK = 4096  # residues power_residue_split checks between deadline reads
 
 
-def check_matrix(n: int, seed: int, seconds: float) -> tuple[dict, set[str]]:
-    """The check matrix for one n, and the names of the checks the budget
-    left undecided: a walk stopped before it knew D, an incomplete
-    enumeration, or a check the deadline cut before it failed or ended."""
+def check_matrix(n: int, seed: int, seconds: float) -> dict:
+    """The check matrix for one n.  A check the budget left undecided (a
+    walk stopped before it knew D, an incomplete enumeration, or a check the
+    deadline cut before it failed or ended) fails with "undecided": true."""
     prof = factor(n)
     require_hypotheses(prof)
     rng = random.Random(seed)
@@ -161,9 +161,11 @@ def check_matrix(n: int, seed: int, seconds: float) -> tuple[dict, set[str]]:
         "bound": bound,
     }
 
+    for name in undecided:
+        checks[name]["undecided"] = True
     return {
         "n": n,
         "weights": "cubes",
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
-    }, undecided
+    }

@@ -2,9 +2,11 @@
 
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership; moduli are desk scale, so memory is a non-issue and the
-dynamic programming inner loops want fast iteration.  Derived tables (orbit
-ids and the k least members of the orbits, from one coset pass; the
-kernel's orbit columns, packed orbit rows and the DP's orbit step) are built
+dynamic programming inner loops want fast iteration.  The set alone decides
+the mask form of the kernels (uses_orbits) and owns what depends on it: the
+DP's step and each residue's bit, and the walks' orbit rows, None where they
+have none.  Derived tables (orbit ids and the k least members of the orbits,
+from one coset pass; the orbit columns and rows) and the step are built
 lazily, once per instance; kind constructors share one per modulus.
 """
 
@@ -113,9 +115,25 @@ class WeightSet:
         return tuple(cols)
 
     @cached_property
-    def orbit_step(self):
-        """The DP's step on orbit masks, built once: step(acc, x, src) ORs
-        into acc column orbit_id[x] of each orbit in src (r + A*x's orbits)."""
+    def step(self):
+        """The DP's step, built once: step(acc, x, src) is acc together with
+        every r + a*x for r in src and a in A.  On orbit masks it ORs into
+        acc column orbit_id[x] of each orbit in src (r + A*x's orbits); on
+        residue masks it ORs one rotation of src per distinct a*x, with x's
+        images sorted on x's first step, so there is no O(n*|A|) set-up."""
+        if not self.uses_orbits:
+            n, elements, shifts = self.modulus, self.elements, {}
+            full = (1 << n) - 1
+
+            def step(acc: int, x: int, src: int) -> int:
+                images = shifts.get(x)
+                if images is None:
+                    images = shifts[x] = sorted({a * x % n for a in elements})
+                for s in images:
+                    acc |= ((src << s) | (src >> (n - s))) & full if s else src
+                return acc
+
+            return step
         cols, oid = self.orbit_columns, self.orbit_id
 
         def step(acc: int, x: int, src: int) -> int:
@@ -131,8 +149,17 @@ class WeightSet:
         return step
 
     @cached_property
-    def orbit_rows(self) -> tuple[int, ...]:
-        """orbit_rows[o] holds orbit_columns[q][o] in field q, k bits wide."""
+    def bit(self):
+        """bit[t]: the bit of residue t in the DP's masks."""
+        return self.orbit_id if self.uses_orbits else range(self.modulus)
+
+    @cached_property
+    def orbit_rows(self) -> tuple[int, ...] | None:
+        """orbit_rows[o] holds orbit_columns[q][o] in field q, k bits wide;
+        None where the walks have no rows: without orbit masks, or past
+        MAX_ROW_ORBITS orbits."""
+        if not self.uses_orbits or self.orbit_count > MAX_ROW_ORBITS:
+            return None
         cols, k = self.orbit_columns, len(self.orbit_columns)
         return tuple(sum(c[o] << q * k for q, c in enumerate(cols)) for o in range(k))
 
@@ -229,14 +256,6 @@ def by_kind(kind: str, n: int, elems: list[int] | None = None) -> WeightSet:
     if alias not in _FACTORIES:
         raise ValueError(f"unknown weight kind {kind!r}")
     return _FACTORIES[alias](n)
-
-
-def coset_minima(a: WeightSet) -> tuple[int, ...]:
-    """rep[x] = min of the multiplicative coset A*x mod n, with rep[0] = 0: a
-    view of the orbit table, derived on each call.  Defined only when A is a
-    subgroup (the cosets partition Z_n), else a ValueError."""
-    oid, least = a._cosets
-    return tuple(map(least.__getitem__, oid))
 
 
 def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:

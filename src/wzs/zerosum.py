@@ -2,14 +2,13 @@
 
 Reachable weighted sums are tracked as bitmasks with a snapshot kept per
 term for certificate backtracking; the yes/no functions (is_zero_sum_free,
-full_zero_sum_exists) fold the same steps to the last mask.  One kernel,
-_reach_step, extends a mask by a term for the DP.  A mask has one bit per
-orbit A*x when the weight set is a subgroup with few orbits (every reachable
-set is then a union of orbits), and the step is the set's own orbit_step,
-built once per set; else one bit per residue, by a step built per call.  The
-weight set owns the tables and picks the mask form (uses_orbits).  The
-search and the enumeration walk on _walk_kernel, which expands a state by
-every symbol at once on orbit rows, or steps it per child past them.
+full_zero_sum_exists) fold the same steps to the last mask.  The weight set
+alone decides the mask form, one bit per orbit A*x (every reachable set of a
+subgroup is a union of orbits) or one per residue, and owns the DP's step
+(WeightSet.step, which extends a mask by a term), the bit of each residue
+(WeightSet.bit) and the walks' orbit rows.  The search and the enumeration
+walk on _walk_kernel, which expands a state by every symbol at once where
+the set has orbit rows, and steps it per child where orbit_rows is None.
 Certificates name term indices and weights and are always re-verified
 arithmetically before being returned.
 """
@@ -17,11 +16,11 @@ arithmetically before being returned.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, crt_combine, factor, theorem_hypothesis_failure
-from .weightsets import MAX_ROW_ORBITS, WeightSet, cubes
+from .weightsets import WeightSet, cubes
 
 
 class Sequence:
@@ -88,45 +87,18 @@ class Certificate(NamedTuple):
         }
 
 
-def _reach_step(weights: WeightSet) -> Callable[[int, int, int], int]:
-    """The reachable-sum kernel: step(acc, x, src) is acc together with every
-    r + a*x for r in src and a in A.
-
-    Masks are over orbit ids when weights.uses_orbits (every reachable set of
-    a subgroup is a union of orbits), stepped by the set's own orbit_step;
-    else over residues, one rotate-OR per distinct a*x, by a step built per
-    call.  _bit_index maps a residue to its bit either way."""
-    if weights.uses_orbits:
-        return weights.orbit_step
-
-    # images are sorted on a symbol's first step: no O(n*|A|) set-up
-    n = weights.modulus
-    full = (1 << n) - 1
-    shifts: dict[int, list[int]] = {}
-
-    def step(acc: int, x: int, src: int) -> int:
-        images = shifts.get(x)
-        if images is None:
-            images = shifts[x] = sorted({a * x % n for a in weights.elements})
-        for s in images:
-            acc |= ((src << s) | (src >> (n - s))) & full if s else src
-        return acc
-
-    return step
-
-
 def _walk_kernel(weights: WeightSet, symbols):
     """(step, expand, fields, full, dead, chunks), the walks' kernel over
-    symbols.  On orbit rows, where uses_orbits holds with at most
-    MAX_ROW_ORBITS orbits, step is None and the step from src by symbols[i]
-    is expand(src) >> fields[i] & full, where expand ORs the rows of src's
-    orbits a byte at a time from per-walk tables, chunks[c][v] = OR of
-    orbit_rows[8c + b] over the set bits b of v; a zero-sum-free mask
-    meeting dead[i], the bit of the orbit of -symbols[i], reaches 0 on adding
-    symbols[i].  Elsewhere step is _reach_step's and the dead bits are 0:
-    the step's zero test skips those children."""
-    if not weights.uses_orbits or weights.orbit_count > MAX_ROW_ORBITS:
-        return _reach_step(weights), None, None, 0, [0] * len(symbols), None
+    symbols.  Where the set has orbit rows, step is None and the step from
+    src by symbols[i] is expand(src) >> fields[i] & full, where expand ORs
+    the rows of src's orbits a byte at a time from per-walk tables,
+    chunks[c][v] = OR of orbit_rows[8c + b] over the set bits b of v; a
+    zero-sum-free mask meeting dead[i], the bit of the orbit of
+    -symbols[i], reaches 0 on adding symbols[i].  Where orbit_rows is None,
+    step is the set's DP step and the dead bits are 0: the step's zero test
+    skips those children."""
+    if weights.orbit_rows is None:
+        return weights.step, None, None, 0, [0] * len(symbols), None
     rows, oid, n = weights.orbit_rows, weights.orbit_id, weights.modulus
     chunks = []
     for c in range(0, len(rows), 8):
@@ -149,14 +121,9 @@ def _walk_kernel(weights: WeightSet, symbols):
     return None, expand, [k * oid[x] for x in symbols], (1 << k) - 1, dead, chunks
 
 
-def _bit_index(weights: WeightSet):
-    """bit[t]: the bit of residue t in the kernel's masks."""
-    return weights.orbit_id if weights.uses_orbits else range(weights.modulus)
-
-
 def _subset_layers(seq: Sequence, weights: WeightSet) -> list[int]:
     """Mask per prefix of the sums of nonempty weighted subsequences."""
-    step = _reach_step(weights)
+    step = weights.step
     layers = [0]
     for x in seq.terms:
         mask = layers[-1]
@@ -200,7 +167,7 @@ def _backtrack_subset(seq: Sequence, weights: WeightSet, layers: list[int]) -> C
     # Skip a term whenever the residual sum survives without it (smallest
     # index set), then take the smallest usable weight.  Bit 0 is residue 0
     # (orbit 0 is {0}), so prev | 1 lets a residual of 0 end the subset.
-    bit = _bit_index(weights)
+    bit = weights.bit
     terms = seq.terms
     picked: list[tuple[int, int]] = []
     t = 0
@@ -236,7 +203,7 @@ def is_zero_sum_free(seq: Sequence, weights: WeightSet) -> bool:
     has_weighted_zero_subseq(seq, weights) is None, from the same steps,
     folded to the last mask."""
     _check_moduli(seq, weights)
-    step = _reach_step(weights)
+    step = weights.step
     mask = 0
     for x in seq.terms:
         mask = step(mask, x, mask | 1)
@@ -256,7 +223,7 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     # terms.  A cell with c < length - (len(seq) - j) cannot grow to `length`
     # picks, and backtracking starts from the first row where `length` picks
     # reach 0, so neither those cells nor later rows are computed.
-    step = _reach_step(weights)
+    step = weights.step
     spare = len(seq) - length
     layers: list[list[int]] = [[1] + [0] * length]
     prev = layers[0]
@@ -272,7 +239,7 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     else:
         return None
 
-    bit = _bit_index(weights)
+    bit = weights.bit
     terms = seq.terms
     picked: list[tuple[int, int]] = []
     t, c, j = 0, length, len(layers) - 1
@@ -298,7 +265,7 @@ def _full_values(values, weights: WeightSet) -> list[int]:
 
 def _full_mask(vals: list[int], weights: WeightSet) -> int:
     # the whole list's sums, one weight per value, as the last mask; no range check
-    step = _reach_step(weights)
+    step = weights.step
     mask = 1
     for x in vals:
         mask = step(0, x, mask)
@@ -319,13 +286,13 @@ def full_zero_sum_weights(values, weights: WeightSet) -> list[int] | None:
     the exhaustive stand-in for the unit-count existence guarantees.
     """
     vals = _full_values(values, weights)
-    step = _reach_step(weights)
+    step = weights.step
     layers = [1]  # layers[j]: the sums of the first j values, one weight each
     for x in vals:
         layers.append(step(0, x, layers[-1]))
     if not layers[-1] & 1:
         return None
-    bit = _bit_index(weights)
+    bit = weights.bit
     ws: list[int] = []
     t = 0
     for j in range(len(vals) - 1, -1, -1):

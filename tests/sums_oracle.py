@@ -7,14 +7,14 @@ and the two mask forms with each other.
 """
 
 from wzs.weightsets import WeightSet
-from wzs.zerosum import _bit_index, _check_moduli, _subset_layers
+from wzs.zerosum import _check_moduli, _subset_layers
 
 
 def reachable_sums(seq, weights) -> set[int]:
     """All residues of the form sum(a_i * x_i) over nonempty subsequences."""
     _check_moduli(seq, weights)
     r = _subset_layers(seq, weights)[-1]
-    bit = _bit_index(weights)
+    bit = weights.bit
     return {t for t in range(seq.modulus) if r >> bit[t] & 1}
 
 

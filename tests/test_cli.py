@@ -646,6 +646,13 @@ def trials_run(checks):
     return {name: c["trials"] for name, c in checks.items() if "trials" in c}
 
 
+def flagged(checks):
+    """The checks marked undecided; each of them fails."""
+    marked = {name for name, c in checks.items() if c.get("undecided")}
+    assert all(checks[name]["undecided"] is True and not checks[name]["pass"] for name in marked)
+    return marked
+
+
 def test_verify_exhausted_budget_exits_inconclusive(capsys):
     code, out, _ = run(capsys, "verify", "--n", "95", "--budget-ms", "0")
     assert code == EXIT_INCONCLUSIVE
@@ -657,6 +664,7 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
     # first trial
     assert failing == {"formula_matches_search", "e_value_relation", "prior_bound_ceiling",
                        *CLASS_CHECKS, *TRIAL_CHECKS}
+    assert flagged(checks) == failing
     assert trials_run(checks) == dict.fromkeys(COUNTED_CHECKS, 0)
 
 
@@ -679,7 +687,7 @@ def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where)
     checks = json.loads(out)["checks"]
     failing = {name for name, c in checks.items() if not c["pass"]}
     later = {name for name, _ in READS_55[cut:]}
-    assert failing == later
+    assert failing == later == flagged(checks)
     # the cut check ran none or all but its last trial, every later one none
     ran = {name: 0 if name in later else r for name, r in READS_55 if name in COUNTED_CHECKS}
     name, r = READS_55[cut]
@@ -699,8 +707,10 @@ def test_a_failing_trial_is_counted_and_ends_its_check(capsys, monkeypatch):
     monkeypatch.setattr(verify, "crt_zero_check", wrong_third)
     code, out, _ = run(capsys, "verify", "--n", "55")
     assert code == EXIT_CONTRACT and len(calls) == 3
+    checks = json.loads(out)["checks"]
     full = {name: r for name, r in READS_55 if name in COUNTED_CHECKS}
-    assert trials_run(json.loads(out)["checks"]) == {**full, "crt_factorization": 3}
+    assert trials_run(checks) == {**full, "crt_factorization": 3}
+    assert not checks["crt_factorization"]["pass"] and not flagged(checks)
 
 
 def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monkeypatch):
@@ -712,7 +722,7 @@ def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monke
     code, out, _ = run(capsys, "verify", "--n", "32395", "--budget-ms", "500")
     assert code == EXIT_INCONCLUSIVE
     assert calls == []
-    assert json.loads(out)["checks"]["extremal_classification"]["pass"] is False
+    assert "extremal_classification" in flagged(json.loads(out)["checks"])
 
 
 def test_budget_env_variable_is_honored(capsys, monkeypatch):
@@ -778,6 +788,6 @@ def test_unknown_command_exits_64(capsys):
 @pytest.mark.parametrize("n, crc", [(55, 0xC29D39A5), (95, 0x65F5B36D), (185, 0x09102598), (2945, 0x9F768779)])
 def test_check_matrix_is_pinned(n, crc):
     # verify's matrix at seed 3, in process, as CRC-32 of its sorted JSON
-    payload, undecided = verify.check_matrix(n, 3, 600)
-    assert not undecided and payload["all_pass"]
+    payload = verify.check_matrix(n, 3, 600)
+    assert not flagged(payload["checks"]) and payload["all_pass"]
     assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc

@@ -216,7 +216,7 @@ def test_unit_pair_ratio_test_matches_the_dp():
 
 
 def test_extremal_reads_no_kernel_names():
-    kernel = {"_reach_step", "_walk_kernel"}
+    kernel = {"step", "bit", "_walk_kernel"}
     assert not kernel & set(vars(extremal))
 
 

@@ -1,12 +1,14 @@
 """The reachable-sum kernel against an oracle over plain Python sets, and its
 two mask forms (orbit ids, residues) against each other."""
 
+import os
 import random
 from collections import Counter
 from functools import cached_property
 
 from sums_oracle import reachable_sums, residue_twin
-from wzs import verify, zerosum
+import wzs
+from wzs import verify, weightsets, zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
 from wzs.modarith import factor
@@ -22,7 +24,6 @@ from wzs.weightsets import (
 )
 from wzs.zerosum import (
     Sequence,
-    _reach_step,
     _walk_kernel,
     crt_zero_check,
     full_zero_sum_exists,
@@ -185,7 +186,7 @@ def test_chunked_expand_ors_the_rows_of_the_set_bits():
             assert expand(mask) == want, (weights.modulus, k, mask)
 
 
-def test_node_cap_stays_exact_on_skipped_children(monkeypatch):
+def test_node_cap_stays_exact_on_skipped_children():
     # Every cap below covers skipped dead children at 126: a skipped child
     # counts as a node before the cap is tested, as a stepped one does.
     weights = cubes(126)
@@ -200,22 +201,28 @@ def test_node_cap_stays_exact_on_skipped_children(monkeypatch):
 
     on_rows = capped(weights)
     assert all(nodes == cap and by == "nodes" for cap, (_, _, nodes, _, by) in zip(caps, on_rows))
-    monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
-    assert capped(residue_twin(weights)) == on_rows
+    twin = residue_twin(weights)
+    assert twin.orbit_rows is None
+    assert capped(twin) == on_rows
 
 
 def test_walks_step_per_child_past_the_row_limit(monkeypatch):
-    # Above MAX_ROW_ORBITS orbits the walks keep orbit masks but no rows:
-    # they step by the set's orbit step.
-    def walks():
-        res = davenport_search(180, cubes(180), UNLIMITED)
-        ext = enumerate_extremal(95, cubes(95), UNLIMITED)
+    # Past MAX_ROW_ORBITS orbits a set has no rows and the walks step by its
+    # DP step: on orbit masks where k * k < n (the cubes mod 95, k = 8), on
+    # residue masks elsewhere (mod 180, k = 30).  Rows are cached per set,
+    # so the limit is patched for fresh sets.
+    def walks(c180, c95):
+        res = davenport_search(180, c180, UNLIMITED)
+        ext = enumerate_extremal(95, c95, UNLIMITED)
         return res.value, res.witness, res.stats.nodes, res.stats.states, ext.classes, ext.stats
 
-    with_rows = walks()
-    monkeypatch.setattr(zerosum, "MAX_ROW_ORBITS", 0)
-    assert cubes(180).uses_orbits and _walk_kernel(cubes(180), [1])[0] is cubes(180).orbit_step
-    without_rows = walks()
+    with_rows = walks(cubes.__wrapped__(180), cubes.__wrapped__(95))
+    monkeypatch.setattr(weightsets, "MAX_ROW_ORBITS", 0)
+    c180, c95 = cubes.__wrapped__(180), cubes.__wrapped__(95)
+    assert c95.uses_orbits and not c180.uses_orbits
+    for w in (c180, c95):
+        assert w.orbit_rows is None and _walk_kernel(w, [1])[0] is w.step
+    without_rows = walks(c180, c95)
     assert without_rows[:5] == with_rows[:5]
     assert without_rows[5].nodes == with_rows[5].nodes
 
@@ -277,7 +284,7 @@ def test_orbit_rows_pack_the_columns():
         # the step by any symbol is one field of the expanded source
         rng = random.Random(k)
         symbols = rng.sample(range(weights.modulus), 6)
-        step = _reach_step(weights)
+        step = weights.step
         expand, fields, full = _walk_kernel(weights, symbols)[1:4]
         for _ in range(20):
             src = rng.getrandbits(k) | 1
@@ -285,38 +292,55 @@ def test_orbit_rows_pack_the_columns():
                 assert expand(src) >> fields[i] & full == step(0, symbols[i], src)
 
 
-def test_dp_builds_the_orbit_step_once(monkeypatch):
-    # Each DP call built its own orbit step before.  The step is now the
-    # weight set's: 1000 mixed DP calls on one set build it once, and a
-    # verify run builds it at most once for each set it steps on.
-    builds = []
-    build = WeightSet.orbit_step.func
+def test_dp_builds_the_step_once(monkeypatch):
+    # The step is the weight set's: 1000 mixed DP calls on one set build it
+    # once on either mask form, and on residue masks sort each residue's
+    # images once.  A verify run builds it at most once for each set it
+    # steps on.
+    builds, stepped = [], set()
+    build = WeightSet.step.func
 
     def counted(weights):
         builds.append(weights.modulus)
-        return build(weights)
+        step = build(weights)
+
+        def logged(acc, x, src):
+            stepped.add((weights.modulus, x))
+            return step(acc, x, src)
+
+        return logged
 
     prop = cached_property(counted)
-    prop.__set_name__(WeightSet, "orbit_step")
-    monkeypatch.setattr(WeightSet, "orbit_step", prop)
-    weights = cubes.__wrapped__(95)  # not the shared set, which may hold its step
-    prof, rng = factor(95), random.Random(95)
-    calls = [
-        lambda seq: has_weighted_zero_subseq(seq, weights),
-        lambda seq: is_zero_sum_free(seq, weights),
-        lambda seq: has_fixed_length_zero_subseq(seq, weights, 2),
-        lambda seq: full_zero_sum_weights(seq.terms, weights),
-        lambda seq: full_zero_sum_exists(seq.terms, weights),
-    ]
-    for k in range(1000):
-        seq = Sequence.make(95, [rng.randrange(95) for _ in range(1 + rng.randrange(8))])
-        calls[k % len(calls)](seq)
-    assert builds == [95]
+    prop.__set_name__(WeightSet, "step")
+    monkeypatch.setattr(WeightSet, "step", prop)
+    # not the shared sets, which may hold their steps; pm1 at 300 has 151
+    # orbits, past MAX_ROW_ORBITS and sqrt(300), so it runs on residue masks
+    on_orbits = cubes.__wrapped__(95)
+    on_residues = pm_one.__wrapped__(300)
+    assert on_orbits.uses_orbits and not on_residues.uses_orbits
+    sorts, rng = [], random.Random(95)
+    with monkeypatch.context() as m:
+        m.setattr(weightsets, "sorted", lambda xs: sorts.append(1) or sorted(xs), raising=False)
+        for weights in (on_orbits, on_residues):
+            n = weights.modulus
+            calls = [
+                lambda seq: has_weighted_zero_subseq(seq, weights),
+                lambda seq: is_zero_sum_free(seq, weights),
+                lambda seq: has_fixed_length_zero_subseq(seq, weights, 2),
+                lambda seq: full_zero_sum_weights(seq.terms, weights),
+                lambda seq: full_zero_sum_exists(seq.terms, weights),
+            ]
+            for k in range(1000):
+                seq = Sequence.make(n, [rng.randrange(n) for _ in range(1 + rng.randrange(8))])
+                calls[k % len(calls)](seq)
+    assert builds == [95, 300]
+    assert len(sorts) == sum(1 for mod, _ in stepped if mod == 300) > 100
     builds.clear()
-    payload, _ = verify.check_matrix(95, 3, 600)
+    payload = verify.check_matrix(95, 3, 600)
     assert payload["all_pass"] and max(Counter(builds).values(), default=1) == 1
     # crt_zero_check steps on the cubes mod 5 and mod 19, each set's own step
     builds.clear()
+    prof = factor(95)
     monkeypatch.setattr(zerosum, "cubes", {q: cubes.__wrapped__(q) for q in (5, 19)}.__getitem__)
     for _ in range(200):
         crt_zero_check(Sequence.make(95, [rng.randrange(95) for _ in range(4)]), prof)
@@ -324,8 +348,8 @@ def test_dp_builds_the_orbit_step_once(monkeypatch):
 
 
 def test_residue_step_sorts_images_on_first_use():
-    # Residue masks keep no step on the set: each _reach_step call builds
-    # one, and it sorts a symbol's images on that symbol's first step.
+    # On residue masks the step sorts a symbol's images on that symbol's
+    # first step, so it has no O(n * |A|) set-up.
     iterations = []
 
     class Counted(tuple):
@@ -337,10 +361,20 @@ def test_residue_step_sorts_images_on_first_use():
     twin = WeightSet(300, Counted(base.elements), "pm_one", True)
     assert not twin.uses_orbits
     iterations.clear()
-    step = _reach_step(twin)
+    step = twin.step
     assert not iterations
     assert step(0, 5, 1) == step(0, 5, 1) == sum(1 << t for t in images(5, base))
     assert len(iterations) == 1
     step(0, 7, 3)
     assert len(iterations) == 2
-    assert "orbit_step" not in vars(twin)
+
+
+def test_only_the_weight_set_names_the_mask_form():
+    # uses_orbits and MAX_ROW_ORBITS decide the mask form and the walks'
+    # rows; every other module reads step, bit and orbit_rows instead
+    src = os.path.dirname(wzs.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "weightsets.py":
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            assert "uses_orbits" not in text and "MAX_ROW_ORBITS" not in text, name

@@ -72,12 +72,12 @@ def test_pickled_values_keep_members_and_derived_fields():
 
 
 def test_a_weight_set_pickles_without_its_tables_or_step():
-    # the orbit step is a closure the set keeps: a copy rebuilds its tables
+    # the DP step is a closure the set keeps: a copy rebuilds its tables
     # and its step on use, with the same answers
     weights = cubes(95)
     seq = Sequence.make(95, (1, 2, 19))
     answer = has_weighted_zero_subseq(seq, weights)
     copy = pickle.loads(pickle.dumps(weights))
     assert copy == weights and copy.members == weights.members
-    assert "orbit_step" in vars(weights) and "orbit_step" not in vars(copy)
+    assert "step" in vars(weights) and "step" not in vars(copy)
     assert has_weighted_zero_subseq(seq, copy) == answer

@@ -15,7 +15,6 @@ from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
 from wzs.zerosum import (
     Certificate,
     Sequence,
-    _bit_index,
     _pick_weight,
     crt_zero_check,
     extract_length_m,
@@ -475,7 +474,7 @@ def scan_pick(weights, bit, prev, t, x):
 
 def pick_or_error(pick, weights, t, x):
     try:
-        return pick(weights, _bit_index(weights), 1, t, x)
+        return pick(weights, weights.bit, 1, t, x)
     except ContractError:
         return "no weight"
 
@@ -499,8 +498,8 @@ def test_last_pick_is_solved_as_the_scan_picks_it():
     # gcd(5, 2945) = 5 does not divide 1; 2*a = 6 mod 126 only for a = 3, 66
     for weights, t, x in ((cubes(2945), 1, 5), (SPARSE_126, 6, 2)):
         with pytest.raises(ContractError):
-            _pick_weight(weights, _bit_index(weights), 1, t, x)
-    assert _pick_weight(cubes(2945), _bit_index(cubes(2945)), 1, 0, 0) == (1, 0)
+            _pick_weight(weights, weights.bit, 1, t, x)
+    assert _pick_weight(cubes(2945), cubes(2945).bit, 1, 0, 0) == (1, 0)
 
 
 def certificates(weights, terms):
