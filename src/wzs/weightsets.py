@@ -91,9 +91,9 @@ class WeightSet:
         residue masks: for a subgroup with k orbits, when k*k < n or k <=
         MAX_ROW_ORBITS, so the DP reads the keys of the walks' rows.  Per
         has_weighted_zero_subseq call (1 to 8 terms, warm), orbit masks took
-        7.9 against 11.9 us on the cubes mod 63 and 11.5 against 11.3 mod
-        126; residue masks win only for |A| <= 2 (6.7 against 18.8 us on {1}
-        mod 100), which reach the DP once per search and in `check`.  A set
+        4.5 against 6.9 us on the cubes mod 63 and 6.5 against 7.3 mod 126;
+        residue masks win only for |A| <= 2 (3.5 against 9.4 us on {1} mod
+        100), which reach the DP once per search and in `check`.  A set
         that is not a subgroup never builds the coset table."""
         if not self.is_subgroup:
             return False
@@ -118,9 +118,16 @@ class WeightSet:
     def step(self):
         """The DP's step, built once: step(acc, x, src) is acc together with
         every r + a*x for r in src and a in A.  On orbit masks it ORs into
-        acc column orbit_id[x] of each orbit in src (r + A*x's orbits); on
-        residue masks it ORs one rotation of src per distinct a*x, with x's
-        images sorted on x's first step, so there is no O(n*|A|) set-up."""
+        acc column orbit_id[x] of each orbit in src (r + A*x's orbits), four
+        orbits a lookup: tabs[c][v] is the OR of the column's entries 4c + b
+        over the set bits b of v.  A column's tables are built on the first
+        step by a term of its orbit, so a set holds at most k*ceil(k/4)*16
+        masks; a build costs about four full-mask steps of a loop over the
+        bits of src, and a warm call of 1 to 8 terms took 9.4 against 19.5
+        us on {1} mod 100 and 6.5 against 13.0 on the cubes mod 126 with
+        that loop.  On residue masks it ORs one rotation of src per
+        distinct a*x, with x's images sorted on x's first step, so there is
+        no O(n*|A|) set-up."""
         if not self.uses_orbits:
             n, elements, shifts = self.modulus, self.elements, {}
             full = (1 << n) - 1
@@ -135,15 +142,20 @@ class WeightSet:
 
             return step
         cols, oid = self.orbit_columns, self.orbit_id
+        tables = [None] * len(cols)
 
         def step(acc: int, x: int, src: int) -> int:
-            col = cols[oid[x]]
-            o = 0
-            while src:
-                if src & 1:
-                    acc |= col[o]
-                src >>= 1
-                o += 1
+            q = oid[x]
+            tabs = tables[q]
+            if tabs is None:  # v's bits 0, 1, 2, 3 pick a, b, c, d
+                p = cols[q] + (0, 0, 0)
+                tabs = tables[q] = [[h | lo for h in (0, c, d, c | d) for lo in (0, a, b, a | b)]
+                                    for a, b, c, d in zip(p[::4], p[1::4], p[2::4], p[3::4])]
+            for t in tabs:
+                if not src:
+                    break
+                acc |= t[src & 15]
+                src >>= 4
             return acc
 
         return step

@@ -1,5 +1,6 @@
 """CLI dispatch, JSON/CSV shapes, caching, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -401,9 +402,15 @@ def test_table_reread_from_cache_is_byte_identical(capsys, isolated_cache, fmt):
     assert len(isolated_cache.read_text().splitlines()) == 26
 
 
-def test_table_inconclusive_row_exits_2_and_is_not_cached(capsys, isolated_cache):
-    code, out, _ = run(capsys, "table", "--from", "126", "--to", "126",
-                       "--format", "json", "--budget-ms", "20")
+def test_table_inconclusive_row_exits_2_and_is_not_cached(capsys, isolated_cache, monkeypatch):
+    # Each clock reading is 1 ms past the last, so the search at 126 (59,122
+    # nodes) passes its 20 ms deadline 5120 nodes into the walk, however
+    # fast the machine runs it.
+    ticks = itertools.count()
+    with monkeypatch.context() as m:
+        m.setattr(invariants.time, "perf_counter", lambda: next(ticks) / 1000)
+        code, out, _ = run(capsys, "table", "--from", "126", "--to", "126",
+                           "--format", "json", "--budget-ms", "20")
     assert code == EXIT_INCONCLUSIVE
     rows = json.loads(out)
     assert [row["n"] for row in rows] == [126] and rows[0]["D_search"] is None

@@ -8,7 +8,7 @@ from functools import cached_property
 
 from sums_oracle import reachable_sums, residue_twin
 import wzs
-from wzs import verify, weightsets, zerosum
+from wzs import invariants, verify, weightsets, zerosum
 from wzs.extremal import enumerate_extremal
 from wzs.invariants import Budget, davenport_search, lower_bound_witness
 from wzs.modarith import factor
@@ -186,6 +186,32 @@ def test_chunked_expand_ors_the_rows_of_the_set_bits():
             assert expand(mask) == want, (weights.modulus, k, mask)
 
 
+def test_orbit_step_ors_the_columns_of_the_set_bits():
+    # The orbit step against its definition: acc together with column
+    # orbit_id[x] of each orbit in src, for every subgroup kind on orbit
+    # masks at n < 150 and the cubes mod 2945, 5423 and 3458 (k = 32, 8,
+    # 128).  The sweep meets every k mod 4, so a short last block of 1, 2
+    # or 3 orbits is covered as well as a full one.
+    sets = [by_kind(kind, n) for kind in KINDS for n in range(2, 150)]
+    sets = [w for w in sets if w.uses_orbits] + [cubes(2945), cubes(5423), cubes(3458)]
+    assert {w.orbit_count % 4 for w in sets} == {0, 1, 2, 3}
+    assert {2, 5, 101} <= {w.orbit_count for w in sets}
+    rng = random.Random(4)
+    for weights in sets:
+        n, k, step = weights.modulus, weights.orbit_count, weights.step
+        masks = [0, 1, (1 << k) - 1] + [1 << o for o in range(k)]
+        masks += [rng.getrandbits(k) for _ in range(8)]
+        for x in {0, 1, n - 1, *rng.sample(range(n), min(n, 3))}:
+            col = weights.orbit_columns[weights.orbit_id[x]]
+            for src in masks:
+                want = 0
+                for o in range(k):
+                    if src >> o & 1:
+                        want |= col[o]
+                for acc in (0, rng.getrandbits(k)):
+                    assert step(acc, x, src) == acc | want, (weights.kind, n, x, src, acc)
+
+
 def test_node_cap_stays_exact_on_skipped_children():
     # Every cap below covers skipped dead children at 126: a skipped child
     # counts as a node before the cap is tested, as a stepped one does.
@@ -208,23 +234,36 @@ def test_node_cap_stays_exact_on_skipped_children():
 
 def test_walks_step_per_child_past_the_row_limit(monkeypatch):
     # Past MAX_ROW_ORBITS orbits a set has no rows and the walks step by its
-    # DP step: on orbit masks where k * k < n (the cubes mod 95, k = 8), on
-    # residue masks elsewhere (mod 180, k = 30).  Rows are cached per set,
-    # so the limit is patched for fresh sets.
-    def walks(c180, c95):
-        res = davenport_search(180, c180, UNLIMITED)
-        ext = enumerate_extremal(95, c95, UNLIMITED)
-        return res.value, res.witness, res.stats.nodes, res.stats.states, ext.classes, ext.stats
+    # DP step: on orbit masks where k * k < n (the cubes mod 95, k = 8, and
+    # mod 2945, k = 32, eight blocks of four orbits), on residue masks
+    # elsewhere (mod 180, k = 30).  Rows are cached per set, so the limit is
+    # patched for fresh sets.  At 2945 the walk also fills the same table.
+    tables, walk = [], invariants._walk
 
-    with_rows = walks(cubes.__wrapped__(180), cubes.__wrapped__(95))
+    def tabled(*args):
+        res = walk(*args)
+        tables.append(res.table)
+        return res
+
+    monkeypatch.setattr(invariants, "_walk", tabled)
+
+    def walks(c180, c95, c2945):
+        tables.clear()
+        res = [davenport_search(w.modulus, w, UNLIMITED) for w in (c180, c2945)]
+        ext = enumerate_extremal(95, c95, UNLIMITED)
+        return ([(r.value, r.witness, r.stats.nodes, r.stats.states) for r in res],
+                ext.classes, ext.stats, tables[1])
+
+    with_rows = walks(cubes.__wrapped__(180), cubes.__wrapped__(95), cubes.__wrapped__(2945))
     monkeypatch.setattr(weightsets, "MAX_ROW_ORBITS", 0)
-    c180, c95 = cubes.__wrapped__(180), cubes.__wrapped__(95)
-    assert c95.uses_orbits and not c180.uses_orbits
-    for w in (c180, c95):
+    c180, c95, c2945 = cubes.__wrapped__(180), cubes.__wrapped__(95), cubes.__wrapped__(2945)
+    assert c95.uses_orbits and c2945.uses_orbits and not c180.uses_orbits
+    for w in (c180, c95, c2945):
         assert w.orbit_rows is None and _walk_kernel(w, [1])[0] is w.step
-    without_rows = walks(c180, c95)
-    assert without_rows[:5] == with_rows[:5]
-    assert without_rows[5].nodes == with_rows[5].nodes
+    without_rows = walks(c180, c95, c2945)
+    assert without_rows[:2] == with_rows[:2]
+    assert without_rows[2].nodes == with_rows[2].nodes
+    assert without_rows[3] == with_rows[3] and len(with_rows[3]) == with_rows[0][1][3]
 
 
 def test_representation_rule():
