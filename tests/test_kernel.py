@@ -191,7 +191,8 @@ def test_orbit_step_ors_the_columns_of_the_set_bits():
     # orbit_id[x] of each orbit in src, for every subgroup kind on orbit
     # masks at n < 150 and the cubes mod 2945, 5423 and 3458 (k = 32, 8,
     # 128).  The sweep meets every k mod 4, so a short last block of 1, 2
-    # or 3 orbits is covered as well as a full one.
+    # or 3 orbits is covered as well as a full one; a full src and a full
+    # acc, where the step returns the full mask, are tried as well.
     sets = [by_kind(kind, n) for kind in KINDS for n in range(2, 150)]
     sets = [w for w in sets if w.uses_orbits] + [cubes(2945), cubes(5423), cubes(3458)]
     assert {w.orbit_count % 4 for w in sets} == {0, 1, 2, 3}
@@ -208,7 +209,7 @@ def test_orbit_step_ors_the_columns_of_the_set_bits():
                 for o in range(k):
                     if src >> o & 1:
                         want |= col[o]
-                for acc in (0, rng.getrandbits(k)):
+                for acc in (0, rng.getrandbits(k), (1 << k) - 1):
                     assert step(acc, x, src) == acc | want, (weights.kind, n, x, src, acc)
 
 

@@ -399,13 +399,11 @@ def test_extract_length_m_case_paths():
     assert cert.verify(seq, ws) and len(cert.picked) == 5
 
 
-def test_extraction_certificates_are_pinned():
-    # Every hypothesis n < 1200, one-prime moduli included, with 12
-    # sequences from random.Random(n) at m = m_min and m_min + 2: the count
-    # and CRC-32 of the repr of every (n, m, terms, picked), pinned from the
-    # extraction that still had its own one-prime base case.
+def _extraction_log(moduli, trials: int) -> list:
+    # (n, m, terms, picked) for `trials` sequences from random.Random(n) at
+    # m = m_min and m_min + 2, at every hypothesis modulus among `moduli`
     log = []
-    for n in range(2, 1200):
+    for n in moduli:
         prof = factor(n)
         if theorem_hypothesis_failure(prof):
             continue
@@ -413,10 +411,26 @@ def test_extraction_certificates_are_pinned():
         rng = random.Random(n)
         m_min = sum(q + 1 for q in quota)
         for m in (m_min, m_min + 2):
-            for _ in range(12):
+            for _ in range(trials):
                 seq = Sequence.make(n, (rng.randrange(n) for _ in range(m + sum(quota))))
                 log.append((n, m, seq.terms, extract_length_m(seq, prof, m).picked))
+    return log
+
+
+def test_extraction_certificates_are_pinned():
+    # Every hypothesis n < 1200, one-prime moduli included, with 12
+    # sequences at each m: the count and CRC-32 of the repr of the log,
+    # pinned from the extraction that still had its own one-prime base case.
+    log = _extraction_log(range(2, 1200), 12)
     assert (len(log), zlib.crc32(repr(log).encode())) == (7104, 0x99DBF816)
+
+
+def test_extraction_certificates_are_pinned_at_large_moduli():
+    # The same log at n = 2945 = 5*19*31 and 5423 = 11*17*29, above that
+    # range, with 100 sequences at each m: the cubes mod 2945 have 32
+    # orbits and most of their DP steps start from a full mask.
+    log = _extraction_log((2945, 5423), 100)
+    assert (len(log), zlib.crc32(repr(log).encode())) == (400, 0xA796B8CF)
 
 
 def test_extract_length_m_hypothesis_refusals():
@@ -528,10 +542,11 @@ def test_certificates_match_the_scan_reference(monkeypatch):
 # each: the certificates of has_weighted_zero_subseq,
 # has_fixed_length_zero_subseq (length 0 included) and full_zero_sum_weights
 # (on the terms as drawn), and the yes/no answers; crt_zero_check for the
-# cubes.  Orbit masks (cubes 95 and 5423), residue masks (cubes 18, 63 and
-# 126, {1} mod 100, {+-1} mod 200, squares mod 120) and a set that is not a
-# subgroup ({1, 7, 11} mod 60).  New sets go last: the id of the custom set
-# holds its index.
+# cubes.  Orbit masks (cubes 95 and 5423; cubes 2945 and 3458, k = 32 and
+# 128, where most steps start from a full mask), residue masks (cubes 18, 63
+# and 126, {1} mod 100, {+-1} mod 200, squares mod 120) and a set that is
+# not a subgroup ({1, 7, 11} mod 60).  New sets go last: the id of the
+# custom set holds its index.
 DP_PINS = {
     ("cubes", 126, None): (96, 0x8027F5D1),
     ("cubes", 5423, None): (146, 0x2B59E676),
@@ -542,6 +557,8 @@ DP_PINS = {
     ("one", 100, None): (72, 0xEF57AC52),
     ("pm1", 200, None): (79, 0x71203BC5),
     ("squares", 120, None): (86, 0x47017896),
+    ("cubes", 2945, None): (128, 0x5D6D8892),
+    ("cubes", 3458, None): (106, 0xF1E31624),
 }
 
 
