@@ -1,4 +1,4 @@
-"""Residue arithmetic groundwork: factorization, CRT, units, power residues.
+"""Residue arithmetic groundwork: factorization, units, power residues.
 
 Everything is exact integer arithmetic.  Moduli are capped at DEFAULT_BOUND
 for trial division; nothing here needs probabilistic primality or big-number
@@ -186,24 +186,3 @@ def is_kth_power_residue(a: int, k: int, m: int) -> bool:
     if not 0 <= a < m:
         raise ValueError(f"residue {a} not in [0, {m - 1}]")
     return all(a % q in values for q, values in _power_parts(k, m))
-
-
-def crt_combine(parts: list[tuple[int, int]]) -> int:
-    """Combine (residue, modulus) pairs with pairwise coprime moduli.
-
-    Returns the unique residue mod the product congruent to every part.
-    """
-    r_acc, m_acc = 0, 1
-    for r, m in parts:
-        if m < 1:
-            raise ValueError("moduli must be positive")
-        if not 0 <= r < m:
-            raise ValueError(f"residue {r} not in [0, {m - 1}]")
-        g = math.gcd(m_acc, m)
-        if g != 1:
-            raise ValueError(f"moduli not pairwise coprime (gcd {g})")
-        if m > 1:
-            step = (r - r_acc) * pow(m_acc, -1, m) % m
-            r_acc += m_acc * step
-        m_acc *= m
-    return r_acc % m_acc

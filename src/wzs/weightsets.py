@@ -91,8 +91,8 @@ class WeightSet:
         residue masks: for a subgroup with k orbits, when k*k < n or k <=
         MAX_ROW_ORBITS, so the DP reads the keys of the walks' rows.  Per
         has_weighted_zero_subseq call (1 to 8 terms, warm), orbit masks took
-        4.5 against 6.9 us on the cubes mod 63 and 6.5 against 7.3 mod 126;
-        residue masks win only for |A| <= 2 (3.5 against 9.4 us on {1} mod
+        4.7 against 7.3 us on the cubes mod 63 and 5.9 against 6.9 mod 126;
+        residue masks win only for |A| <= 2 (3.6 against 8.4 us on {1} mod
         100), which reach the DP once per search and in `check`.  A set
         that is not a subgroup never builds the coset table."""
         if not self.is_subgroup:
@@ -117,17 +117,19 @@ class WeightSet:
     @cached_property
     def step(self):
         """The DP's step, built once: step(acc, x, src) is acc together with
-        every r + a*x for r in src and a in A.  On orbit masks it ORs into
-        acc column orbit_id[x] of each orbit in src (r + A*x's orbits), four
-        orbits a lookup: tabs[c][v] is the OR of the column's entries 4c + b
-        over the set bits b of v.  A column's tables are built on the first
-        step by a term of its orbit, so a set holds at most k*ceil(k/4)*16
-        masks; a build costs about four full-mask steps of a loop over the
-        bits of src, and a warm call of 1 to 8 terms took 9.4 against 19.5
-        us on {1} mod 100 and 6.5 against 13.0 on the cubes mod 126 with
-        that loop.  On residue masks it ORs one rotation of src per
-        distinct a*x, with x's images sorted on x's first step, so there is
-        no O(n*|A|) set-up."""
+        every r + a*x for r in src and a in A.  On orbit masks it returns the
+        full mask at once when src or acc is full, since r + A*x over every
+        r is every residue; otherwise it ORs into acc column orbit_id[x] of
+        each orbit in src (r + A*x's orbits), four orbits a lookup:
+        tabs[c][v] is the OR of the column's entries 4c + b over the set
+        bits b of v.  A column's tables are built on the first step by a
+        term of its orbit that does not return at once, so a set holds at
+        most k*ceil(k/4)*16 masks; a build costs about four full-mask steps
+        of a loop over the bits of src, and a warm call of 1 to 8 terms took
+        9.4 against 19.5 us on {1} mod 100 and 6.5 against 13.0 on the cubes
+        mod 126 with that loop.  On residue masks it ORs one rotation of src
+        per distinct a*x, with x's images sorted on x's first step, so there
+        is no O(n*|A|) set-up."""
         if not self.uses_orbits:
             n, elements, shifts = self.modulus, self.elements, {}
             full = (1 << n) - 1
@@ -143,8 +145,11 @@ class WeightSet:
             return step
         cols, oid = self.orbit_columns, self.orbit_id
         tables = [None] * len(cols)
+        full = (1 << len(cols)) - 1
 
         def step(acc: int, x: int, src: int) -> int:
+            if src == full or acc == full:  # r + A*x over every r is every residue
+                return full
             q = oid[x]
             tabs = tables[q]
             if tabs is None:  # v's bits 0, 1, 2, 3 pick a, b, c, d

@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, crt_combine, factor, theorem_hypothesis_failure
+from .modarith import ModulusProfile, factor, theorem_hypothesis_failure
 from .weightsets import WeightSet, cubes
 
 
@@ -353,9 +353,12 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
     # Every prime sees enough units: pick a unit-rich core (each prime tops it
     # up to quota + 1 units with its first unused ones), pad it with the first
     # unused positions to m terms, solve per prime with full-selection DP,
-    # then glue the weights by CRT.  A CRT of cubes mod each prime is a cube
-    # mod the square-free n, as extract_length_m's final check confirms.
-    selected: list[int] = []
+    # then glue the weights by CRT: with n square-free, e_r = (n/r) *
+    # ((n/r)^-1 mod r) is 1 mod r and 0 mod n/r, so the sum over r of e_r
+    # times the weight mod r is, mod n, the one weight with those residues.
+    # A CRT of cubes mod each prime is a cube mod n, as extract_length_m's
+    # final check confirms.
+    selected: set[int] = set()
     quotas = prof.unit_quotas
     for p, quota in quotas:
         short = quota + 1 - sum(1 for pos in selected if pairs[pos][1] % p)
@@ -363,14 +366,14 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
             if short <= 0:
                 break
             if v % p and pos not in selected:
-                selected.append(pos)
+                selected.add(pos)
                 short -= 1
         if short > 0:
             raise ContractError(f"could not gather {quota + 1} units for prime {p}")
-    selected += [pos for pos in range(len(pairs)) if pos not in selected][:m - len(selected)]
+    selected.update([pos for pos in range(len(pairs)) if pos not in selected][:m - len(selected)])
     chosen = sorted(selected)
 
-    per_prime = []
+    n, glued = prof.n, [0] * len(chosen)
     for r, _ in quotas:
         ws = full_zero_sum_weights([pairs[pos][1] % r for pos in chosen], cubes(r))
         if ws is None:
@@ -378,9 +381,9 @@ def _combine_by_crt(pairs, prof: ModulusProfile, m: int) -> list[tuple[int, int]
                 "unit-rich core admitted no weighted zero-sum at a prime",
                 {"prime": r, "pairs": pairs, "chosen": chosen},
             )
-        per_prime.append((r, ws))
-    return [(pairs[pos][0], crt_combine([(ws[k], r) for r, ws in per_prime]))
-            for k, pos in enumerate(chosen)]
+        e = n // r * pow(n // r, -1, r)
+        glued = [g + e * w for g, w in zip(glued, ws)]
+    return [(pairs[pos][0], g % n) for pos, g in zip(chosen, glued)]
 
 
 def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certificate:

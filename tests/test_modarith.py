@@ -1,14 +1,12 @@
-"""Factorization, CRT, units, and power-residue checks with enumeration oracles."""
+"""Factorization, units, and power-residue checks with enumeration oracles."""
 
 import math
-import random
 import zlib
 
 import pytest
 
 from wzs import modarith
 from wzs.modarith import (
-    crt_combine,
     factor,
     is_cube_mod_prime,
     is_kth_power_residue,
@@ -152,28 +150,6 @@ def test_factor_matches_trial_division_by_every_integer():
         assert factor(n).factors == _factor_by_every_divisor(n), n
     assert factor(998001).factors == ((3, 6), (37, 2))
     assert factor(999997).factors == ((757, 1), (1321, 1))
-
-
-def test_crt_round_trip():
-    rng = random.Random(0)
-    for n in (30, 95, 360, 385):
-        moduli = factor(n).prime_powers()
-        for _ in range(200):
-            r = rng.randrange(n)
-            assert crt_combine([(r % m, m) for m in moduli]) == r
-
-
-def test_crt_examples():
-    assert crt_combine([(0, 5), (0, 19)]) == 0
-    assert crt_combine([(1, 5), (1, 19)]) == 1
-    scanned = [r for r in range(95) if r % 5 == 2 and r % 19 == 3]
-    assert scanned == [22]
-    assert crt_combine([(2, 5), (3, 19)]) == 22
-
-
-def test_crt_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        crt_combine([(1, 6), (1, 4)])
 
 
 def test_units():

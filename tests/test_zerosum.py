@@ -427,8 +427,9 @@ def test_extraction_certificates_are_pinned():
 
 def test_extraction_certificates_are_pinned_at_large_moduli():
     # The same log at n = 2945 = 5*19*31 and 5423 = 11*17*29, above that
-    # range, with 100 sequences at each m: the cubes mod 2945 have 32
-    # orbits and most of their DP steps start from a full mask.
+    # range, with 100 sequences at each m: about 70 % of the steps of their
+    # per-prime DPs (the cubes mod each prime, 2 to 4 orbits) start from a
+    # full mask.
     log = _extraction_log((2945, 5423), 100)
     assert (len(log), zlib.crc32(repr(log).encode())) == (400, 0xA796B8CF)
 
