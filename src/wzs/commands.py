@@ -4,7 +4,8 @@
 miss, or a command that reads no cache.  Each function returns what its
 command prints; `cli` prints it, caches it and picks the exit code.  The
 `extremal` command imports its module itself, so a table fill never loads
-the enumerator.
+the enumerator.  Whether the cube closed forms apply (D, E, the lower-bound
+witness and the structure result) is `invariants.cube_forms_failure`'s to say.
 """
 
 from __future__ import annotations
@@ -12,9 +13,15 @@ from __future__ import annotations
 import itertools
 import time
 
-from .errors import HypothesisError
-from .invariants import Budget, davenport_formula, davenport_search, e_formula
-from .modarith import factor, theorem_hypothesis_failure
+from .invariants import (
+    Budget,
+    cube_forms_failure,
+    davenport_formula,
+    davenport_search,
+    e_formula,
+    lower_bound_witness,
+)
+from .modarith import factor
 from .weightsets import by_kind
 from .zerosum import Sequence, has_weighted_zero_subseq
 
@@ -29,13 +36,6 @@ def _parse_residues(raw: str) -> list[int]:
 def _weights_from(args):
     elems = _parse_residues(args.elems) if args.elems else None
     return by_kind(args.weights, args.n, elems)
-
-
-def _require_cubes(weights) -> None:
-    """The closed forms, the construction and the structure result speak only
-    about cube weights."""
-    if weights.kind != "cubes":
-        raise HypothesisError("the weights are the cubes", f"kind = {weights.kind}")
 
 
 def weight_set(args) -> dict:
@@ -61,17 +61,16 @@ def davenport(args, seconds: float) -> dict:
     weights = _weights_from(args)
     out: dict = {"n": args.n, "weights": weights.kind}
     if args.method in ("formula", "both"):
-        try:
-            _require_cubes(weights)
+        refusal = cube_forms_failure(weights)
+        if refusal is None:
             prof = factor(args.n)
             out["formula"] = davenport_formula(prof)
             out["E_formula"] = e_formula(prof)
-        except HypothesisError as exc:
-            if args.method == "formula":
-                raise
-            out["formula"] = None
-            out["E_formula"] = None
-            out["formula_refusal"] = str(exc)
+        elif args.method == "formula":
+            raise refusal
+        else:
+            out["formula"] = out["E_formula"] = None
+            out["formula_refusal"] = str(refusal)
     if args.method in ("search", "both"):
         res = davenport_search(args.n, weights, Budget(max_seconds=seconds))
         out["search"] = res.value
@@ -96,14 +95,11 @@ def _table_row(n: int, kind: str, budget: Budget) -> dict:
         "Omega_n1": prof.big_omega_n1,
         "Omega_n2": prof.big_omega_n2,
     }
-    # the closed form speaks only about cube weights, and only in hypothesis
-    if kind == "cubes" and theorem_hypothesis_failure(prof) is None:
-        row["D_formula"] = davenport_formula(prof)
-        row["E_formula"] = e_formula(prof)
-    else:
-        row["D_formula"] = None
-        row["E_formula"] = None
-    res = davenport_search(n, by_kind(kind, n), budget)
+    weights = by_kind(kind, n)
+    applies = cube_forms_failure(weights) is None
+    row["D_formula"] = davenport_formula(prof) if applies else None
+    row["E_formula"] = e_formula(prof) if applies else None
+    res = davenport_search(n, weights, budget)
     row["D_search"] = res.value
     if row["D_formula"] is None or row["D_search"] is None:
         row["agrees"] = None
@@ -129,30 +125,32 @@ def table_rows(moduli: list[int], kind: str, seconds: float, jobs: int):
 
 
 def extremal(args, seconds: float) -> dict:
-    """The construction, a classification, or the enumerated classes;
-    "complete" is False when the enumeration or the structure pass (which
-    reads the deadline before each class) ran out of budget."""
-    from .extremal import classify_structure, construct_extremal, enumerate_extremal
+    """The construction (the lower-bound witness), a classification, or the
+    enumerated classes; "complete" is False when the enumeration or the
+    structure pass (which reads the deadline before each class) ran out of
+    budget.  Construct and classify are refused where the cube closed forms
+    do not apply; enumerate then runs no structure pass."""
+    from .extremal import classify_structure, enumerate_extremal
 
     weights = _weights_from(args)
     prof = factor(args.n)
-    if args.action != "enumerate":
-        _require_cubes(weights)
+    if args.action == "classify" and args.seq is None:
+        raise ValueError("classify needs --seq")
+    refusal = cube_forms_failure(weights)
+    if refusal is not None and args.action != "enumerate":
+        raise refusal
 
     if args.action == "construct":
-        seq = construct_extremal(prof)
+        seq = lower_bound_witness(prof)
         return {"n": args.n, "witness": list(seq.terms), "length": len(seq)}
 
     if args.action == "classify":
-        if args.seq is None:
-            raise ValueError("classify needs --seq")
         seq = Sequence.make(args.n, _parse_residues(args.seq))
         return {"n": args.n, "report": classify_structure(seq, prof).to_dict()}
 
     deadline = time.perf_counter() + seconds
     enum = enumerate_extremal(args.n, weights, Budget(max_seconds=seconds))
-    # the structure result speaks only about cube weights within the hypotheses
-    structured = weights.kind == "cubes" and theorem_hypothesis_failure(prof) is None
+    structured = refusal is None
     classes = []
     for c in enum.classes:
         if structured and time.perf_counter() > deadline:

@@ -1,6 +1,7 @@
 """Extremal sequences: canonical forms under the orbit action, exhaustive
 enumeration of classes (read back from the Davenport search's state table),
-the construction (the lower-bound witness), and structure classification.
+and structure classification.  The one extremal construction is
+`invariants.lower_bound_witness`.
 
 Two sequences are in the same orbit when one is a uniform unit multiple of a
 per-term weight rescaling of the other, up to permutation; zero-sum-freeness
@@ -12,17 +13,10 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .errors import ContractError, HypothesisError, TheoremViolation
+from .errors import HypothesisError, TheoremViolation
 from .modarith import ModulusProfile, factor, is_cube_mod_prime, require_hypotheses
 from .weightsets import WeightSet, cubes, reduced_alphabet
-from .invariants import (
-    Budget,
-    SearchStats,
-    _sequences_of_length,
-    _walk,
-    davenport_formula,
-    lower_bound_witness,
-)
+from .invariants import Budget, SearchStats, _sequences_of_length, _walk, davenport_formula
 from .zerosum import Sequence, has_weighted_zero_subseq
 
 
@@ -126,7 +120,7 @@ def enumerate_extremal(
     d_value = None if exhausted_by else walk.longest + 1
 
     found: dict[tuple[int, ...], CanonicalSequence] = {}
-    for terms in () if exhausted_by else _sequences_of_length(walk, walk.longest):
+    for terms in () if exhausted_by else _sequences_of_length(walk):
         canon = canonicalize(Sequence.make(n, terms), weights)
         found.setdefault(canon.canonical.terms, canon)
         if time.perf_counter() > deadline:
@@ -136,18 +130,6 @@ def enumerate_extremal(
     classes = tuple(found[key] for key in sorted(found))
     stats = SearchStats(walk.nodes, time.perf_counter() - t0, exhausted_by, len(walk.table))
     return ExtremalClasses(classes, exhausted_by is None, d_value, stats)
-
-
-def construct_extremal(profile: ModulusProfile) -> Sequence:
-    """An extremal sequence (length D - 1, zero-sum-free) for n within the
-    exact-value hypotheses: the lower-bound witness, which the witness
-    construction has already checked zero-sum-free."""
-    require_hypotheses(profile)
-    seq = lower_bound_witness(profile)
-    expected = davenport_formula(profile) - 1
-    if len(seq) != expected:
-        raise ContractError(f"construction length {len(seq)} != {expected} for n={profile.n}")
-    return seq
 
 
 def _unit_pair_zero_sum_free(x: int, y: int, p: int) -> bool:

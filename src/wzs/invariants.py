@@ -1,4 +1,4 @@
-"""Weighted Davenport and E constants: exact search, closed forms, witnesses.
+"""Weighted Davenport and E constants: search, closed forms, their gate, witnesses.
 
 The search enumerates zero-sum-free sequences as multisets, each listed in
 the order of an orbit-reduced alphabet (for a subgroup, one representative
@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .errors import ContractError
+from .errors import ContractError, HypothesisError
 from .modarith import (
     ModulusProfile,
     factor,
@@ -68,6 +68,17 @@ class InvariantResult(NamedTuple):
     upper: int | None
     witness: Sequence
     stats: SearchStats
+
+
+def cube_forms_failure(weights: WeightSet, exact: bool = True) -> HypothesisError | None:
+    """The refusal of the cube closed forms for these weights, or None where
+    they apply: the weights must be the cubes, and n must meet the
+    exact-value hypotheses (with exact=False, only those of the cube bounds,
+    the lower-bound witness and the prior ceiling)."""
+    if weights.kind != "cubes":
+        return HypothesisError("the weights are the cubes", f"kind = {weights.kind}")
+    failure = theorem_hypothesis_failure(factor(weights.modulus), exact)
+    return HypothesisError(failure, f"n = {weights.modulus}") if failure else None
 
 
 def davenport_formula(profile: ModulusProfile) -> int:
@@ -255,12 +266,12 @@ def _walk(
     return Walk(kernel, alphabet, table, finished, longest, partial, nodes, exhausted_by)
 
 
-def _sequences_of_length(walk: Walk, length: int):
-    """Every zero-sum-free sequence of `length` terms from a first term whose
-    branch the walk finished, in alphabet order, read lazily from its table
-    on its kernel: a child state is entered only when its tabled depth
-    leaves room for the terms still needed; length is at least 1."""
-    alphabet, table = walk.alphabet, walk.table
+def _sequences_of_length(walk: Walk):
+    """Every zero-sum-free sequence of walk.longest terms from a first term
+    whose branch the walk finished, in alphabet order, read lazily from its
+    table on its kernel: a child state is entered only when its tabled depth
+    leaves room for the terms still needed; walk.longest is at least 1."""
+    alphabet, table, length = walk.alphabet, walk.table, walk.longest
     step, expand, fields, full, dead, _ = walk.kernel
     size = len(alphabet)
     bits = size.bit_length()
@@ -320,7 +331,7 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
     # the budget covers the witness, whose DP check builds the cube tables
     t0 = time.perf_counter()
     # the witness seeds the incumbent, the prior bound caps an inconclusive answer
-    cube_bounds = weights.kind == "cubes" and not theorem_hypothesis_failure(factor(n), exact=False)
+    cube_bounds = cube_forms_failure(weights, exact=False) is None
     incumbent = lower_bound_witness(factor(n)).terms if cube_bounds else ()
     firsts, alphabet = reduced_alphabet(weights)
     walk = _walk(weights, firsts, alphabet, budget.max_nodes, t0 + budget.max_seconds, {})
@@ -328,7 +339,7 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
     # stopped branch's partial path, in that order
     best = incumbent
     if walk.longest > len(best):
-        best = next(_sequences_of_length(walk, walk.longest))
+        best = next(_sequences_of_length(walk))
     if len(walk.partial) > len(best):
         best = walk.partial
     stats = SearchStats(

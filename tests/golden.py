@@ -5,10 +5,12 @@ the CRC-32 of stdout once `timeless` has zeroed every "wall_time" value, the
 commit the pin was taken at, and the argv.  test_golden.py runs each entry
 in process; run as a script,
 
-    PYTHONPATH=src python tests/golden.py
+    python tests/golden.py
 
-this module runs each entry through `python -m wzs.cli`.  Either way every
-run starts from an empty result cache.
+this module runs each entry through `python -m wzs.cli`, with the
+repository's src/ first on the child's PYTHONPATH, and prints the tail of
+the child's stderr for each mismatch.  Either way every run starts from an
+empty result cache.
 """
 
 import os
@@ -18,7 +20,9 @@ import sys
 import tempfile
 import zlib
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_corpus.txt")
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "golden_corpus.txt")
+SRC = os.path.join(os.path.dirname(HERE), "src")
 
 _WALL_TIME = re.compile(r'"wall_time": [-+.\deE]+')
 
@@ -44,18 +48,27 @@ def entries() -> list[tuple[int, int, str, list[str]]]:
     return out
 
 
+def run_cli(argv: list[str], cache: str) -> subprocess.CompletedProcess:
+    """`python -m wzs.cli *argv` with this repository's src/ first on its
+    path and `cache` as its result cache."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, WZS_CACHE=cache)
+    return subprocess.run([sys.executable, "-m", "wzs.cli", *argv], env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+
+
 def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, (code, checksum, commit, argv) in enumerate(entries()):
-            env = dict(os.environ, WZS_CACHE=os.path.join(tmp, f"cache-{i}.jsonl"))
-            run = subprocess.run([sys.executable, "-m", "wzs.cli", *argv], env=env,
-                                 stdin=subprocess.DEVNULL, capture_output=True, text=True)
+            run = run_cli(argv, os.path.join(tmp, f"cache-{i}.jsonl"))
             got = (run.returncode, crc(run.stdout))
             if got != (code, checksum):
                 bad += 1
                 print(f"{' '.join(argv)}: exit {got[0]}, CRC-32 {got[1]:#010x}; "
                       f"pinned at {commit}: exit {code}, CRC-32 {checksum:#010x}", file=sys.stderr)
+                for line in run.stderr.splitlines()[-5:]:
+                    print(f"    {line}", file=sys.stderr)
     return 1 if bad else 0
 
 

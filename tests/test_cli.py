@@ -490,9 +490,11 @@ def test_extremal_construct_and_classify_refuse_other_weights(capsys):
 
 
 def test_extremal_classify_needs_seq(capsys):
-    code, _, err = run(capsys, "extremal", "classify", "--n", "95",
-                       "--weights", "cubes")
-    assert code == EXIT_USAGE and "seq" in err
+    # the missing --seq is reported before any refusal: off the hypotheses
+    # (49) and off the cubes alike
+    for n, kind in ((95, "cubes"), (49, "cubes"), (95, "units")):
+        code, _, err = run(capsys, "extremal", "classify", "--n", str(n), "--weights", kind)
+        assert code == EXIT_USAGE and "seq" in err, (n, kind)
 
 
 def test_verify_55_all_pass(capsys):

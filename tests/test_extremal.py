@@ -10,7 +10,6 @@ from wzs.errors import HypothesisError, TheoremViolation
 from wzs.extremal import (
     canonicalize,
     classify_structure,
-    construct_extremal,
     coprimality_violating_sequence,
     enumerate_extremal,
     orbit_transform,
@@ -185,20 +184,10 @@ def test_enumerate_extremal_95_regression_and_classification():
 
 
 def test_construct_extremal_values():
-    assert construct_extremal(factor(5)).terms == (1,)
-    assert construct_extremal(factor(19)).terms == (1, 2)
-    assert construct_extremal(factor(55)).terms == (1, 11)
-    assert construct_extremal(factor(95)).terms == (1, 2, 19)
-
-
-def test_construct_is_the_lower_bound_witness():
-    hypothesis_moduli = [n for n in range(5, 600) if theorem_hypothesis_failure(factor(n)) is None]
-    assert len(hypothesis_moduli) == 147
-    for n in hypothesis_moduli:
-        prof = factor(n)
-        seq = construct_extremal(prof)
-        assert seq == lower_bound_witness(prof), n
-        assert reconstruct(classify_structure(seq, prof)) == seq, n
+    assert lower_bound_witness(factor(5)).terms == (1,)
+    assert lower_bound_witness(factor(19)).terms == (1, 2)
+    assert lower_bound_witness(factor(55)).terms == (1, 11)
+    assert lower_bound_witness(factor(95)).terms == (1, 2, 19)
 
 
 def test_unit_pair_ratio_test_matches_the_dp():
@@ -221,9 +210,13 @@ def test_extremal_reads_no_kernel_names():
 
 
 def test_construct_then_classify_roundtrip():
-    for n in (5, 19, 55, 95, 209, 1045):
+    # the witness is extremal and decomposes at every hypothesis modulus
+    # below 600, and at 1045
+    hypothesis_moduli = [n for n in range(5, 600) if theorem_hypothesis_failure(factor(n)) is None]
+    assert len(hypothesis_moduli) == 147
+    for n in hypothesis_moduli + [1045]:
         prof = factor(n)
-        seq = construct_extremal(prof)
+        seq = lower_bound_witness(prof)
         assert len(seq) == davenport_formula(prof) - 1
         report = classify_structure(seq, prof)
         assert reconstruct(report) == seq

@@ -1,15 +1,19 @@
 """Davenport/E computation tests: search vs formula, witnesses, brackets."""
 
+import os
 import random
+import re
 import zlib
 
 import pytest
 
+import wzs
 from e_oracle import e_direct
 from wzs.errors import HypothesisError
 from wzs.invariants import (
     Budget,
     _witness_terms,
+    cube_forms_failure,
     davenport_formula,
     davenport_search,
     e_formula,
@@ -17,8 +21,8 @@ from wzs.invariants import (
     prior_upper_bound,
     theorem_hypothesis_failure,
 )
-from wzs.modarith import factor, units
-from wzs.weightsets import by_kind, cubes, singleton_one, units_weights
+from wzs.modarith import factor, require_hypotheses, units
+from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 FORMULA_CASES = {5: 2, 11: 2, 17: 2, 19: 3, 23: 2, 29: 2, 31: 3, 55: 3, 85: 3, 95: 4}
@@ -52,6 +56,41 @@ def test_formula_matches_search_on_verification_list():
         assert davenport_formula(prof) == expected
         res = davenport_search(n, cubes(n))
         assert res.conclusive and res.value == expected, n
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_cube_forms_gate_is_the_kind_and_hypothesis_test(exact):
+    # The gate against the predicate written out at each of its call sites
+    # before it existed, with the refusal texts those sites printed.
+    for n in range(2, 200):
+        prof = factor(n)
+        sets = [by_kind(kind, n) for kind in ("cubes", "squares", "units", "pm1", "one")]
+        for weights in sets + ([custom(n, [1, 2])] if n > 2 else []):
+            refusal = cube_forms_failure(weights, exact)
+            applies = weights.kind == "cubes" and theorem_hypothesis_failure(prof, exact) is None
+            assert (refusal is None) == applies, (n, weights.kind)
+            if weights.kind != "cubes":
+                assert str(refusal) == (
+                    f"hypothesis violated: the weights are the cubes (kind = {weights.kind})"
+                )
+            elif refusal is not None:
+                assert isinstance(refusal, HypothesisError)
+                with pytest.raises(HypothesisError) as exc:
+                    require_hypotheses(prof, exact)
+                assert str(refusal) == str(exc.value), n
+
+
+def test_only_invariants_compares_the_kind_with_cubes():
+    # every other module asks cube_forms_failure where the closed forms apply
+    here = os.path.dirname(os.path.abspath(wzs.__file__))
+    compare = re.compile(r"""kind\s*[!=]=\s*["']cubes["']|["']cubes["']\s*[!=]=""")
+    comparing = set()
+    for name in os.listdir(here):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), encoding="utf-8") as f:
+                if compare.search(f.read()):
+                    comparing.add(name)
+    assert comparing == {"invariants.py"}
 
 
 def test_formula_guard_refuses_everything_out_of_scope():

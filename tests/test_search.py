@@ -227,7 +227,7 @@ def _classes(weights, space):
     firsts, alphabet = space
     walk = _walk(weights, firsts, alphabet, 10**12, float("inf"), {})
     assert walk.exhausted_by is None and walk.finished == firsts
-    leaves = _sequences_of_length(walk, walk.longest)
+    leaves = _sequences_of_length(walk)
     n = weights.modulus
     return walk.longest, {canonicalize(Sequence.make(n, t), weights).canonical.terms for t in leaves}
 
@@ -301,7 +301,7 @@ def test_exhausted_branch_leaves_no_partial_entry():
     def walk(max_nodes, table):
         """The first branch's walk, and its longest sequence read back."""
         w = _walk(weights, firsts[:1], alphabet, max_nodes, deadline, table)
-        return w, None if w.exhausted_by else next(_sequences_of_length(w, w.longest))
+        return w, None if w.exhausted_by else next(_sequences_of_length(w))
 
     fresh = walk(10**9, {})
     table: dict[int, int] = {}
