@@ -434,6 +434,40 @@ def test_extraction_certificates_are_pinned_at_large_moduli():
     assert (len(log), zlib.crc32(repr(log).encode())) == (400, 0xA796B8CF)
 
 
+def _drop_path_log() -> list:
+    # (n, m, terms, picked) at every hypothesis n < 600: from random.Random(n),
+    # for each (p, quota) of the profile's unit quotas and m = m_min and
+    # m_min + 2, 4 sequences of `quota` random terms and the rest multiples
+    # of p, so the extraction divides p out first
+    log = []
+    for n in range(2, 600):
+        prof = factor(n)
+        if theorem_hypothesis_failure(prof):
+            continue
+        rng = random.Random(n)
+        m_min = sum(quota + 1 for _, quota in prof.unit_quotas)
+        for p, quota in prof.unit_quotas:
+            for m in (m_min, m_min + 2):
+                for _ in range(4):
+                    terms = [rng.randrange(n) for _ in range(quota)]
+                    terms += [p * rng.randrange(n // p)
+                              for _ in range(m + prof.extremal_length - quota)]
+                    seq = Sequence.make(n, terms)
+                    log.append((n, m, seq.terms, extract_length_m(seq, prof, m).picked))
+    return log
+
+
+def test_extraction_drop_path_is_pinned(monkeypatch):
+    # The random logs above never divide a prime out; here every extraction
+    # does, at least once, and the weights it lifts back are pinned.
+    drops, drop = [], zerosum._drop_and_recurse
+    monkeypatch.setattr(zerosum, "_drop_and_recurse",
+                        lambda *args: drops.append(args[3]) or drop(*args))
+    log = _drop_path_log()
+    assert (len(log), len(drops)) == (1512, 1513)
+    assert zlib.crc32(repr(log).encode()) == 0x6BB60922
+
+
 def test_extract_length_m_hypothesis_refusals():
     with pytest.raises(HypothesisError):
         extract_length_m(Sequence.make(91, [0] * 9), factor(91), 5)  # 7 | 91
