@@ -115,7 +115,7 @@ def enumerate_extremal(
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
     firsts, alphabet = reduced_alphabet(weights)
-    walk = _walk(weights, firsts, alphabet, budget.max_nodes, deadline, {})
+    walk = _walk(weights, firsts, alphabet, budget.max_nodes, deadline)
     exhausted_by = walk.exhausted_by
     d_value = None if exhausted_by else walk.longest + 1
 

@@ -9,7 +9,10 @@ state: the mask of its reachable sums and the index lo of its last symbol.
 A table keyed by mask << bits | lo holds depth(mask, lo), the length of the
 longest zero-sum-free extension over alphabet[lo:], so each state is
 explored once, by one explicit-stack walk; the first-term branches run in
-turn and share one table and one reachable-sum kernel per search.
+turn and share the walk's table and one kernel per search.  The kernel
+(_walk_kernel) expands a state by every symbol at once where the weight set
+has orbit rows, ORing the rows of its orbits a byte at a time, and steps it
+per child by the set's DP step where orbit_rows is None.
 Sequences are read back from the table lazily and in alphabet order, entering
 only states with the depth still needed: the first one is the witness, and
 the extremal enumeration takes all of them.  Budgets cap nodes (extend steps
@@ -33,7 +36,7 @@ from .modarith import (
     unit_quota,
 )
 from .weightsets import WeightSet, cubes, reduced_alphabet
-from .zerosum import Sequence, _walk_kernel, has_weighted_zero_subseq
+from .zerosum import Sequence, has_weighted_zero_subseq
 
 
 class Budget(NamedTuple):
@@ -143,6 +146,40 @@ def lower_bound_witness(profile: ModulusProfile) -> Sequence:
     return seq
 
 
+def _walk_kernel(weights: WeightSet, symbols):
+    """(step, expand, fields, full, dead, chunks), the walks' kernel over
+    symbols.  Where the set has orbit rows, step is None and the step from
+    src by symbols[i] is expand(src) >> fields[i] & full, where expand ORs
+    the rows of src's orbits a byte at a time from per-walk tables,
+    chunks[c][v] = OR of orbit_rows[8c + b] over the set bits b of v; a
+    zero-sum-free mask meeting dead[i], the bit of the orbit of
+    -symbols[i], reaches 0 on adding symbols[i].  Where orbit_rows is None,
+    step is the set's DP step and the dead bits are 0: the step's zero test
+    skips those children."""
+    if weights.orbit_rows is None:
+        return weights.step, None, None, 0, [0] * len(symbols), None
+    rows, oid, n = weights.orbit_rows, weights.orbit_id, weights.modulus
+    chunks = []
+    for c in range(0, len(rows), 8):
+        chunk = [0]
+        for row in rows[c : c + 8]:
+            chunk += [v | row for v in chunk]
+        chunks.append(chunk)
+
+    def expand(src: int) -> int:
+        acc = 0
+        for chunk in chunks:
+            acc |= chunk[src & 255]
+            src >>= 8
+            if not src:
+                break
+        return acc
+
+    k = len(rows)
+    dead = [1 << oid[-x % n] for x in symbols]
+    return None, expand, [k * oid[x] for x in symbols], (1 << k) - 1, dead, chunks
+
+
 class Walk(NamedTuple):
     """What _walk leaves: its kernel over the alphabet (_walk_kernel's), its
     table, the first terms whose branches finished, the longest sequence
@@ -165,7 +202,6 @@ def _walk(
     alphabet: list[int],
     max_nodes: int,
     deadline: float,
-    table: dict[int, int],
 ) -> Walk:
     """Walk the branch of each first term in turn, over one table, one
     kernel and one node budget, until a budget runs out.
@@ -173,9 +209,10 @@ def _walk(
     The kernel is _walk_kernel's over the alphabet.  A child that would make
     0 reachable (one that meets bit dead[i] of the mask on rows, or whose
     step sets bit 0) is skipped, but counts as a node, as does each first
-    term.  `table` maps a state key mask << bits | lo to depth(mask, lo), and
-    an entry is written only once its state is fully explored, so a table
-    left by a stopped walk serves a later one.  The state being explored
+    term.  The walk's table maps a state key mask << bits | lo to
+    depth(mask, lo), and an entry is written only once its state is fully
+    explored, so a stopped walk's table holds exact depths only; distinct
+    first terms give distinct root keys.  The state being explored
     lives in locals; the walk keeps its suspended ancestors on its own
     stack, so only the budget bounds how deep it goes.  `deadline` is a
     perf_counter() reading, read on entering each branch and every 256
@@ -185,6 +222,7 @@ def _walk(
     step, expand, fields, full, dead, chunks = kernel
     size = len(alphabet)
     bits = size.bit_length()
+    table: dict[int, int] = {}
     get = table.get
     finished: list[int] = []
     longest = nodes = 0
@@ -206,7 +244,7 @@ def _walk(
         lo = i = alphabet.index(first)
         mask = first_mask = step(0, first, 1) if step else expand(1) >> fields[lo] & full
         root, best = mask << bits | lo, (first,)
-        if not mask & 1 and root not in table:
+        if not mask & 1:
             row, d, stack = 0 if step else expand(mask | 1), 0, []
             while True:
                 while i < size:
@@ -334,7 +372,7 @@ def davenport_search(n: int, weights: WeightSet, budget: Budget | None = None) -
     cube_bounds = cube_forms_failure(weights, exact=False) is None
     incumbent = lower_bound_witness(factor(n)).terms if cube_bounds else ()
     firsts, alphabet = reduced_alphabet(weights)
-    walk = _walk(weights, firsts, alphabet, budget.max_nodes, t0 + budget.max_seconds, {})
+    walk = _walk(weights, firsts, alphabet, budget.max_nodes, t0 + budget.max_seconds)
     # the first longest sequence: the incumbent, a finished branch's, or the
     # stopped branch's partial path, in that order
     best = incumbent

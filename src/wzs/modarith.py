@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 
-from .errors import HypothesisError
+from .errors import HypothesisError, Record
 
 DEFAULT_BOUND = 10**6
 
@@ -32,28 +32,19 @@ def is_cube_mod_prime(r: int, p: int) -> bool:
     return pow(r, (p - 1) // math.gcd(3, p - 1), p) == 1
 
 
-class ModulusProfile:
+class ModulusProfile(Record):
     """A modulus with its factorization.  The split of its primes by
     unit_quota is derived on first read and kept: factor() shares profiles.
-    Equal, hashed and shown by (n, factors); immutable by convention.
 
     n1 collects the prime powers p^e with p = 1 (mod 3) and n2 those with odd
     p = 2 (mod 3); powers of 2 and 3 land in neither, and the closed forms
     refuse them explicitly (theorem_hypothesis_failure).
     """
 
+    _fields = ("n", "factors")
+
     def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
         self.n, self.factors = n, factors
-
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is self.__class__
-                and (self.n, self.factors) == (other.n, other.factors))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.factors))
-
-    def __repr__(self) -> str:
-        return f"ModulusProfile(n={self.n!r}, factors={self.factors!r})"
 
     def _part(self, quota: int) -> list[tuple[int, int]]:
         return [(p, e) for p, e in self.factors if unit_quota(p) == quota]

@@ -15,37 +15,24 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 
+from .errors import Record
 from .modarith import factor, units
 
 MAX_ROW_ORBITS = 128  # the walks use orbit rows up to k orbits: k*k*k bits
 
 
-class WeightSet:
-    """Equal, hashed and shown by its fields, not the derived members; immutable by convention."""
+class WeightSet(Record):
+    """A weight set; the members and every table are derived, not fields."""
+
+    _fields = ("modulus", "elements", "kind", "is_subgroup")
 
     def __init__(self, modulus: int, elements: tuple[int, ...], kind: str,
                  is_subgroup: bool) -> None:
         self.modulus, self.elements, self.kind = modulus, elements, kind
         self.is_subgroup, self.members = is_subgroup, frozenset(elements)
 
-    def _key(self) -> tuple:
-        return self.modulus, self.elements, self.kind, self.is_subgroup
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return ("WeightSet(modulus={!r}, elements={!r}, kind={!r}, is_subgroup={!r})"
-                .format(*self._key()))
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __reduce__(self):  # a copy rebuilds its tables, and its step, on use
-        return WeightSet, self._key()
 
     def to_dict(self) -> dict:
         return {

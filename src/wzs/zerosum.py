@@ -1,16 +1,14 @@
-"""Weighted zero-sum decision core.
+"""Weighted zero-sum decision core: the DP, its certificates and the
+constructive extraction.
 
 Reachable weighted sums are tracked as bitmasks with a snapshot kept per
 term for certificate backtracking; the yes/no functions (is_zero_sum_free,
 full_zero_sum_exists) fold the same steps to the last mask.  The weight set
 alone decides the mask form, one bit per orbit A*x (every reachable set of a
 subgroup is a union of orbits) or one per residue, and owns the DP's step
-(WeightSet.step, which extends a mask by a term), the bit of each residue
-(WeightSet.bit) and the walks' orbit rows.  The search and the enumeration
-walk on _walk_kernel, which expands a state by every symbol at once where
-the set has orbit rows, and steps it per child where orbit_rows is None.
-Certificates name term indices and weights and are always re-verified
-arithmetically before being returned.
+(WeightSet.step, which extends a mask by a term) and the bit of each residue
+(WeightSet.bit).  Certificates name term indices and weights and are always
+re-verified arithmetically before being returned.
 """
 
 from __future__ import annotations
@@ -18,29 +16,18 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ContractError, HypothesisError, TheoremViolation
-from .modarith import ModulusProfile, factor, theorem_hypothesis_failure
+from .errors import ContractError, HypothesisError, Record, TheoremViolation
+from .modarith import ModulusProfile, factor, require_hypotheses
 from .weightsets import WeightSet, cubes
 
 
-class Sequence:
-    """A finite multiset over Z_n, stored as a sorted tuple of residues.
-    Equal, hashed and shown by (modulus, terms); immutable by convention."""
+class Sequence(Record):
+    """A finite multiset over Z_n, stored as a sorted tuple of residues."""
 
-    __slots__ = ("modulus", "terms")
+    __slots__ = _fields = ("modulus", "terms")
 
     def __init__(self, modulus: int, terms: tuple[int, ...]) -> None:
         self.modulus, self.terms = modulus, terms
-
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is self.__class__
-                and (self.modulus, self.terms) == (other.modulus, other.terms))
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.terms))
-
-    def __repr__(self) -> str:
-        return f"Sequence(modulus={self.modulus!r}, terms={self.terms!r})"
 
     @classmethod
     def make(cls, n: int, terms) -> Sequence:
@@ -85,40 +72,6 @@ class Certificate(NamedTuple):
             "picked": [{"index": i, "weight": a} for i, a in self.picked],
             "sum": self.claimed_sum,
         }
-
-
-def _walk_kernel(weights: WeightSet, symbols):
-    """(step, expand, fields, full, dead, chunks), the walks' kernel over
-    symbols.  Where the set has orbit rows, step is None and the step from
-    src by symbols[i] is expand(src) >> fields[i] & full, where expand ORs
-    the rows of src's orbits a byte at a time from per-walk tables,
-    chunks[c][v] = OR of orbit_rows[8c + b] over the set bits b of v; a
-    zero-sum-free mask meeting dead[i], the bit of the orbit of
-    -symbols[i], reaches 0 on adding symbols[i].  Where orbit_rows is None,
-    step is the set's DP step and the dead bits are 0: the step's zero test
-    skips those children."""
-    if weights.orbit_rows is None:
-        return weights.step, None, None, 0, [0] * len(symbols), None
-    rows, oid, n = weights.orbit_rows, weights.orbit_id, weights.modulus
-    chunks = []
-    for c in range(0, len(rows), 8):
-        chunk = [0]
-        for row in rows[c : c + 8]:
-            chunk += [v | row for v in chunk]
-        chunks.append(chunk)
-
-    def expand(src: int) -> int:
-        acc = 0
-        for chunk in chunks:
-            acc |= chunk[src & 255]
-            src >>= 8
-            if not src:
-                break
-        return acc
-
-    k = len(rows)
-    dead = [1 << oid[-x % n] for x in symbols]
-    return None, expand, [k * oid[x] for x in symbols], (1 << k) - 1, dead, chunks
 
 
 def _subset_layers(seq: Sequence, weights: WeightSet) -> list[int]:
@@ -318,9 +271,10 @@ def crt_zero_check(seq: Sequence, profile: ModulusProfile) -> bool:
 
 
 def _lift_weight(w: int, sub_n: int, weights: WeightSet) -> int:
-    """Smallest member of the weight set reducing to w mod sub_n."""
-    for a in weights.elements:
-        if a % sub_n == w:
+    """Smallest member of the weight set reducing to w mod sub_n: the first
+    member of w, w + sub_n, ..., at most n/sub_n membership tests."""
+    for a in range(w, weights.modulus, sub_n):
+        if a in weights.members:
             return a
     raise ContractError(f"no lift of weight {w} from modulus {sub_n}")
 
@@ -396,9 +350,9 @@ def extract_length_m(seq: Sequence, profile: ModulusProfile, m: int) -> Certific
     n = profile.n
     if n != seq.modulus:
         raise ValueError("profile does not match sequence modulus")
-    failure = "n >= 2" if n < 2 else theorem_hypothesis_failure(profile)
-    if failure:
-        raise HypothesisError(failure)
+    if n < 2:
+        raise HypothesisError("n >= 2")
+    require_hypotheses(profile)
     m_min = sum(quota + 1 for _, quota in profile.unit_quotas)
     if m < m_min:
         raise HypothesisError(f"m >= 3*omega(n1) + 2*omega(n2) = {m_min}", f"got m = {m}")

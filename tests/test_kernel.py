@@ -10,7 +10,7 @@ from sums_oracle import reachable_sums, residue_twin
 import wzs
 from wzs import invariants, verify, weightsets, zerosum
 from wzs.extremal import enumerate_extremal
-from wzs.invariants import Budget, davenport_search, lower_bound_witness
+from wzs.invariants import Budget, _walk_kernel, davenport_search, lower_bound_witness
 from wzs.modarith import factor
 from wzs.weightsets import (
     MAX_ROW_ORBITS,
@@ -24,7 +24,6 @@ from wzs.weightsets import (
 )
 from wzs.zerosum import (
     Sequence,
-    _walk_kernel,
     crt_zero_check,
     full_zero_sum_exists,
     full_zero_sum_weights,
@@ -418,3 +417,12 @@ def test_only_the_weight_set_names_the_mask_form():
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 text = f.read()
             assert "uses_orbits" not in text and "MAX_ROW_ORBITS" not in text, name
+
+
+def test_the_walk_kernel_lives_beside_the_walk():
+    # invariants builds the walk's kernel and its byte-chunk rows and reads
+    # them; zerosum holds the DP, its certificates and the extraction only
+    with open(zerosum.__file__, encoding="utf-8") as f:
+        text = f.read()
+    for name in ("_walk_kernel", "orbit_rows", "chunks"):
+        assert name not in text, name

@@ -3,10 +3,13 @@ messages quote, equality and hashing by value, and pickling (a Budget
 crosses to the `table --jobs` workers).  The cache line's bytes are pinned
 in test_cli."""
 
+import os
 import pickle
+import re
 
 import pytest
 
+import wzs
 from wzs.invariants import Budget, SearchStats
 from wzs.modarith import ModulusProfile, factor
 from wzs.weightsets import WeightSet, cubes, custom
@@ -66,9 +69,10 @@ def test_pickled_values_keep_members_and_derived_fields():
     weights = pickle.loads(pickle.dumps(custom(95, [1, 2])))
     assert 2 in weights.members and 3 not in weights.members and len(weights) == 2
     profile = factor(95)
-    assert (profile.n1, profile.n2) == (19, 5)  # derived and kept before the copy
-    copy = pickle.loads(pickle.dumps(profile))
-    assert (copy.n1, copy.n2, copy.extremal_length) == (19, 5, 3)
+    assert (profile.n1, profile.n2) == (19, 5)  # derived and kept on the original
+    copy = pickle.loads(pickle.dumps(profile))  # rebuilt from (n, factors)
+    assert "n1" not in vars(copy)
+    assert (copy.n1, copy.n2, copy.extremal_length) == (19, 5, 3)  # derived again
 
 
 def test_a_weight_set_pickles_without_its_tables_or_step():
@@ -81,3 +85,16 @@ def test_a_weight_set_pickles_without_its_tables_or_step():
     assert copy == weights and copy.members == weights.members
     assert "step" in vars(weights) and "step" not in vars(copy)
     assert has_weighted_zero_subseq(seq, copy) == answer
+
+
+def test_only_the_record_base_defines_identity():
+    # errors.Record defines equality, hashing, repr and pickling once from
+    # a class's _fields; no other module writes its own
+    src = os.path.dirname(wzs.__file__)
+    pattern = re.compile(r"def (__eq__|__hash__|__repr__|__reduce__)\b")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                found = pattern.findall(f.read())
+            assert found == ([] if name != "errors.py" else
+                             ["__eq__", "__hash__", "__repr__", "__reduce__"]), name

@@ -147,7 +147,7 @@ def test_node_cap_is_never_passed():
         assert res.stats.nodes == cap
 
 
-def test_parallel_search_keeps_one_deadline():
+def test_search_branches_share_one_deadline():
     # {1} mod 1100 has 17 first-term branches, none of which finishes in
     # 0.5 s; they share the search's one deadline, so the search stops on
     # time, after the all-ones path is walked to its end: lower = D = 1100.
@@ -225,7 +225,7 @@ def _classes(weights, space):
     """(longest length, canonical forms of the longest sequences) from one
     walk and read-back over space = (firsts, alphabet)."""
     firsts, alphabet = space
-    walk = _walk(weights, firsts, alphabet, 10**12, float("inf"), {})
+    walk = _walk(weights, firsts, alphabet, 10**12, float("inf"))
     assert walk.exhausted_by is None and walk.finished == firsts
     leaves = _sequences_of_length(walk)
     n = weights.modulus
@@ -291,25 +291,17 @@ def test_seconds_exhaustion_is_named():
 
 
 def test_exhausted_branch_leaves_no_partial_entry():
-    # A table left behind by an exhausted run must give the same answer as a
-    # fresh table, so only fully explored states may have been written.
+    # A walk stopped inside its first branch writes only fully explored
+    # states: every entry of its table is the depth the full walk tables.
     n = 16
     weights = by_kind("one", n)
     firsts, alphabet = reduced_alphabet(weights)
     deadline = time.perf_counter() + 60.0
-
-    def walk(max_nodes, table):
-        """The first branch's walk, and its longest sequence read back."""
-        w = _walk(weights, firsts[:1], alphabet, max_nodes, deadline, table)
-        return w, None if w.exhausted_by else next(_sequences_of_length(w))
-
-    fresh = walk(10**9, {})
-    table: dict[int, int] = {}
-    cut = walk(500, table)
-    assert cut[0].exhausted_by == "nodes" and cut[0].finished == []
-    resumed = walk(10**9, table)
-    assert (resumed[0].longest, resumed[1]) == (fresh[0].longest, fresh[1])
-    assert resumed[0].exhausted_by is None
+    full = _walk(weights, firsts[:1], alphabet, 10**9, deadline)
+    cut = _walk(weights, firsts[:1], alphabet, 500, deadline)
+    assert full.exhausted_by is None
+    assert cut.exhausted_by == "nodes" and cut.finished == [] and cut.table
+    assert all(full.table[key] == depth for key, depth in cut.table.items())
 
 
 def test_exhausted_search_returns_a_zero_sum_free_lower_bound():
@@ -425,7 +417,7 @@ WALK_PINS = {
 def test_walk_tables_are_pinned(kind, n, elems, cap):
     weights = by_kind(kind, n, [int(x) for x in elems.split(",")] if elems else None)
     firsts, alphabet = reduced_alphabet(weights)
-    walk = _walk(weights, firsts, alphabet, cap, float("inf"), {})
+    walk = _walk(weights, firsts, alphabet, cap, float("inf"))
     assert (
         walk.nodes,
         walk.exhausted_by,

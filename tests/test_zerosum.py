@@ -469,16 +469,18 @@ def test_extraction_drop_path_is_pinned(monkeypatch):
 
 
 def test_extract_length_m_hypothesis_refusals():
-    with pytest.raises(HypothesisError):
-        extract_length_m(Sequence.make(91, [0] * 9), factor(91), 5)  # 7 | 91
+    with pytest.raises(HypothesisError, match=r"7 does not divide n \(n = 91\)"):
+        extract_length_m(Sequence.make(91, [0] * 9), factor(91), 5)
     with pytest.raises(HypothesisError):
         extract_length_m(Sequence.make(95, [0] * 7), factor(95), 5)  # wrong length
     with pytest.raises(HypothesisError):
         extract_length_m(Sequence.make(95, [0] * 7), factor(95), 4)  # m too small
-    with pytest.raises(HypothesisError):
-        extract_length_m(Sequence.make(50, [0] * 8), factor(50), 6)  # even
-    with pytest.raises(HypothesisError):
-        extract_length_m(Sequence.make(25, [0] * 4), factor(25), 2)  # not square-free
+    with pytest.raises(HypothesisError, match=r"n is odd \(n = 50\)"):
+        extract_length_m(Sequence.make(50, [0] * 8), factor(50), 6)
+    with pytest.raises(HypothesisError, match=r"n is square-free \(n = 25\)"):
+        extract_length_m(Sequence.make(25, [0] * 4), factor(25), 2)
+    with pytest.raises(HypothesisError, match=r"n >= 2$"):
+        extract_length_m(Sequence.make(1, []), factor(1), 0)
 
 
 def test_sequence_validation():
