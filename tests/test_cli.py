@@ -793,10 +793,3 @@ def test_unknown_command_exits_64(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
 
-
-@pytest.mark.parametrize("n, crc", [(55, 0xC29D39A5), (95, 0x65F5B36D), (185, 0x09102598), (2945, 0x9F768779)])
-def test_check_matrix_is_pinned(n, crc):
-    # verify's matrix at seed 3, in process, as CRC-32 of its sorted JSON
-    payload = verify.check_matrix(n, 3, 600)
-    assert not flagged(payload["checks"]) and payload["all_pass"]
-    assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc
