@@ -39,40 +39,20 @@ _RESIDUE_CHUNK = 4096  # residues power_residue_split checks between deadline re
 
 
 def check_matrix(n: int, seed: int, seconds: float) -> dict:
-    """The check matrix for one n.  A check the budget left undecided (a
-    walk stopped before it knew D, an incomplete enumeration, or a check the
-    deadline cut before it failed or ended) fails with "undecided": true."""
+    """The check matrix for one n, in the order its checks can be decided on
+    one budget: the witness and the randomized checks first, then the
+    enumeration on what they left, then the checks that read D or the
+    classes.  A check the budget left undecided (a walk stopped before it
+    knew D, an incomplete enumeration, or a check the deadline cut before it
+    failed or ended) fails with "undecided": true."""
     prof = factor(n)
     require_hypotheses(prof)
     rng = random.Random(seed)
     weights = by_kind("cubes", n)
     checks: dict[str, dict] = {}
+    undecided: set[str] = set()
     deadline = time.perf_counter() + seconds
-
-    d_form = davenport_formula(prof)
-    # one walk gives D (None if the budget ran out) and the extremal classes;
-    # the per-class checks see only the classes found, so a cut walk
-    # leaves both undecided
-    enum = enumerate_extremal(n, weights, Budget(max_seconds=seconds))
-    undecided = set() if enum.complete else {"extremal_classification", "coprimality_minima"}
-    if enum.d_value is None:
-        undecided |= {"formula_matches_search", "e_value_relation", "prior_bound_ceiling"}
-    checks["formula_matches_search"] = {
-        "pass": enum.d_value == d_form,
-        "formula": d_form,
-        "search": enum.d_value,
-    }
-    # E from the searched D by E = D + n - 1, against the closed form
-    e_form = e_formula(prof)
-    checks["e_value_relation"] = {
-        "pass": enum.d_value is not None and enum.d_value + n - 1 == e_form,
-        "e_formula": e_form,
-    }
     witness = lower_bound_witness(prof)
-    checks["lower_bound_witness_tight"] = {
-        "pass": len(witness) == d_form - 1,
-        "witness": list(witness.terms),
-    }
 
     def passes(name: str, trials, trial) -> tuple[bool, int]:
         """Whether trial(t) holds for every t of trials, in order, reading
@@ -138,10 +118,41 @@ def check_matrix(n: int, seed: int, seconds: float) -> dict:
     ok, ran = passes("equivalence_invariance", range(100), invariant)
     checks["equivalence_invariance"] = {"pass": ok, "trials": ran}
 
-    # the per-class checks, one trial a class, draw nothing from the RNG, and
-    # run only on a complete enumeration. classify_structure refuses a class
-    # whose length is not the closed form's D - 1, so a walk that disagrees
-    # fails this check, not the run
+    # one walk, on what the trials left of the budget, gives D (None if it
+    # ran out) and the extremal classes; the per-class checks see only the
+    # classes found, so a cut walk leaves both undecided.  Neither the
+    # witness nor the walk draws from the RNG, so where they run does not
+    # change the trials' terms
+    enum = enumerate_extremal(n, weights,
+                              Budget(max_seconds=max(0.0, deadline - time.perf_counter())))
+    if not enum.complete:
+        undecided |= {"extremal_classification", "coprimality_minima"}
+    if enum.d_value is None:
+        undecided |= {"formula_matches_search", "e_value_relation", "lower_bound_witness_tight",
+                      "prior_bound_ceiling"}
+    d_form = davenport_formula(prof)
+    checks["formula_matches_search"] = {
+        "pass": enum.d_value == d_form,
+        "formula": d_form,
+        "search": enum.d_value,
+    }
+    # E from the searched D by E = D + n - 1, against the closed form
+    e_form = e_formula(prof)
+    checks["e_value_relation"] = {
+        "pass": enum.d_value is not None and enum.d_value + n - 1 == e_form,
+        "e_formula": e_form,
+    }
+    # the zero-sum-free witness, built from the closed form, against the
+    # searched D
+    checks["lower_bound_witness_tight"] = {
+        "pass": enum.d_value is not None and len(witness) == enum.d_value - 1,
+        "witness": list(witness.terms),
+    }
+
+    # the per-class checks, one trial a class, run only on a complete
+    # enumeration. classify_structure refuses a class whose length is not
+    # the closed form's D - 1, so a walk that disagrees fails this check,
+    # not the run
     def classified(c) -> bool:
         return reconstruct(classify_structure(c.canonical, prof)) == c.canonical
 

@@ -1,8 +1,10 @@
 """Weight sets A in [1, n-1]: cubes and squares of units, units, {+-1}, {1}.
 
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
-O(1) membership; moduli are desk scale, so memory is a non-issue and the
-dynamic programming inner loops want fast iteration.  The set alone decides
+O(1) membership, since the dynamic programming inner loops want fast
+iteration.  Its tables grow with n (a cube set near n = 20000 holds about
+0.85 MB), so each kind constructor keeps only its last KIND_CACHE sets, a
+bound sized from measured reuse (see KIND_CACHE).  The set alone decides
 the mask form of the kernels (uses_orbits) and owns what depends on it: the
 DP's step and each residue's bit, and the walks' orbit rows, None where they
 have none.  Derived tables (orbit ids and the k least members of the orbits,
@@ -203,34 +205,41 @@ def _make(n: int, elems: set[int], kind: str, subgroup: bool = False) -> WeightS
 # The kind constructors below build subgroups of the units by construction
 # (images of the unit group, or {1, -1}), so they skip the closure check, and
 # each returns one shared instance per modulus so its tables are built once.
+# Each keeps its last KIND_CACHE sets, enough for what one run reuses:
+# verify's check matrix touches 4 cube sets at 2945, 5 at 215441 and 6 at
+# 623645, and 15 over the seven moduli 55 to 185; the extraction's drop path
+# reaches at most the 2^omega(n) <= 32 divisors of a hypothesis modulus
+# below 10^6.  A table row builds its own set once, so a longer cache only
+# holds memory: with 512, `table --from 20000 --to 20299` peaked at 272 MB.
+KIND_CACHE = 64
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=KIND_CACHE)
 def cubes(n: int) -> WeightSet:
     """Cubes of the units mod n; equals the full unit group when every odd
     prime factor is 2 mod 3."""
     return _make(n, {pow(a, 3, n) for a in units(n)}, "cubes", subgroup=True)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=KIND_CACHE)
 def squares(n: int) -> WeightSet:
     """Squares of the units mod n."""
     return _make(n, {pow(a, 2, n) for a in units(n)}, "squares", subgroup=True)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=KIND_CACHE)
 def units_weights(n: int) -> WeightSet:
     """The full unit group as a weight set."""
     return _make(n, units(n), "units", subgroup=True)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=KIND_CACHE)
 def pm_one(n: int) -> WeightSet:
     """{1, n-1}; collapses to {1} when n = 2."""
     return _make(n, {1, n - 1}, "pm_one", subgroup=True)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=KIND_CACHE)
 def singleton_one(n: int) -> WeightSet:
     """{1}: plain (unweighted) zero-sums."""
     return _make(n, {1}, "singleton_one", subgroup=True)

@@ -172,37 +172,47 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     _check_moduli(seq, weights)
     if not 1 <= length <= len(seq):
         return None
-    # layers[j][c] holds the sums of c weighted picks among the first j
-    # terms.  A cell with c < length - (len(seq) - j) cannot grow to `length`
-    # picks, and backtracking starts from the first row where `length` picks
-    # reach 0, so neither those cells nor later rows are computed.
+    # Cell (j, s) holds the sums of j - s weighted picks among the first j
+    # terms, s of them skipped.  Only the band max(0, j - length) <= s <=
+    # min(j, len(seq) - length) is kept: fewer skips leave more than `length`
+    # picks, more leave fewer.  Row j lists its band from its first cell.
+    # Cell s of row j is cell s - 1 of row j - 1 (term j skipped) with cell
+    # s of row j - 1 grown by a pick of term j.  Backtracking starts from the
+    # first row where `length` picks reach 0, so later rows are not computed.
     step = weights.step
     spare = len(seq) - length
-    layers: list[list[int]] = [[1] + [0] * length]
-    prev = layers[0]
-    for j, x in enumerate(seq.terms):
-        cur = prev[:]
-        for c in range(max(1, j + 1 - spare), min(j + 1, length) + 1):
-            if prev[c - 1]:
-                cur[c] = step(cur[c], x, prev[c - 1])
-        layers.append(cur)
-        prev = cur
-        if cur[length] & 1:
+    rows: list[list[int]] = [[1]]
+    for j, x in enumerate(seq.terms, 1):
+        prev = rows[-1]
+        cur = [step(0, x, prev[0])] if j <= length else []  # s = 0: every term picked
+        skip = prev[0]
+        for src in prev[1:]:
+            cur.append(step(skip, x, src) if src else skip)
+            skip = src
+        if j <= spare:  # s = j: every term skipped
+            cur.append(skip)
+        rows.append(cur)
+        if j >= length and cur[0] & 1:
             break
     else:
         return None
 
+    # from the last term back, skip a term whenever the terms before it
+    # reach the sum still wanted with the picks still owed
     bit = weights.bit
     terms = seq.terms
     picked: list[tuple[int, int]] = []
-    t, c, j = 0, length, len(layers) - 1
-    while c > 0:
-        if layers[j - 1][c] >> bit[t] & 1:
-            j -= 1
+    t, j = 0, len(rows) - 1
+    s = j - length
+    while j > s:
+        above = rows[j - 1]
+        first = max(0, j - 1 - length)
+        if s and above[s - 1 - first] >> bit[t] & 1:
+            j, s = j - 1, s - 1
             continue
-        a, t = _pick_weight(weights, bit, layers[j - 1][c - 1], t, terms[j - 1])
+        a, t = _pick_weight(weights, bit, above[s - first], t, terms[j - 1])
         picked.append((j - 1, a))
-        c, j = c - 1, j - 1
+        j -= 1
     cert = Certificate(picked=tuple(sorted(picked)), claimed_sum=0)
     if not cert.verify(seq, weights):
         raise ContractError(f"fixed-length certificate failed verification {cert}")

@@ -11,7 +11,7 @@ import zlib
 import pytest
 
 import wzs
-from wzs import cli, commands, invariants, verify
+from wzs import cli, commands, extremal, invariants, verify
 from wzs.cli import (
     EXIT_CONTRACT,
     EXIT_INCONCLUSIVE,
@@ -616,6 +616,25 @@ def test_verify_walk_disagreeing_with_formula_is_a_contract_failure(capsys, monk
     checks = json.loads(out)["checks"]
     assert checks["formula_matches_search"] == {"pass": False, "formula": 3, "search": 4}
     assert checks["extremal_classification"]["pass"] is False
+    # the witness, two terms long, is checked against the searched D
+    assert checks["lower_bound_witness_tight"] == {"pass": False, "witness": [1, 11]}
+    assert not flagged(checks)
+
+
+def test_verify_witness_one_term_short_of_the_searched_d_fails(capsys, monkeypatch):
+    lower_bound_witness = verify.lower_bound_witness
+
+    def short(prof):
+        witness = lower_bound_witness(prof)
+        return verify.Sequence.make(witness.modulus, witness.terms[:-1])
+
+    monkeypatch.setattr(verify, "lower_bound_witness", short)
+    code, out, _ = run(capsys, "verify", "--n", "95")
+    assert code == EXIT_CONTRACT
+    checks = json.loads(out)["checks"]
+    assert checks["lower_bound_witness_tight"] == {"pass": False, "witness": [1, 2]}
+    assert checks["formula_matches_search"]["search"] == 4
+    assert not flagged(checks)
 
 
 def test_verify_refuses_out_of_hypothesis_n(capsys):
@@ -637,16 +656,20 @@ class _Clock:
 
 # verify's clock reads at n = 55, in the order it makes them: the deadline,
 # then one per trial of each randomized check, one per chunk of residues (one
-# chunk for each of the two power sets) and one per class (3 classes) for
-# each of the two per-class checks, which run last
+# chunk for each of the two power sets), one for the enumeration's share of
+# the budget, and one per class (3 classes) for each of the two per-class
+# checks, which run last
 READS_55 = (("deadline", 1), ("extraction_certificates", 25),
             ("violation_forces_zero_sum", 100), ("crt_factorization", 200),
             ("power_residue_split", 2), ("equivalence_invariance", 100),
-            ("extremal_classification", 3), ("coprimality_minima", 3))
-# the per-class checks, undecided whenever the enumeration is incomplete,
+            ("enumeration", 1), ("extremal_classification", 3), ("coprimality_minima", 3))
+# the checks that read the searched D, undecided whenever the walk is cut;
+# the per-class checks, undecided whenever the enumeration is incomplete;
 # and the checks that run trials of their own
+WALK_CHECKS = {"formula_matches_search", "e_value_relation", "lower_bound_witness_tight",
+               "prior_bound_ceiling"}
 CLASS_CHECKS = {"extremal_classification", "coprimality_minima"}
-TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - CLASS_CHECKS
+TRIAL_CHECKS = {name for name, _ in READS_55[1:]} - CLASS_CHECKS - {"enumeration"}
 # the randomized checks, whose payload reports the trials they ran
 COUNTED_CHECKS = TRIAL_CHECKS - {"power_residue_split"}
 
@@ -668,11 +691,11 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
     checks = json.loads(out)["checks"]
     assert checks["formula_matches_search"]["search"] is None
     failing = {name for name, c in checks.items() if not c["pass"]}
-    # the walk's checks (E from the searched D among them), both per-class
-    # checks, which saw no classes, and every randomized check, cut at its
-    # first trial
-    assert failing == {"formula_matches_search", "e_value_relation", "prior_bound_ceiling",
-                       *CLASS_CHECKS, *TRIAL_CHECKS}
+    # every randomized check, cut at its first trial, the walk's checks (E
+    # and the witness against the searched D among them), cut by the zero
+    # budget left to the enumeration, and both per-class checks, which saw
+    # no classes
+    assert failing == WALK_CHECKS | CLASS_CHECKS | TRIAL_CHECKS
     assert flagged(checks) == failing
     assert trials_run(checks) == dict.fromkeys(COUNTED_CHECKS, 0)
 
@@ -680,7 +703,16 @@ def test_verify_exhausted_budget_exits_inconclusive(capsys):
 def test_verify_reads_the_deadline_before_every_trial(capsys, monkeypatch):
     clock = _Clock(10**6)
     monkeypatch.setattr(verify, "time", clock)
+    # the enumeration starts after every trial and the read of what they
+    # left of the default 60 s budget, all of it on this clock
+    started = []
+    enumerate_extremal = verify.enumerate_extremal
+    monkeypatch.setattr(verify, "enumerate_extremal",
+                        lambda n, w, budget: started.append((clock.calls, budget.max_seconds))
+                        or enumerate_extremal(n, w, budget))
     code, _, _ = run(capsys, "verify", "--n", "55")
+    upto = [name for name, _ in READS_55].index("enumeration") + 1
+    assert started == [(sum(reads for _, reads in READS_55[:upto]), 60.0)]
     assert code == EXIT_OK and clock.calls == sum(reads for _, reads in READS_55)
 
 
@@ -696,6 +728,8 @@ def test_a_check_the_deadline_cuts_is_undecided(capsys, monkeypatch, cut, where)
     checks = json.loads(out)["checks"]
     failing = {name for name, c in checks.items() if not c["pass"]}
     later = {name for name, _ in READS_55[cut:]}
+    if "enumeration" in later:  # the enumeration's budget is 0, so its walk is cut
+        later = later - {"enumeration"} | WALK_CHECKS
     assert failing == later == flagged(checks)
     # the cut check ran none or all but its last trial, every later one none
     ran = {name: 0 if name in later else r for name, r in READS_55 if name in COUNTED_CHECKS}
@@ -723,15 +757,53 @@ def test_a_failing_trial_is_counted_and_ends_its_check(capsys, monkeypatch):
 
 
 def test_verify_classifies_nothing_after_an_incomplete_enumeration(capsys, monkeypatch):
-    # 32395 has over 100,000 extremal classes; a walk cut at 0.5 s leaves the
-    # classification undecided, so none of the found classes is classified.
+    # 32395 has over 100,000 extremal classes; the trials run first, the
+    # enumeration gets what they left of 0.5 s and stops incomplete, and
+    # none of the classes it found is classified.
     calls = []
-    classify = verify.classify_structure
-    monkeypatch.setattr(verify, "classify_structure", lambda *a: calls.append(a) or classify(*a))
+    for name in ("extract_length_m", "enumerate_extremal", "classify_structure"):
+        func = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *a, f=func, name=name: calls.append((name, a)) or f(*a))
     code, out, _ = run(capsys, "verify", "--n", "32395", "--budget-ms", "500")
     assert code == EXIT_INCONCLUSIVE
-    assert calls == []
-    assert "extremal_classification" in flagged(json.loads(out)["checks"])
+    names = [name for name, _ in calls]
+    assert names[-1] == "enumerate_extremal" and set(names[:-1]) == {"extract_length_m"}
+    assert calls[-1][1][2].max_seconds < 0.5
+    assert CLASS_CHECKS <= flagged(json.loads(out)["checks"])
+
+
+class _LateClock:
+    """A stand-in for the time module of verify and extremal together: the
+    real clock for its first `reads` calls, then a time far past any
+    deadline."""
+
+    def __init__(self, reads):
+        self.reads, self.calls = reads, 0
+
+    def perf_counter(self):
+        self.calls += 1
+        return time.perf_counter() + (0.0 if self.calls <= self.reads else 1e9)
+
+
+def test_verify_deadline_inside_the_enumeration_leaves_only_the_class_checks(capsys,
+                                                                             monkeypatch):
+    # one clock passes the deadline right after the enumeration's first
+    # reading, its start: the trials, which ran before, report full counts,
+    # the walk (on invariants' own clock) finds D, the read-back stops, and
+    # only the two per-class checks are undecided
+    upto = [name for name, _ in READS_55].index("enumeration") + 1
+    clock = _LateClock(sum(reads for _, reads in READS_55[:upto]) + 1)
+    monkeypatch.setattr(verify, "time", clock)
+    monkeypatch.setattr(extremal, "time", clock)
+    code, out, _ = run(capsys, "verify", "--n", "55")
+    assert code == EXIT_INCONCLUSIVE
+    checks = json.loads(out)["checks"]
+    assert flagged(checks) == CLASS_CHECKS
+    assert trials_run(checks) == {"extraction_certificates": 25, "violation_forces_zero_sum": 100,
+                                  "crt_factorization": 200, "equivalence_invariance": 100}
+    assert checks["power_residue_split"]["pass"] is True
+    assert checks["formula_matches_search"]["search"] == 3
 
 
 def test_budget_env_variable_is_honored(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import zlib
 import pytest
 
 from wzs.modarith import units
+from wzs.verify import check_matrix
 from wzs.weightsets import (
     by_kind,
     cubes,
@@ -175,6 +176,15 @@ def test_kind_constructors_return_one_instance_per_modulus():
     assert cubes(95) is by_kind("cubes", 95)
     assert by_kind("pm1", 95) is pm_one(95)
     assert cubes(95)._cosets is cubes(95)._cosets
+
+
+def test_a_second_check_matrix_builds_no_weight_set():
+    # the kind caches keep every set one check matrix touches (4 at 2945)
+    constructors = (cubes, squares, units_weights, pm_one, singleton_one)
+    check_matrix(2945, 3, 600)
+    built = [make.cache_info().misses for make in constructors]
+    check_matrix(2945, 3, 600)
+    assert [make.cache_info().misses for make in constructors] == built
 
 
 def test_coset_reps_times_weights_hit_every_unit_once():

@@ -2,14 +2,17 @@
 
 import itertools
 import random
+import tracemalloc
 import zlib
 from collections import Counter
 
 import pytest
 
+from e_oracle import fixed_length_full_rows
 from sums_oracle import reachable_sums, residue_twin
 from wzs import zerosum
 from wzs.errors import ContractError, HypothesisError
+from wzs.invariants import lower_bound_witness
 from wzs.modarith import factor, theorem_hypothesis_failure, units
 from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
 from wzs.zerosum import (
@@ -219,6 +222,46 @@ def test_fixed_length_random_length_98_over_95():
         cert = has_fixed_length_zero_subseq(seq, ws, 95)
         assert cert is not None and len(cert.picked) == 95
         assert cert.verify(seq, ws)
+
+
+def test_fixed_length_band_matches_the_full_rows():
+    # every kind, and {1, 2}, at every n < 120: sequences of 1 to 12 terms,
+    # many of them zeros or multiples of a divisor, at every length
+    rng = random.Random(67)
+    for n in range(2, 120):
+        divisors = factor(n).divisors()
+        sets = [by_kind(kind, n) for kind in ("cubes", "squares", "units", "pm1", "one")]
+        for weights in sets + ([custom(n, [1, 2])] if n > 2 else []):
+            for _ in range(2):
+                terms = [rng.choice(divisors) * rng.randrange(n) % n
+                         for _ in range(rng.randrange(1, 13))]
+                seq = Sequence.make(n, terms)
+                for length in range(len(seq) + 2):
+                    assert (has_fixed_length_zero_subseq(seq, weights, length)
+                            == fixed_length_full_rows(seq, weights, length)), (n, weights.kind,
+                                                                                terms, length)
+
+
+@pytest.mark.parametrize("case", ["witness and zeros", "ones, one pick"])
+def test_fixed_length_band_memory_at_2945(case):
+    # the witness and n - 1 zeros, E - 1 terms, hold no n-term zero-sum: the
+    # band is D - 1 = 6 cells a row, where full rows held n + 1 = 2946.  n - 1
+    # ones hold no 1-term zero-sum: two cells a row, not one per skip
+    n = 2945
+    weights = cubes(n)
+    if case == "witness and zeros":
+        seq = Sequence.make(n, [*lower_bound_witness(factor(n)).terms, *[0] * (n - 1)])
+        length = n
+    else:
+        seq, length = Sequence.make(n, [1] * (n - 1)), 1
+    has_fixed_length_zero_subseq(Sequence.make(n, [1, 2]), weights, 2)  # warm the tables
+    tracemalloc.start()
+    try:
+        assert has_fixed_length_zero_subseq(seq, weights, length) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_fixed_length_matches_subset_dp():
