@@ -206,7 +206,7 @@ def has_fixed_length_zero_subseq(seq: Sequence, weights: WeightSet,
     s = j - length
     while j > s:
         above = rows[j - 1]
-        first = max(0, j - 1 - length)
+        first = max(0, j - 1 - length)  # above lists row j - 1 from s = first
         if s and above[s - 1 - first] >> bit[t] & 1:
             j, s = j - 1, s - 1
             continue

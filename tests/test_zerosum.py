@@ -245,7 +245,7 @@ def test_fixed_length_band_matches_the_full_rows():
 @pytest.mark.parametrize("case", ["witness and zeros", "ones, one pick"])
 def test_fixed_length_band_memory_at_2945(case):
     # the witness and n - 1 zeros, E - 1 terms, hold no n-term zero-sum: the
-    # band is D - 1 = 6 cells a row, where full rows held n + 1 = 2946.  n - 1
+    # band is D - 1 = 5 cells a row, where full rows held n + 1 = 2946.  n - 1
     # ones hold no 1-term zero-sum: two cells a row, not one per skip
     n = 2945
     weights = cubes(n)
