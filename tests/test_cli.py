@@ -865,3 +865,13 @@ def test_unknown_command_exits_64(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
 
+
+
+@pytest.mark.parametrize("n, crc", [(2945, 0x9F768779)])
+def test_check_matrix_is_pinned(n, crc):
+    # verify's matrix at seed 3, in process, as CRC-32 of its sorted JSON:
+    # the payload itself, before the CLI prints it (the corpus pins the
+    # printed bytes of the same run)
+    payload = verify.check_matrix(n, 3, 600)
+    assert not flagged(payload["checks"]) and payload["all_pass"]
+    assert zlib.crc32(json.dumps(payload, sort_keys=True).encode()) == crc
