@@ -220,10 +220,12 @@ def test_orbit_tables_are_pinned():
     # orbit_id and the coset minima least[orbit_id[x]] of every subgroup
     # kind at 2 <= n < 400: the count and CRC-32 of their repr, pinned from
     # the coset pass that stored the n-sized minima table and remapped it to
-    # orbit ids.
+    # orbit ids; and the kind, elements and subgroup flag of each set.
     kinds = (cubes, squares, units_weights, pm_one, singleton_one)
     sets = [make(n) for n in range(2, 400) for make in kinds]
     ids = [ws.orbit_id for ws in sets]
     minima = [coset_minima(ws) for ws in sets]
+    rows = [(ws.kind, ws.elements, ws.is_subgroup) for ws in sets]
     assert (len(ids), zlib.crc32(repr(ids).encode())) == (1990, 0x95DD6D26)
     assert zlib.crc32(repr(minima).encode()) == 0x20D959F8
+    assert (len(rows), zlib.crc32(repr(rows).encode())) == (1990, 0x5B8E3EDC)
