@@ -34,7 +34,7 @@ def _parse_residues(raw: str) -> list[int]:
 
 
 def _weights_from(args):
-    elems = _parse_residues(args.elems) if args.elems else None
+    elems = None if args.elems is None else _parse_residues(args.elems)
     return by_kind(args.weights, args.n, elems)
 
 

@@ -2,20 +2,22 @@
 
 A weight set is materialized eagerly as a sorted tuple plus a frozenset for
 O(1) membership, since the dynamic programming inner loops want fast
-iteration.  Its tables grow with n (a cube set near n = 20000 holds about
-0.85 MB), so each kind constructor keeps only its last KIND_CACHE sets, a
-bound sized from measured reuse (see KIND_CACHE).  The set alone decides
-the mask form of the kernels (uses_orbits) and owns what depends on it: the
-DP's step and each residue's bit, and the walks' orbit rows, None where they
-have none.  Derived tables (orbit ids and the k least members of the orbits,
-from one coset pass; the orbit columns and rows) and the step are built
-lazily, once per instance; kind constructors share one per modulus.
+iteration.  One constructor, kind_set, builds every kind (the units, squares
+and cubes are the k-th powers of the units), and one cache holds every kind.
+The tables of a set grow with n (a cube set near n = 20000 holds about
+0.85 MB), so the cache keeps only its last KIND_CACHE sets, a bound sized
+from measured reuse (see KIND_CACHE).  The set alone decides the mask form
+of the kernels (uses_orbits) and owns what depends on it: the DP's step and
+each residue's bit, and the walks' orbit rows, None where they have none.
+Derived tables (orbit ids and the k least members of the orbits, from one
+coset pass; the orbit columns and rows) and the step are built lazily, once
+per instance; kind_set shares one instance per kind and modulus.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import Record
 from .modarith import factor, units
@@ -202,47 +204,39 @@ def _make(n: int, elems: set[int], kind: str, subgroup: bool = False) -> WeightS
     )
 
 
-# The kind constructors below build subgroups of the units by construction
-# (images of the unit group, or {1, -1}), so they skip the closure check, and
-# each returns one shared instance per modulus so its tables are built once.
-# Each keeps its last KIND_CACHE sets, enough for what one run reuses:
-# verify's check matrix touches 4 cube sets at 2945, 5 at 215441 and 6 at
-# 623645, and 15 over the seven moduli 55 to 185; the extraction's drop path
-# reaches at most the 2^omega(n) <= 32 divisors of a hypothesis modulus
-# below 10^6.  A table row builds its own set once, so a longer cache only
-# holds memory: with 512, `table --from 20000 --to 20299` peaked at 272 MB.
+# Every kind is a subgroup of the units by construction (the k-th powers of
+# the unit group, or {1, -1}), so it skips the closure check, and one cache
+# holds every kind: one shared instance per (kind, modulus), so its tables
+# are built once.  The cache keeps its last KIND_CACHE sets, enough for what
+# one run reuses: verify's check matrix touches 4 cube sets at 2945, 5 at
+# 215441 and 6 at 623645, and 15 over the seven moduli 55 to 185; the
+# extraction's drop path reaches at most the 2^omega(n) <= 32 divisors of a
+# hypothesis modulus below 10^6.  A table row builds its own set once, so a
+# longer cache only holds memory: with 512 sets a kind, `table --from 20000
+# --to 20299` peaked at 272 MB.
 KIND_CACHE = 64
 
-
-@lru_cache(maxsize=KIND_CACHE)
-def cubes(n: int) -> WeightSet:
-    """Cubes of the units mod n; equals the full unit group when every odd
-    prime factor is 2 mod 3."""
-    return _make(n, {pow(a, 3, n) for a in units(n)}, "cubes", subgroup=True)
+_POWERS = {"units": 1, "squares": 2, "cubes": 3}
 
 
 @lru_cache(maxsize=KIND_CACHE)
-def squares(n: int) -> WeightSet:
-    """Squares of the units mod n."""
-    return _make(n, {pow(a, 2, n) for a in units(n)}, "squares", subgroup=True)
+def kind_set(kind: str, n: int) -> WeightSet:
+    """The weight set of a kind tag mod n: the units, squares or cubes of
+    the units (their k-th powers, k = 1, 2, 3), pm_one = {1, n-1} ({1} when
+    n = 2) or singleton_one = {1}, the plain zero-sums.  The cubes are the
+    whole unit group when every odd prime factor is 2 mod 3."""
+    if kind in _POWERS:
+        elems = {pow(a, _POWERS[kind], n) for a in units(n)}
+    elif kind == "pm_one":
+        elems = {1, n - 1}
+    elif kind == "singleton_one":
+        elems = {1}
+    else:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return _make(n, elems, kind, subgroup=True)
 
 
-@lru_cache(maxsize=KIND_CACHE)
-def units_weights(n: int) -> WeightSet:
-    """The full unit group as a weight set."""
-    return _make(n, units(n), "units", subgroup=True)
-
-
-@lru_cache(maxsize=KIND_CACHE)
-def pm_one(n: int) -> WeightSet:
-    """{1, n-1}; collapses to {1} when n = 2."""
-    return _make(n, {1, n - 1}, "pm_one", subgroup=True)
-
-
-@lru_cache(maxsize=KIND_CACHE)
-def singleton_one(n: int) -> WeightSet:
-    """{1}: plain (unweighted) zero-sums."""
-    return _make(n, {1}, "singleton_one", subgroup=True)
+cubes = partial(kind_set, "cubes")  # the theorem's weights, read by name across wzs
 
 
 def custom(n: int, elems: list[int]) -> WeightSet:
@@ -250,25 +244,16 @@ def custom(n: int, elems: list[int]) -> WeightSet:
     return _make(n, set(elems), "custom")
 
 
-_FACTORIES = {
-    "cubes": cubes,
-    "squares": squares,
-    "units": units_weights,
-    "pm_one": pm_one,
-    "singleton_one": singleton_one,
-}
-
-
 def by_kind(kind: str, n: int, elems: list[int] | None = None) -> WeightSet:
-    """Construct a weight set from its kind tag (CLI aliases accepted)."""
-    alias = {"pm1": "pm_one", "one": "singleton_one"}.get(kind, kind)
-    if alias == "custom":
+    """Construct a weight set from its kind tag or CLI name (pm1, one); only
+    the custom kind reads elements."""
+    if kind == "custom":
         if not elems:
             raise ValueError("custom weight set needs explicit elements")
         return custom(n, elems)
-    if alias not in _FACTORIES:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    return _FACTORIES[alias](n)
+    if elems is not None:
+        raise ValueError(f"elements are read only by the custom kind, not {kind!r}")
+    return kind_set({"pm1": "pm_one", "one": "singleton_one"}.get(kind, kind), n)
 
 
 def reduced_alphabet(a: WeightSet) -> tuple[list[int], list[int]]:

@@ -25,7 +25,7 @@ from wzs.invariants import (
     prior_upper_bound,
 )
 from wzs.modarith import factor, is_kth_power_residue
-from wzs.weightsets import cubes, units_weights
+from wzs.weightsets import cubes
 from wzs.zerosum import (
     Sequence,
     crt_zero_check,

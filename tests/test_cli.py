@@ -52,6 +52,18 @@ def test_weights_custom(capsys):
     assert json.loads(out)["elements"] == [2, 4]
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--weights", "cubes", "--seq", "5,9"),
+    ("weights", "--kind", "cubes"),
+    ("davenport", "--weights", "cubes", "--method", "search"),
+    ("extremal", "construct", "--weights", "cubes"),
+])
+def test_elems_with_a_kind_other_than_custom_is_a_usage_error(capsys, isolated_cache, argv):
+    code, out, err = run(capsys, *argv, "--n", "95", "--elems", "1,7")
+    assert (code, out) == (EXIT_USAGE, "") and "custom" in err
+    assert not isolated_cache.exists()
+
+
 def test_check_zero_term(capsys):
     code, out, _ = run(capsys, "check", "--n", "5", "--weights", "cubes", "--seq", "0")
     assert code == EXIT_OK
@@ -268,14 +280,6 @@ def test_table_csv_shape(capsys):
     # out-of-hypothesis rows leave the formula columns empty
     assert rows["6"][5] == "" and rows["6"][7] == "" and rows["6"][8] == ""
     assert rows["6"][6] != ""
-
-
-def test_table_json_to_150_is_pinned(capsys):
-    # every row's factorization, closed forms, search answer and witness,
-    # computed from an empty cache
-    code, out, _ = run(capsys, "table", "--from", "5", "--to", "150", "--format", "json")
-    assert code == EXIT_OK
-    assert zlib.crc32(out.encode()) == 0x9A4895EE
 
 
 def test_table_reruns_identically(capsys, tmp_path, monkeypatch):

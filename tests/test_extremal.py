@@ -17,7 +17,7 @@ from wzs.extremal import (
 )
 from wzs.invariants import Budget, davenport_formula, davenport_search, lower_bound_witness
 from wzs.modarith import factor, theorem_hypothesis_failure, units
-from wzs.weightsets import by_kind, cubes, custom, squares
+from wzs.weightsets import by_kind, cubes, custom, kind_set
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 
@@ -243,10 +243,10 @@ def test_every_divided_remainder_is_extremal(n):
 def test_classify_builds_no_weight_set_for_a_divisor():
     prof = factor(2945)
     classes = enumerate_extremal(2945, cubes(2945)).classes
-    cubes.cache_clear()
+    kind_set.cache_clear()
     for c in classes:
         classify_structure(c.canonical, prof)
-    assert cubes.cache_info().misses == 1  # cubes(2945), for the top-level check
+    assert kind_set.cache_info().misses == 1  # cubes(2945), for the top-level check
 
 
 def test_classify_case_tags_55():
@@ -334,7 +334,7 @@ def test_canonicalize_coset_scalings_match_all_units():
     # every unit scaling, as the canonical form is defined.
     rng = random.Random(7)
     for n in (19, 55, 91, 95, 185):
-        for ws in (cubes(n), squares(n)):
+        for ws in (cubes(n), by_kind("squares", n)):
             rep = [min([x] + [w * x % n for w in ws.elements]) for x in range(n)]
             for _ in range(40):
                 seq = Sequence.make(n, [rng.randrange(n) for _ in range(rng.randrange(1, 6))])

@@ -22,7 +22,7 @@ from wzs.invariants import (
     theorem_hypothesis_failure,
 )
 from wzs.modarith import factor, require_hypotheses, units
-from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
+from wzs.weightsets import by_kind, cubes, custom
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
 FORMULA_CASES = {5: 2, 11: 2, 17: 2, 19: 3, 23: 2, 29: 2, 31: 3, 55: 3, 85: 3, 95: 4}
@@ -32,7 +32,7 @@ def test_davenport_search_known_values():
     assert davenport_search(19, cubes(19)).value == 3
     assert davenport_search(5, cubes(5)).value == 2
     # classical unweighted constant equals n at tiny n
-    assert davenport_search(6, singleton_one(6)).value == 6
+    assert davenport_search(6, by_kind("one", 6)).value == 6
 
 
 def test_search_witness_validates():
@@ -111,14 +111,14 @@ def test_e_formula_and_gao():
 
 
 def test_e_direct_small_values():
-    assert e_direct(5, units_weights(5)) == 6
-    assert e_direct(2, singleton_one(2)) == 3
-    assert e_direct(5, cubes(5)) == e_direct(5, units_weights(5))
+    assert e_direct(5, by_kind("units", 5)) == 6
+    assert e_direct(2, by_kind("one", 2)) == 3
+    assert e_direct(5, cubes(5)) == e_direct(5, by_kind("units", 5))
 
 
 def test_e_direct_reproduces_gao_relation_at_5():
-    search = davenport_search(5, units_weights(5))
-    assert e_direct(5, units_weights(5)) == search.value + 5 - 1
+    search = davenport_search(5, by_kind("units", 5))
+    assert e_direct(5, by_kind("units", 5)) == search.value + 5 - 1
 
 
 @pytest.mark.parametrize("kind, top", [("one", 7), ("pm1", 8), ("units", 8), ("squares", 7), ("cubes", 8)])
@@ -212,16 +212,16 @@ def test_search_respects_prior_ceiling():
 
 
 def test_budget_exhaustion_is_explicit():
-    res = davenport_search(19, singleton_one(19), budget=Budget(max_nodes=25))
+    res = davenport_search(19, by_kind("one", 19), budget=Budget(max_nodes=25))
     assert not res.conclusive
     assert res.value is None
     assert res.stats.exhausted_by == "nodes"
     assert res.lower is not None and res.lower >= 1
-    assert has_weighted_zero_subseq(res.witness, singleton_one(19)) is None
+    assert has_weighted_zero_subseq(res.witness, by_kind("one", 19)) is None
 
 
 def test_search_rejects_bad_input():
     with pytest.raises(ValueError):
         davenport_search(7, cubes(5))
     with pytest.raises(ValueError):
-        davenport_search(1, singleton_one(2))
+        davenport_search(1, by_kind("one", 2))

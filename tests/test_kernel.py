@@ -18,9 +18,7 @@ from wzs.weightsets import (
     by_kind,
     cubes,
     custom,
-    pm_one,
-    singleton_one,
-    units_weights,
+    kind_set,
 )
 from wzs.zerosum import (
     Sequence,
@@ -126,7 +124,7 @@ def test_kernel_matches_set_oracle_on_non_subgroup_sets():
 def test_orbit_and_residue_masks_give_identical_answers():
     rng = random.Random(53)
     cases = [(cubes(n), trials) for n, trials in ((95, 12), (185, 12), (589, 8), (935, 8), (2945, 4), (5423, 3))]
-    cases += [(units_weights(n), 20) for n in (5, 7, 11, 97, 105)]
+    cases += [(by_kind("units", n), 20) for n in (5, 7, 11, 97, 105)]
     for weights, trials in cases:
         assert weights.uses_orbits
         twin = residue_twin(weights)
@@ -147,7 +145,8 @@ def test_search_and_enumeration_agree_across_mask_forms():
     # The walks on chunked orbit rows, with dead children skipped, against
     # the per-child step on residue masks: the same D, witness, nodes and
     # states, and the same classes.
-    sets = [cubes(63), cubes(126), cubes(234), singleton_one(24), pm_one(64), by_kind("squares", 100)]
+    sets = [cubes(63), cubes(126), cubes(234), by_kind("one", 24), by_kind("pm1", 64),
+            by_kind("squares", 100)]
     enum_sets = [cubes(95), cubes(185)]
 
     def walks(weight_sets, enum_weight_sets):
@@ -169,7 +168,7 @@ def test_search_and_enumeration_agree_across_mask_forms():
 def test_chunked_expand_ors_the_rows_of_the_set_bits():
     # k = 3, 8, 24, 40 and 128 orbits; the last chunk holds k mod 8 orbits
     # at k = 3 and all 8 elsewhere.
-    sets = [units_weights(4), cubes(95), cubes(108), cubes(126), singleton_one(128)]
+    sets = [by_kind("units", 4), cubes(95), cubes(108), cubes(126), by_kind("one", 128)]
     rng = random.Random(59)
     for weights, k in zip(sets, (3, 8, 24, 40, 128)):
         rows = weights.orbit_rows
@@ -254,9 +253,9 @@ def test_walks_step_per_child_past_the_row_limit(monkeypatch):
         return ([(r.value, r.witness, r.stats.nodes, r.stats.states) for r in res],
                 ext.classes, ext.stats, tables[1])
 
-    with_rows = walks(cubes.__wrapped__(180), cubes.__wrapped__(95), cubes.__wrapped__(2945))
+    with_rows = walks(*(kind_set.__wrapped__("cubes", n) for n in (180, 95, 2945)))
     monkeypatch.setattr(weightsets, "MAX_ROW_ORBITS", 0)
-    c180, c95, c2945 = cubes.__wrapped__(180), cubes.__wrapped__(95), cubes.__wrapped__(2945)
+    c180, c95, c2945 = (kind_set.__wrapped__("cubes", n) for n in (180, 95, 2945))
     assert c95.uses_orbits and c2945.uses_orbits and not c180.uses_orbits
     for w in (c180, c95, c2945):
         assert w.orbit_rows is None and _walk_kernel(w, [1])[0] is w.step
@@ -274,9 +273,9 @@ def test_representation_rule():
         weights = cubes(n)
         assert max(weights.orbit_id) + 1 == orbits
         assert weights.uses_orbits, n
-    assert singleton_one(128).uses_orbits and not singleton_one(129).uses_orbits
-    assert pm_one(255).orbit_count == 128 and pm_one(255).uses_orbits
-    assert pm_one(256).orbit_count == 129 and not pm_one(256).uses_orbits
+    assert by_kind("one", 128).uses_orbits and not by_kind("one", 129).uses_orbits
+    assert by_kind("pm1", 255).orbit_count == 128 and by_kind("pm1", 255).uses_orbits
+    assert by_kind("pm1", 256).orbit_count == 129 and not by_kind("pm1", 256).uses_orbits
     assert not custom(30, [1, 2, 3]).uses_orbits
 
 
@@ -295,7 +294,7 @@ def test_walks_have_rows_exactly_where_the_dp_takes_orbit_masks():
 
 
 def test_orbit_tables_match_their_definitions():
-    for weights in (cubes(95), cubes(185), units_weights(60), by_kind("squares", 91)):
+    for weights in (cubes(95), cubes(185), by_kind("units", 60), by_kind("squares", 91)):
         n = weights.modulus
         oid = weights.orbit_id
         assert oid[0] == 0
@@ -313,7 +312,7 @@ def test_orbit_tables_match_their_definitions():
 
 
 def test_orbit_rows_pack_the_columns():
-    for weights in (cubes(95), cubes(185), units_weights(60), by_kind("squares", 91)):
+    for weights in (cubes(95), cubes(185), by_kind("units", 60), by_kind("squares", 91)):
         k = len(weights.orbit_columns)
         assert len(weights.orbit_rows) == k
         for o, row in enumerate(weights.orbit_rows):
@@ -354,8 +353,8 @@ def test_dp_builds_the_step_once(monkeypatch):
     monkeypatch.setattr(WeightSet, "step", prop)
     # not the shared sets, which may hold their steps; pm1 at 300 has 151
     # orbits, past MAX_ROW_ORBITS and sqrt(300), so it runs on residue masks
-    on_orbits = cubes.__wrapped__(95)
-    on_residues = pm_one.__wrapped__(300)
+    on_orbits = kind_set.__wrapped__("cubes", 95)
+    on_residues = kind_set.__wrapped__("pm_one", 300)
     assert on_orbits.uses_orbits and not on_residues.uses_orbits
     sorts, rng = [], random.Random(95)
     with monkeypatch.context() as m:
@@ -380,7 +379,8 @@ def test_dp_builds_the_step_once(monkeypatch):
     # crt_zero_check steps on the cubes mod 5 and mod 19, each set's own step
     builds.clear()
     prof = factor(95)
-    monkeypatch.setattr(zerosum, "cubes", {q: cubes.__wrapped__(q) for q in (5, 19)}.__getitem__)
+    fresh = {q: kind_set.__wrapped__("cubes", q) for q in (5, 19)}
+    monkeypatch.setattr(zerosum, "cubes", fresh.__getitem__)
     for _ in range(200):
         crt_zero_check(Sequence.make(95, [rng.randrange(95) for _ in range(4)]), prof)
     assert sorted(builds) == [5, 19]
@@ -396,7 +396,7 @@ def test_residue_step_sorts_images_on_first_use():
             iterations.append(1)
             return super().__iter__()
 
-    base = pm_one(300)  # 151 orbits: past MAX_ROW_ORBITS and sqrt(300)
+    base = by_kind("pm1", 300)  # 151 orbits: past MAX_ROW_ORBITS and sqrt(300)
     twin = WeightSet(300, Counted(base.elements), "pm_one", True)
     assert not twin.uses_orbits
     iterations.clear()

@@ -20,11 +20,7 @@ from wzs.modarith import factor
 from wzs.weightsets import (
     by_kind,
     custom,
-    pm_one,
     reduced_alphabet,
-    singleton_one,
-    squares,
-    units_weights,
 )
 from wzs.zerosum import Sequence, has_weighted_zero_subseq
 
@@ -121,9 +117,9 @@ def test_search_pins_closed_forms():
     # Adhikari, Chen, Friedlander, Konyagin and Pappalardi (2006):
     # D_{+-1}(Z_n) = floor(log2 n) + 1 and D_units(Z_n) = Omega(n) + 1.
     for n in range(2, 61):
-        assert davenport_search(n, pm_one(n), UNLIMITED).value == math.floor(math.log2(n)) + 1, n
+        assert davenport_search(n, by_kind("pm1", n), UNLIMITED).value == math.floor(math.log2(n)) + 1, n
         omega = sum(e for _, e in factor(n).factors)
-        assert davenport_search(n, units_weights(n), UNLIMITED).value == omega + 1, n
+        assert davenport_search(n, by_kind("units", n), UNLIMITED).value == omega + 1, n
 
 
 def test_search_pins_the_squares_closed_form():
@@ -134,7 +130,7 @@ def test_search_pins_the_squares_closed_form():
     assert len(moduli) == 120
     for n in moduli:
         omega = len(factor(n).factors)
-        assert davenport_search(n, squares(n), UNLIMITED).value == 2 * omega + 1, n
+        assert davenport_search(n, by_kind("squares", n), UNLIMITED).value == 2 * omega + 1, n
 
 
 def test_node_cap_is_never_passed():
@@ -151,7 +147,7 @@ def test_search_branches_share_one_deadline():
     # {1} mod 1100 has 17 first-term branches, none of which finishes in
     # 0.5 s; they share the search's one deadline, so the search stops on
     # time, after the all-ones path is walked to its end: lower = D = 1100.
-    weights = singleton_one(1100)
+    weights = by_kind("one", 1100)
     t0 = time.perf_counter()
     res = davenport_search(1100, weights, Budget(max_seconds=0.5))
     elapsed = time.perf_counter() - t0
@@ -179,7 +175,7 @@ def test_search_builds_its_kernel_once(monkeypatch):
     assert res.conclusive and res.value == 7
     assert built == [True]
     built.clear()
-    res = davenport_search(160, singleton_one(160), Budget(max_nodes=20_000))
+    res = davenport_search(160, by_kind("one", 160), Budget(max_nodes=20_000))
     assert res.stats.exhausted_by == "nodes"
     assert built == [False]
 

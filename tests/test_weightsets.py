@@ -1,22 +1,18 @@
 """Weight set construction, reduction mod divisors, and subgroup detection."""
 
+import ast
 import math
+import os
 import zlib
 
 import pytest
 
+import wzs
 from wzs.modarith import units
 from wzs.verify import check_matrix
-from wzs.weightsets import (
-    by_kind,
-    cubes,
-    custom,
-    pm_one,
-    reduced_alphabet,
-    singleton_one,
-    squares,
-    units_weights,
-)
+from wzs.weightsets import by_kind, cubes, custom, kind_set, reduced_alphabet
+
+KINDS = ("cubes", "squares", "units", "pm1", "one")
 
 
 def brute_subgroup(elems, n):
@@ -70,13 +66,13 @@ def test_cubes_size_for_primes_1_mod_3():
 def test_squares_11_oracle():
     expected = {pow(u, 2, 11) for u in units(11)}
     assert expected == {1, 3, 4, 5, 9}
-    assert set(squares(11).elements) == expected
+    assert set(by_kind("squares", 11).elements) == expected
 
 
 def test_singleton_and_pm_one():
-    assert singleton_one(7).elements == (1,)
-    assert pm_one(7).elements == (1, 6)
-    assert pm_one(2).elements == (1,)
+    assert by_kind("one", 7).elements == (1,)
+    assert by_kind("pm1", 7).elements == (1, 6)
+    assert by_kind("pm1", 2).elements == (1,)
 
 
 def test_rejects_tiny_modulus():
@@ -101,6 +97,28 @@ def test_by_kind_aliases():
         by_kind("custom", 7)
     with pytest.raises(ValueError):
         by_kind("nope", 7)
+    for kind in KINDS:  # only the custom kind reads elements
+        with pytest.raises(ValueError, match="custom"):
+            by_kind(kind, 9, [2, 4])
+
+
+def test_one_cached_constructor_builds_every_kind():
+    # kind_set is the one constructor; cubes, its partial, the one alias
+    src = os.path.dirname(wzs.__file__)
+    defined = set()
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert not defined & {"squares", "units_weights", "pm_one", "singleton_one"}
+    with open(os.path.join(src, "weightsets.py"), encoding="utf-8") as f:
+        assert f.read().count("lru_cache(") == 1
+    assert cubes.func is kind_set and cubes.args == ("cubes",)
 
 
 def reduce_mod(a, m):
@@ -111,7 +129,7 @@ def reduce_mod(a, m):
 def test_project_cubes_95():
     assert reduce_mod(cubes(95), 19) == cubes(19).elements
     assert reduce_mod(cubes(95), 5) == (1, 2, 3, 4)
-    assert reduce_mod(singleton_one(95), 5) == (1,)
+    assert reduce_mod(by_kind("one", 95), 5) == (1,)
 
 
 def test_project_cubes_commutes_with_divisors():
@@ -121,12 +139,11 @@ def test_project_cubes_commutes_with_divisors():
 
 
 def test_subgroup_flag_matches_brute_closure():
-    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
     moduli = list(range(2, 151)) + [243, 289, 343, 401, 499, 500]
     for n in moduli:
-        for make in kinds:
-            ws = make(n)
-            assert ws.is_subgroup == brute_subgroup(ws.elements, n), (make.__name__, n)
+        for kind in KINDS:
+            ws = by_kind(kind, n)
+            assert ws.is_subgroup == brute_subgroup(ws.elements, n), (ws.kind, n)
 
 
 def test_custom_non_subgroup_detected():
@@ -142,9 +159,8 @@ def test_reduced_alphabet_divisor_anchors():
     # The symbols are the coset minima ordered by (gcd with n, value), so a
     # divisor d heads the symbols of gcd d, and the first terms (the divisors
     # below n, ascending) appear in the same order as their groups.
-    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
     for n in range(2, 200):
-        for t in (make(n) for make in kinds):
+        for t in (by_kind(kind, n) for kind in KINDS):
             rep = coset_minima(t)
             firsts, symbols = reduced_alphabet(t)
             assert sorted(symbols) == [x for x in range(1, n) if rep[x] == x]
@@ -156,8 +172,7 @@ def test_reduced_alphabet_divisor_anchors():
 
 
 def test_coset_minima_matches_brute_double_loop():
-    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
-    sets = [make(n) for n in list(range(2, 151)) + [243, 343, 500] for make in kinds]
+    sets = [by_kind(kind, n) for n in list(range(2, 151)) + [243, 343, 500] for kind in KINDS]
     sets.append(custom(7, [1, 2, 4]))
     for ws in sets:
         assert list(coset_minima(ws)) == brute_coset_minima(ws), (ws.kind, ws.modulus)
@@ -171,27 +186,26 @@ def test_coset_minima_refuse_a_non_subgroup(ws):
 
 
 def test_kind_constructors_return_one_instance_per_modulus():
-    for make in (cubes, squares, units_weights, pm_one, singleton_one):
-        assert make(95) is make(95)
+    for kind in KINDS:
+        assert by_kind(kind, 95) is by_kind(kind, 95)
     assert cubes(95) is by_kind("cubes", 95)
-    assert by_kind("pm1", 95) is pm_one(95)
+    assert by_kind("pm1", 95) is kind_set("pm_one", 95)
     assert cubes(95)._cosets is cubes(95)._cosets
 
 
 def test_a_second_check_matrix_builds_no_weight_set():
-    # the kind caches keep every set one check matrix touches (4 at 2945)
-    constructors = (cubes, squares, units_weights, pm_one, singleton_one)
+    # the kind cache keeps every set one check matrix touches (4 at 2945)
     check_matrix(2945, 3, 600)
-    built = [make.cache_info().misses for make in constructors]
+    built = kind_set.cache_info().misses
     check_matrix(2945, 3, 600)
-    assert [make.cache_info().misses for make in constructors] == built
+    assert kind_set.cache_info().misses == built
 
 
 def test_coset_reps_times_weights_hit_every_unit_once():
     # orbit_transform draws its unit scaling as u -> reps[u // |A|] * A[u % |A|]
     # over range(|reps| * |A|); that map must be a bijection onto the units.
     for n in (2, 19, 95, 185, 2945):
-        for ws in (cubes(n), squares(n), units_weights(n), pm_one(n), singleton_one(n)):
+        for ws in (by_kind(kind, n) for kind in KINDS):
             reps, elems = ws.unit_coset_reps, ws.elements
             hits = sorted(reps[u // len(elems)] * elems[u % len(elems)] % n
                           for u in range(len(reps) * len(elems)))
@@ -202,10 +216,9 @@ def test_recorded_minima_reps_and_alphabet_match_their_definitions():
     # The coset pass's least members (0 first, increasing), the unit coset
     # representatives and the reduced alphabet, each against its brute-force
     # definition, for every subgroup kind at 2 <= n < 300
-    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
     for n in range(2, 300):
         unit_set = units(n)
-        for ws in (make(n) for make in kinds):
+        for ws in (by_kind(kind, n) for kind in KINDS):
             coset_min = {x: min(w * x % n for w in ws.elements) for x in range(n)}
             least = sorted(set(coset_min.values()))
             assert list(ws._cosets[1]) == least, (ws.kind, n)
@@ -221,8 +234,7 @@ def test_orbit_tables_are_pinned():
     # kind at 2 <= n < 400: the count and CRC-32 of their repr, pinned from
     # the coset pass that stored the n-sized minima table and remapped it to
     # orbit ids; and the kind, elements and subgroup flag of each set.
-    kinds = (cubes, squares, units_weights, pm_one, singleton_one)
-    sets = [make(n) for n in range(2, 400) for make in kinds]
+    sets = [by_kind(kind, n) for n in range(2, 400) for kind in KINDS]
     ids = [ws.orbit_id for ws in sets]
     minima = [coset_minima(ws) for ws in sets]
     rows = [(ws.kind, ws.elements, ws.is_subgroup) for ws in sets]

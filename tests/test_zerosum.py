@@ -14,7 +14,7 @@ from wzs import zerosum
 from wzs.errors import ContractError, HypothesisError
 from wzs.invariants import lower_bound_witness
 from wzs.modarith import factor, theorem_hypothesis_failure, units
-from wzs.weightsets import by_kind, cubes, custom, singleton_one, units_weights
+from wzs.weightsets import by_kind, cubes, custom
 from wzs.zerosum import (
     Certificate,
     Sequence,
@@ -69,7 +69,7 @@ def test_reachable_sums_pair_oracle():
 
 def test_reachable_sums_full_cross_product_small():
     for n in (5, 7, 9):
-        for weights in (cubes(n), units_weights(n), singleton_one(n)):
+        for weights in (cubes(n), by_kind("units", n), by_kind("one", n)):
             for ms in all_multisets(n, 4):
                 seq = Sequence.make(n, ms)
                 assert reachable_sums(seq, weights) == oracle_reachable(ms, weights), (
@@ -82,7 +82,7 @@ def test_reachable_sums_full_cross_product_small():
 def test_reachable_sums_sampled_19():
     # full enumeration at n=19 is too slow for units; sampled per weight kind
     rng = random.Random(7)
-    cases = [(cubes(19), 60), (units_weights(19), 20), (singleton_one(19), 60)]
+    cases = [(cubes(19), 60), (by_kind("units", 19), 20), (by_kind("one", 19), 60)]
     for weights, trials in cases:
         for _ in range(trials):
             length = rng.randrange(5)
@@ -182,7 +182,7 @@ def reference_verify(cert, seq, weights):
 
 def test_certificate_verify_matches_the_reference_on_random_certificates():
     rng = random.Random(61)
-    for ws in (cubes(19), cubes(95), cubes(7), units_weights(12), custom(8, [3, 5])):
+    for ws in (cubes(19), cubes(95), cubes(7), by_kind("units", 12), custom(8, [3, 5])):
         n = ws.modulus
         for _ in range(400):
             seq = Sequence.make(n, (rng.randrange(n) for _ in range(rng.randrange(5))))
@@ -310,7 +310,7 @@ def test_unit_rich_full_zero_sums():
             terms = [1 + rng.randrange(p - 1) for _ in range(3)] + extra
             assert full_zero_sum_weights(terms, ws) is not None
     for q in (5, 25, 19):
-        ws = units_weights(q)
+        ws = by_kind("units", q)
         unit_pool = sorted(units(q))
         for _ in range(50):
             extra = [rng.randrange(q) for _ in range(rng.randrange(4))]
